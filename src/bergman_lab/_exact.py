@@ -72,7 +72,3 @@ def invert(mat: np.ndarray) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return r[:, n:]
-
-
-def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return invert(mat) @ rhs

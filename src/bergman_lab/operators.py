@@ -12,7 +12,6 @@ codomain: adj(M) = G_in^(-1) M^H G_out.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -41,8 +40,8 @@ class LinearMap:
     """Matrix of a linear map in the bases of its domain and codomain spaces.
 
     ``domain_sub``/``codomain_sub`` optionally record the subspaces whose
-    coordinate spaces the map acts between (set by :func:`restrict`), so that
-    coordinate vectors can be re-expressed in the ambient truncation.
+    coordinate spaces the map acts between (set by ``subspaces.restrict``),
+    so that coordinate vectors can be re-expressed in the ambient truncation.
     """
 
     def __init__(
@@ -130,24 +129,7 @@ class LinearMap:
 
 
 def identity_map(space: TruncatedSpace) -> LinearMap:
-    m = _exact.eye(space.dim) if space.mode.is_exact else np.eye(space.dim, dtype=np.complex128)
-    return LinearMap(space, space, m)
-
-
-def adjoint(m: LinearMap) -> LinearMap:
-    return m.adjoint()
-
-
-def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    return f.compose(g)
-
-
-def apply(m: LinearMap, v: CoefficientVector) -> CoefficientVector:
-    return m.apply(v)
-
-
-def subtract(f: LinearMap, g: LinearMap) -> LinearMap:
-    return f - g
+    return LinearMap(space, space, space.mode.eye(space.dim))
 
 
 def _require_graded_pair(domain: TruncatedSpace, codomain: TruncatedSpace, step: int) -> None:
@@ -169,8 +151,7 @@ def shift(domain: TruncatedSpace, codomain: TruncatedSpace, N: int) -> LinearMap
         raise DimensionMismatch(f"multiplicity N must be >= 1, got {N}")
     _require_graded_pair(domain, codomain, N)
     one = Fraction(1) if domain.mode.is_exact else 1.0
-    m = _exact.zeros((codomain.dim, domain.dim)) if domain.mode.is_exact else \
-        np.zeros((codomain.dim, domain.dim), dtype=np.complex128)
+    m = domain.mode.zeros((codomain.dim, domain.dim))
     for n in range(domain.dim):
         m[N + n, n] = one
     return LinearMap(domain, codomain, m)
@@ -181,14 +162,13 @@ def shift_adjoint(domain: TruncatedSpace, codomain: TruncatedSpace, N: int) -> L
 
     Sends sum b_n z^n to sum_n shift_coeff(N, alpha, n) b_{N+n} z^n; the
     coefficients of degree < N are annihilated.  Agrees with
-    ``adjoint(shift(...))``, which is computed by a different route.
+    ``shift(...).adjoint()``, which is computed by a different route.
     """
     if N < 1:
         raise DimensionMismatch(f"multiplicity N must be >= 1, got {N}")
     _require_graded_pair(domain, codomain, -N)
     alpha = domain.weights.params.alpha
-    m = _exact.zeros((codomain.dim, domain.dim)) if domain.mode.is_exact else \
-        np.zeros((codomain.dim, domain.dim), dtype=np.complex128)
+    m = domain.mode.zeros((codomain.dim, domain.dim))
     for n in range(codomain.dim):
         m[n, N + n] = shift_coeff(N, alpha, n, domain.mode)
     return LinearMap(domain, codomain, m)
@@ -260,32 +240,3 @@ def pinv_adjoint(t: LinearMap) -> LinearMap:
     """
     return t.compose(_gram_inverse(t))
 
-
-def restrict(s: LinearMap, sub, tol: float = 1e-10) -> LinearMap:
-    """Express a map on an invariant subspace in that subspace's coordinates.
-
-    The image of each basis vector is re-expanded in the basis of the
-    subspace's extension inside the codomain truncation; the part of the
-    image sticking out of the extension (per unit input vector) is the
-    invariance residual and must stay below ``tol``.
-    """
-    from .errors import AmbientMismatch, NotInvariant
-    from .subspaces import _restriction_data, extend
-
-    if s.domain_sub is not None:
-        raise DimensionMismatch("restrict expects a map between ambient truncations")
-    if sub.ambient != s.domain:
-        raise AmbientMismatch("subspace does not live in the map's domain")
-    ext = extend(sub, s.codomain)
-    coords, residual = _restriction_data(s, sub, ext)
-    if residual > tol:
-        raise NotInvariant(
-            f"subspace is not invariant: residual {residual:.3e} exceeds tol {tol:.1e}"
-        )
-    return LinearMap(
-        sub.coordinate_space(),
-        ext.coordinate_space(),
-        coords,
-        domain_sub=sub,
-        codomain_sub=ext,
-    )

@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import _exact
 from .errors import AmbientMismatch, DimensionMismatch
 from .weights import Scalar, ScalarMode, WeightSequence
 
@@ -45,9 +44,13 @@ class TruncatedSpace:
         else:
             if metric is None or mode is None:
                 raise ValueError("either weights or (metric, mode) is required")
+            if dim is not None and dim != len(metric):
+                raise DimensionMismatch(
+                    f"dim {dim} does not match metric length {len(metric)}"
+                )
             self.weights = None
             self.mode = mode
-            self.dim = len(metric) if dim is None else dim
+            self.dim = len(metric)
             metric = np.asarray(metric)
         metric = metric.copy()
         metric.flags.writeable = False
@@ -62,10 +65,6 @@ class TruncatedSpace:
             and bool((self.metric == other.metric).all())
         )
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None  # spaces compare by value; not hashable
 
     def __repr__(self) -> str:
@@ -73,9 +72,19 @@ class TruncatedSpace:
         return f"TruncatedSpace(dim={self.dim}, mode={self.mode.value}, {kind})"
 
     def zeros(self) -> np.ndarray:
+        return self.mode.zeros(self.dim)
+
+    def inner(self, a: np.ndarray, b: np.ndarray):
+        """Weighted inner product sum_n omega_n a_n conj(b_n) of coefficient arrays."""
         if self.mode.is_exact:
-            return _exact.zeros(self.dim)
-        return np.zeros(self.dim, dtype=np.complex128)
+            return ((a * b) * self.metric).sum()
+        return complex(np.sum(self.metric * a * np.conjugate(b)))
+
+    def norm_sq(self, a: np.ndarray):
+        """Squared weighted norm of a coefficient array; a Fraction in exact mode."""
+        if self.mode.is_exact:
+            return ((a * a) * self.metric).sum()
+        return float(np.sum(self.metric * np.abs(a) ** 2))
 
 
 class CoefficientVector:
@@ -135,16 +144,12 @@ def monomial(space: TruncatedSpace, n: int, coeff: Union[Scalar, complex] = 1) -
 def inner(f: CoefficientVector, g: CoefficientVector):
     """Weighted inner product sum_n omega_n f_n conj(g_n)."""
     f._check_same_space(g)
-    if f.space.mode.is_exact:
-        return ((f.coeffs * g.coeffs) * f.space.metric).sum()
-    return complex(np.sum(f.space.metric * f.coeffs * np.conjugate(g.coeffs)))
+    return f.space.inner(f.coeffs, g.coeffs)
 
 
 def norm_sq(f: CoefficientVector):
     """Squared weighted norm; exact (a Fraction) in exact mode."""
-    if f.space.mode.is_exact:
-        return ((f.coeffs * f.coeffs) * f.space.metric).sum()
-    return float(np.sum(f.space.metric * np.abs(f.coeffs) ** 2))
+    return f.space.norm_sq(f.coeffs)
 
 
 def norm(f: CoefficientVector) -> float:

@@ -25,26 +25,13 @@ from .errors import (
     BadResidue,
     DepthOverflow,
     DimensionMismatch,
+    NotInvariant,
 )
 from .operators import LinearMap, _conj, to_float, weighted_matrix
 from .space import CoefficientVector, TruncatedSpace, random_vector
-from .weights import ScalarMode
 
 #: Relative tolerance for rank decisions during orthogonalization.
 RANK_TOL = 1e-10
-
-
-def _wdot(metric, v, b, mode):
-    """<v, b> in the diagonal metric."""
-    if mode.is_exact:
-        return ((v * b) * metric).sum()
-    return np.sum(metric * v * np.conjugate(b))
-
-
-def _wnorm_sq(metric, v, mode):
-    if mode.is_exact:
-        return ((v * v) * metric).sum()
-    return float(np.sum(metric * np.abs(v) ** 2))
 
 
 class Subspace:
@@ -83,9 +70,6 @@ class Subspace:
         """Space of coordinates in this basis; its metric is the squared norms."""
         return TruncatedSpace(metric=np.asarray(self.norms_sq), mode=self.ambient.mode)
 
-    def to_ambient(self, coords: np.ndarray) -> np.ndarray:
-        return self.basis @ coords
-
     def vectors(self) -> list[CoefficientVector]:
         return [CoefficientVector(self.ambient, self.basis[:, j]) for j in range(self.dim)]
 
@@ -95,9 +79,8 @@ class Subspace:
 
 
 def _empty_basis(ambient: TruncatedSpace) -> tuple[np.ndarray, np.ndarray]:
-    if ambient.mode.is_exact:
-        return _exact.zeros((ambient.dim, 0)), np.empty(0, dtype=object)
-    return np.zeros((ambient.dim, 0), dtype=np.complex128), np.zeros(0)
+    norms = np.empty(0, dtype=object) if ambient.mode.is_exact else np.zeros(0)
+    return ambient.mode.zeros((ambient.dim, 0)), norms
 
 
 def zero_subspace(ambient: TruncatedSpace) -> Subspace:
@@ -118,38 +101,31 @@ def orthogonalize(
     drops exactly dependent ones.
     """
     mode = ambient.mode
-    metric = np.asarray(ambient.metric)
     kept: list[np.ndarray] = []
     norms: list = []
     for j in range(columns.shape[1]):
         v = columns[:, j].copy()
         if mode.is_exact:
             for b, g in zip(kept, norms):
-                v = v - b * (_wdot(metric, v, b, mode) / g)
+                v = v - b * (ambient.inner(v, b) / g)
             if bool((v != 0).any()):
                 kept.append(v)
-                norms.append(_wnorm_sq(metric, v, mode))
+                norms.append(ambient.norm_sq(v))
         else:
-            ref = np.sqrt(_wnorm_sq(metric, v, mode))
+            ref = np.sqrt(ambient.norm_sq(v))
             if ref == 0.0:
                 continue
             for _ in range(2):
                 for b, _g in zip(kept, norms):
-                    v = v - b * _wdot(metric, v, b, mode)
-            n = np.sqrt(_wnorm_sq(metric, v, mode))
+                    v = v - b * ambient.inner(v, b)
+            n = np.sqrt(ambient.norm_sq(v))
             if n > rank_tol * ref:
                 kept.append(v / n)
                 norms.append(1.0)
     if not kept:
         return _empty_basis(ambient)
-    if mode.is_exact:
-        basis = np.empty((ambient.dim, len(kept)), dtype=object)
-        for j, v in enumerate(kept):
-            basis[:, j] = v
-        nn = np.empty(len(norms), dtype=object)
-        nn[:] = norms
-        return basis, nn
-    return np.column_stack(kept), np.asarray(norms, dtype=np.float64)
+    # Fractions stack into object arrays, floats into complex/float64 ones
+    return np.column_stack(kept), np.asarray(norms)
 
 
 def from_vectors(
@@ -180,12 +156,8 @@ def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> 
     if space.weights is None:
         raise AmbientMismatch("residue subspaces need a weight-backed ambient space")
     degrees = residue_degrees(N, residues, space.dim)
-    if space.mode.is_exact:
-        basis = _exact.zeros((space.dim, len(degrees)))
-        one = Fraction(1)
-    else:
-        basis = np.zeros((space.dim, len(degrees)), dtype=np.complex128)
-        one = 1.0
+    basis = space.mode.zeros((space.dim, len(degrees)))
+    one = Fraction(1) if space.mode.is_exact else 1.0
     for j, d in enumerate(degrees):
         basis[d, j] = one
     norms = np.asarray(space.metric)[degrees] if degrees else _empty_basis(space)[1]
@@ -224,9 +196,7 @@ def project_coefficients(sub: Subspace, arr: np.ndarray) -> np.ndarray:
 def projector(sub: Subspace) -> np.ndarray:
     """Projector matrix in ambient coordinates: B diag(1/g) B^H G."""
     if sub.dim == 0:
-        d = sub.ambient.dim
-        return _exact.zeros((d, d)) if sub.ambient.mode.is_exact \
-            else np.zeros((d, d), dtype=np.complex128)
+        return sub.ambient.mode.zeros((sub.ambient.dim, sub.ambient.dim))
     return sub.basis @ coefficient_functionals(sub)
 
 
@@ -300,10 +270,7 @@ def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
         return Subspace(space, sub.basis, sub.norms_sq)
     if space.dim < sub.ambient.dim:
         return truncate(sub, space.dim)
-    if sub.ambient.mode.is_exact:
-        basis = _exact.zeros((space.dim, sub.dim))
-    else:
-        basis = np.zeros((space.dim, sub.dim), dtype=np.complex128)
+    basis = space.mode.zeros((space.dim, sub.dim))
     basis[: sub.ambient.dim, :] = sub.basis
     return Subspace(space, basis, sub.norms_sq)
 
@@ -338,8 +305,19 @@ class ReducingResult:
         return max(self.residual_forward, self.residual_adjoint)
 
 
-def _restriction_data(m: LinearMap, sub: Subspace, ext: Subspace):
-    """Coordinates of m(basis of sub) in ext's basis, plus the leftover residual."""
+def _restriction_data(m: LinearMap, sub: Subspace, tol: float):
+    """Restriction of m to sub: the one place invariance is decided.
+
+    Returns the canonical extension of the subspace inside m's codomain, the
+    coordinates of m(basis of sub) in the extension's basis, and the
+    invariance verdict.  The residual is max_i ||(I - P) m b_i|| / ||b_i||
+    over basis vectors, P projecting onto the extension.  Exact mode passes
+    only when the leftover is exactly zero; float mode when the residual is
+    at most ``tol``.
+    """
+    if sub.ambient != m.domain:
+        raise AmbientMismatch("subspace does not live in the map's domain")
+    ext = extend(sub, m.codomain)
     imgs = m.matrix @ sub.basis
     if ext.dim == 0:
         coords = imgs[:0, :]
@@ -348,13 +326,15 @@ def _restriction_data(m: LinearMap, sub: Subspace, ext: Subspace):
         coords = coefficient_functionals(ext) @ imgs
         recon = ext.basis @ coords
     leftover = imgs - recon
-    w = np.asarray(m.codomain.metric)
-    mode = m.mode
     residual = 0.0
     for i in range(sub.dim):
-        rsq = _wnorm_sq(w, leftover[:, i], mode)
+        rsq = m.codomain.norm_sq(leftover[:, i])
         residual = max(residual, float(np.sqrt(float(rsq) / float(sub.norms_sq[i]))))
-    return coords, residual
+    if m.mode.is_exact:
+        passed = not bool((leftover != 0).any())
+    else:
+        passed = residual <= tol
+    return ext, coords, InvarianceResult(passed, residual)
 
 
 def is_invariant(m: LinearMap, sub: Subspace, tol: float = 1e-10) -> InvarianceResult:
@@ -362,21 +342,42 @@ def is_invariant(m: LinearMap, sub: Subspace, tol: float = 1e-10) -> InvarianceR
 
     The residual is max_i ||(I - P) m b_i|| / ||b_i|| over basis vectors,
     where P projects onto the canonical extension of the subspace inside the
-    codomain truncation.
+    codomain truncation.  In exact mode ``tol`` is unused: the leftover must
+    vanish exactly.
     """
-    if sub.ambient != m.domain:
-        raise AmbientMismatch("subspace does not live in the map's domain")
-    ext = extend(sub, m.codomain)
-    _coords, residual = _restriction_data(m, sub, ext)
-    return InvarianceResult(residual <= tol, residual)
+    return _restriction_data(m, sub, tol)[2]
 
 
 def is_reducing(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> ReducingResult:
     """Invariance under the map and under its metric adjoint."""
-    fwd = is_invariant(s, sub, tol)
-    ext = extend(sub, s.codomain)
+    ext, _coords, fwd = _restriction_data(s, sub, tol)
     adj = is_invariant(s.adjoint(), ext, tol)
     return ReducingResult(fwd.passed and adj.passed, fwd.residual, adj.residual)
+
+
+def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> LinearMap:
+    """Express a map on an invariant subspace in that subspace's coordinates.
+
+    The image of each basis vector is re-expanded in the basis of the
+    subspace's extension inside the codomain truncation; the part of the
+    image sticking out of the extension is the invariance residual, decided
+    as in :func:`is_invariant`.
+    """
+    if s.domain_sub is not None:
+        raise DimensionMismatch("restrict expects a map between ambient truncations")
+    ext, coords, inv = _restriction_data(s, sub, tol)
+    if not inv.passed:
+        bound = "is not exactly zero" if s.mode.is_exact else f"exceeds tol {tol:.1e}"
+        raise NotInvariant(
+            f"subspace is not invariant: residual {inv.residual:.3e} {bound}"
+        )
+    return LinearMap(
+        sub.coordinate_space(),
+        ext.coordinate_space(),
+        coords,
+        domain_sub=sub,
+        codomain_sub=ext,
+    )
 
 
 def wandering(sub: Subspace, t: LinearMap) -> Subspace:
@@ -395,7 +396,7 @@ def wandering(sub: Subspace, t: LinearMap) -> Subspace:
     if rp == 0:
         return zero_subspace(cod.ambient)
     if r == 0:
-        coords = _exact.eye(rp) if mode.is_exact else np.eye(rp, dtype=np.complex128)
+        coords = mode.eye(rp)
     elif mode.is_exact:
         constraints = _conj(t.matrix, mode).T * g[None, :]
         coords = _exact.nullspace(constraints)
@@ -439,9 +440,7 @@ def invariant_closure(e: Subspace, t: LinearMap, h: Subspace, depth: int) -> Sub
             f"orbit of depth {depth} reaches degree {k + depth * step}, "
             f"beyond truncation {d}; raise the dimension"
         )
-    mode = h.ambient.mode
-    cols = _exact.zeros((d, e.dim * (depth + 1))) if mode.is_exact else \
-        np.zeros((d, e.dim * (depth + 1)), dtype=np.complex128)
+    cols = h.ambient.mode.zeros((d, e.dim * (depth + 1)))
     for j in range(depth + 1):
         lo = j * step
         block = e.basis[: d - lo, :] if lo else e.basis
@@ -517,12 +516,9 @@ def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:
     """Span of ``dim`` deterministic pseudo-random vectors (untagged)."""
     cols = [random_vector(space, int(s)).coeffs
             for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=dim)]
-    if space.mode.is_exact:
-        mat = np.empty((space.dim, dim), dtype=object)
-        for j, c in enumerate(cols):
-            mat[:, j] = c
-    else:
-        mat = np.column_stack(cols) if cols else np.zeros((space.dim, 0), np.complex128)
+    mat = space.mode.zeros((space.dim, dim))
+    for j, c in enumerate(cols):
+        mat[:, j] = c
     return from_vectors(space, mat)
 
 

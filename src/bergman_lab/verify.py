@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +33,6 @@ from .operators import (
     operator_norm,
     pinv,
     pinv_adjoint,
-    restrict,
     shift,
     smallest_singular_value,
 )
@@ -52,10 +50,10 @@ from .subspaces import (
     projectors_equal,
     reducing_census,
     residue_subspace,
+    restrict,
     subspace_distance,
     truncate,
     wandering,
-    _wnorm_sq,
 )
 from .weights import (
     Scalar,
@@ -70,9 +68,6 @@ SUITE_VERSION = "1.0.0"
 
 #: Number of random vectors drawn by every randomized check.
 NUM_RANDOM_VECTORS = 20
-
-#: Environment variable capping suite parallelism.
-THREADS_ENV_VAR = "BERGMAN_LAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -370,9 +365,7 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
             if spec.mode.is_exact:
                 flags.append(_exactly_zero(img))
             else:
-                residuals.append(math.sqrt(
-                    _wnorm_sq(np.asarray(cod.metric), img, spec.mode)
-                    / float(e.norms_sq[j])))
+                residuals.append(math.sqrt(cod.norm_sq(img) / float(e.norms_sq[j])))
         e_in_coords = Subspace(t.codomain, e_coords, e.norms_sq)
         indep = projector(e_in_coords)
         comp = (identity_map(cod) - p).matrix - indep
@@ -448,16 +441,11 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
         dims_ok = dims_ok and ker.dim == expected == tower.subs[n].dim - tower.subs[0].dim
         kdims.append(ker.dim)
         top_space = tower.spaces[n]
-        if mode.is_exact:
-            cols = np.empty((top_space.dim, e.dim * n), dtype=object)
-            cols[...] = Fraction(0)
-        else:
-            cols = np.zeros((top_space.dim, e.dim * n), dtype=np.complex128)
+        cols = mode.zeros((top_space.dim, e.dim * n))
         for k in range(n):
             lo = k * spec.N
             cols[lo : lo + e.ambient.dim, k * e.dim : (k + 1) * e.dim] = e.basis
         w_span = from_vectors(top_space, cols)
-        w = np.asarray(top_space.metric)
         for j in range(ker.dim):
             v = ker.basis[:, j]
             leftover = v - project_coefficients(w_span, v)
@@ -465,7 +453,7 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
                 flags.append(_exactly_zero(leftover))
             else:
                 worst = max(worst, math.sqrt(
-                    _wnorm_sq(w, leftover, mode) / float(ker.norms_sq[j])))
+                    top_space.norm_sq(leftover) / float(ker.norms_sq[j])))
     exact = (all(flags) and dims_ok) if mode.is_exact else None
     passed = (exact if mode.is_exact else worst <= spec.tol and dims_ok)
     note = f"n=1..{levels}, dim ker={kdims}, step={len(_residues_of(spec))}"
@@ -524,9 +512,8 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
         if spec.mode.is_exact:
             flags.append(_exactly_zero(low))
         else:
-            w = np.asarray(tower.spaces[m].metric)
             for j in range(ambient_cols.shape[1]):
-                den = math.sqrt(_wnorm_sq(w, ambient_cols[:, j], spec.mode))
+                den = math.sqrt(tower.spaces[m].norm_sq(ambient_cols[:, j]))
                 if den > 0.0:
                     worst = max(worst, float(np.abs(low[:, j]).max(initial=0.0)) / den)
     exact = all(flags) if spec.mode.is_exact else None
@@ -692,12 +679,11 @@ def smoke_grid() -> list[CheckSpec]:
     return specs
 
 
-def run_suite(specs: Iterable[CheckSpec], max_workers: Optional[int] = None) -> VerificationReport:
-    """Run all checks, optionally in parallel, collecting every outcome.
+def run_suite(specs: Iterable[CheckSpec]) -> VerificationReport:
+    """Run all checks serially, collecting every outcome.
 
     The report is canonically ordered by the check specs; execution order
-    never affects it.  Parallelism is capped by the BERGMAN_LAB_THREADS
-    environment variable when ``max_workers`` is not given.
+    never affects it.
     """
 
     def exec_key(s: CheckSpec):
@@ -706,17 +692,4 @@ def run_suite(specs: Iterable[CheckSpec], max_workers: Optional[int] = None) -> 
         return (s.mode.value, s.N, float(s.alpha), str(s.alpha), s.D, res,
                 s.depth, s.name, s.seed)
 
-    specs = sorted(specs, key=exec_key)
-    if max_workers is None:
-        try:
-            max_workers = int(os.environ.get(THREADS_ENV_VAR, "1"))
-        except ValueError:
-            max_workers = 1
-    if max_workers > 1 and len(specs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            entries = list(pool.map(run_check, specs))
-    else:
-        entries = [run_check(s) for s in specs]
-    return VerificationReport(entries)
+    return VerificationReport([run_check(s) for s in sorted(specs, key=exec_key)])

@@ -21,6 +21,7 @@ from typing import Union
 
 import numpy as np
 
+from . import _exact
 from .errors import InvalidAlpha, ModeMismatch
 
 Scalar = Union[float, Fraction]
@@ -35,6 +36,18 @@ class ScalarMode(enum.Enum):
     @property
     def is_exact(self) -> bool:
         return self is ScalarMode.EXACT_RATIONAL
+
+    def zeros(self, shape) -> np.ndarray:
+        """Zero array in this mode's storage: Fraction objects or complex128."""
+        if self.is_exact:
+            return _exact.zeros(shape)
+        return np.zeros(shape, dtype=np.complex128)
+
+    def eye(self, n: int) -> np.ndarray:
+        """Identity matrix in this mode's storage."""
+        if self.is_exact:
+            return _exact.eye(n)
+        return np.eye(n, dtype=np.complex128)
 
 
 def _validate_alpha(alpha: Scalar) -> None:

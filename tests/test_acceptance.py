@@ -34,8 +34,6 @@ from bergman_lab import (
     norm,
     norm_sq,
     operator_norm,
-    pinv,
-    pinv_adjoint,
     project,
     projector,
     random_vector,
@@ -50,10 +48,10 @@ from bergman_lab import (
     wandering,
     weight_sequence,
 )
-from bergman_lab import cli
+from bergman_lab import cli, verify
 from bergman_lab.operators import LinearMap
 from bergman_lab.subspaces import Subspace, coefficient_functionals
-from bergman_lab.verify import run_suite, smoke_grid
+from bergman_lab.verify import Tower, run_suite, smoke_grid
 
 EXACT = ScalarMode.EXACT_RATIONAL
 FLOAT = ScalarMode.FLOAT64
@@ -78,29 +76,19 @@ def _report(num: int, desc: str, body) -> None:
     print(f"ACCEPTANCE {num:02d} PASS: {desc}")
 
 
-class Tower:
-    def __init__(self, alpha, N, D, residues, mode, levels):
-        ws = weight_sequence(WeightParams(alpha, N, D + (levels + 1) * N), mode)
-        self.spaces = [TruncatedSpace(ws, D + j * N) for j in range(levels + 1)]
-        self.shifts = [shift(self.spaces[j], self.spaces[j + 1], N)
-                       for j in range(levels)]
-        self.subs = [residue_subspace(self.spaces[j], N, residues)
-                     for j in range(levels + 1)]
-        self.ts = [restrict(self.shifts[j], self.subs[j], 1e-8)
-                   for j in range(levels)]
-        self.lifts = [pinv_adjoint(t) for t in self.ts]
-        self.left_invs = [pinv(t) for t in self.ts]
-        self.levels = levels
+#: The suite's tower builder without its 16-entry cache; the towers reused
+#: across criteria are kept below in unbounded caches so none is rebuilt.
+build_tower = verify._tower_cached.__wrapped__
 
 
 @functools.lru_cache(maxsize=None)
 def exact_tower(alpha, N) -> Tower:
-    return Tower(alpha, N, D_EXACT, tuple(range(N)), EXACT, DEPTH)
+    return build_tower(N, alpha, D_EXACT, tuple(range(N)), EXACT, DEPTH)
 
 
 @functools.lru_cache(maxsize=None)
 def float_tower(alpha, N) -> Tower:
-    return Tower(alpha, N, D_FLOAT, tuple(range(N)), FLOAT, DEPTH)
+    return build_tower(N, alpha, D_FLOAT, tuple(range(N)), FLOAT, DEPTH)
 
 
 def lift_chains(tw: Tower):
@@ -257,7 +245,7 @@ def test_criterion_05_kernel_containment():
         for alpha in FLOAT_ALPHAS:
             for N in (1, 2, 3):
                 for lam in nonempty_subsets(N):
-                    tw = Tower(alpha, N, D_KERNEL, lam, FLOAT, DEPTH)
+                    tw = build_tower(N, alpha, D_KERNEL, lam, FLOAT, DEPTH)
                     e = truncate(wandering(tw.subs[0], tw.ts[0]), D_KERNEL)
                     desc = None
                     for n in range(1, DEPTH + 1):
@@ -349,7 +337,6 @@ def test_criterion_08_reducing_census():
 
 def test_criterion_09_mutation_sensitivity():
     def body():
-        import bergman_lab.verify as verify
         clean = run_suite(smoke_grid())
         assert clean.all_passed
         true_coeff = verify.shift_coeff

@@ -1,0 +1,47 @@
+"""Module layering: no module of the package imports one above it."""
+
+import ast
+from pathlib import Path
+
+import bergman_lab
+
+#: Layers from the bottom up; a module may import only from its own layer or below.
+LAYERS = (
+    ("errors", "_exact"),
+    ("weights",),
+    ("space",),
+    ("operators",),
+    ("subspaces",),
+    ("verify",),
+    ("cli",),
+)
+RANK = {name: rank for rank, names in enumerate(LAYERS) for name in names}
+PACKAGE = Path(bergman_lab.__file__).resolve().parent
+
+
+def package_imports(tree: ast.AST) -> set:
+    """Package modules imported anywhere in the tree, function bodies included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                found.update(alias.name for alias in node.names)
+            elif node.level == 1:
+                found.add(node.module.split(".")[0])
+            elif node.module and node.module.startswith("bergman_lab."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("bergman_lab."))
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(RANK), "every module needs a layer"
+    upward = []
+    for name in sorted(modules):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        upward += [f"{name} imports {dep}" for dep in sorted(package_imports(tree))
+                   if RANK[dep] > RANK[name]]
+    assert upward == []

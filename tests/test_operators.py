@@ -12,7 +12,6 @@ from bergman_lab import (
     SingularGram,
     TruncatedSpace,
     WeightParams,
-    adjoint,
     from_vectors,
     full_subspace,
     identity_map,
@@ -78,10 +77,10 @@ def test_shift_adjoint_matches_metric_formula(mode):
     w_out = np.asarray(cod.metric)
     expected = (s.matrix.T * w_out[None, :]) / w_in[:, None]
     if mode.is_exact:
-        assert (adjoint(s).matrix == expected).all()
+        assert (s.adjoint().matrix == expected).all()
         assert (shift_adjoint(cod, dom, 2).matrix == expected).all()
     else:
-        got = adjoint(s).matrix
+        got = s.adjoint().matrix
         assert np.allclose(to_float(got), to_float(expected), rtol=1e-15, atol=0)
         assert np.allclose(to_float(shift_adjoint(cod, dom, 2).matrix),
                            to_float(expected), rtol=1e-15, atol=0)
@@ -99,7 +98,7 @@ def test_adjoint_involution(mode):
     alpha = Fraction(1, 3) if mode.is_exact else 1.0 / 3.0
     dom, cod = spaces(alpha, 1, 9, mode)
     s = shift(dom, cod, 1)
-    back = adjoint(adjoint(s))
+    back = s.adjoint().adjoint()
     if mode.is_exact:
         assert (back.matrix == s.matrix).all()
     else:

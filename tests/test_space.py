@@ -8,6 +8,7 @@ import pytest
 
 from bergman_lab import (
     AmbientMismatch,
+    DimensionMismatch,
     ScalarMode,
     TruncatedSpace,
     WeightParams,
@@ -163,3 +164,10 @@ def test_coordinate_space_with_explicit_metric():
     space = TruncatedSpace(metric=g, mode=FLOAT)
     f = vector(space, [1.0, 2.0, 0.5])
     assert norm_sq(f) == pytest.approx(1.0 + 0.25 * 4.0 + 4.0 * 0.25)
+
+
+def test_explicit_metric_fixes_dim():
+    g = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+    assert TruncatedSpace(metric=g, mode=FLOAT, dim=5).dim == 5
+    with pytest.raises(DimensionMismatch):
+        TruncatedSpace(metric=g, mode=FLOAT, dim=3)

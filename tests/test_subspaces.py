@@ -9,12 +9,14 @@ from bergman_lab import (
     AmbientMismatch,
     BadResidue,
     DepthOverflow,
+    NotInvariant,
     ScalarMode,
     TruncatedSpace,
     WeightParams,
     extend,
     from_vectors,
     full_subspace,
+    identity_map,
     invariant_closure,
     is_invariant,
     is_reducing,
@@ -39,7 +41,7 @@ from bergman_lab import (
     weight_sequence,
     zero_subspace,
 )
-from bergman_lab.operators import to_float
+from bergman_lab.operators import LinearMap, to_float
 from bergman_lab.subspaces import coefficient_functionals, orthogonalize
 
 FLOAT = ScalarMode.FLOAT64
@@ -264,6 +266,21 @@ def test_is_invariant_ladder_exactly():
     res = is_invariant(s, bad)
     assert not res.passed
     assert res.residual > 0.1
+
+
+def test_exact_invariance_ignores_float_tolerance():
+    """A leftover far below tol is still a leftover in exact mode."""
+    dom = make_space(Fraction(1, 2), 2, 10, EXACT)
+    m = identity_map(dom).matrix.copy()
+    m[1, 0] = Fraction(1, 10**14)
+    near_identity = LinearMap(dom, dom, m)
+    h = residue_subspace(dom, 2, [0])
+    res = is_invariant(near_identity, h)
+    assert not res.passed
+    assert 0.0 < res.residual <= 1e-10
+    assert not is_reducing(near_identity, h).passed
+    with pytest.raises(NotInvariant):
+        restrict(near_identity, h)
 
 
 @pytest.mark.parametrize("alpha,N", [(0.0, 2), (2.5, 3)])

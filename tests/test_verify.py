@@ -164,17 +164,6 @@ def test_suite_deterministic_modulo_wall_ms():
     assert a == b
 
 
-def test_threads_env_matches_serial(monkeypatch):
-    specs = [spec_for(n) for n in sorted(CHECKS)]
-    serial = strip_wall_ms(run_suite(specs).to_json_obj())
-    monkeypatch.setenv("BERGMAN_LAB_THREADS", "4")
-    parallel = strip_wall_ms(run_suite(specs).to_json_obj())
-    assert serial == parallel
-    monkeypatch.setenv("BERGMAN_LAB_THREADS", "not-a-number")
-    fallback = strip_wall_ms(run_suite(specs[:2]).to_json_obj())
-    assert fallback == strip_wall_ms(run_suite(specs[:2]).to_json_obj())
-
-
 def test_failure_is_counted_not_raised():
     specs = [spec_for("coeff_bounds"), CheckSpec("bogus", 2, 0.5, 16)]
     report = run_suite(specs)

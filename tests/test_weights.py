@@ -160,6 +160,17 @@ def test_iterated_coeff_is_weight_ratio(mode):
                 assert q > 1
 
 
+@pytest.mark.parametrize("mode,dtype,scalar",
+                         [(FLOAT, np.complex128, complex), (EXACT, object, Fraction)])
+def test_scalar_mode_storage(mode, dtype, scalar):
+    z = mode.zeros((2, 3))
+    e = mode.eye(3)
+    assert z.shape == (2, 3) and z.dtype == dtype and e.dtype == dtype
+    assert all(isinstance(x, scalar) for x in (*z.flat, *e.flat))
+    assert not (z != 0).any()
+    assert (e == np.eye(3)).all()
+
+
 def test_alpha_validation():
     with pytest.raises(InvalidAlpha):
         WeightParams(-1.0, 1, 8)
