@@ -30,7 +30,8 @@ from .errors import (
 from .operators import LinearMap, _conj, to_float, weighted_matrix
 from .space import CoefficientVector, TruncatedSpace, random_vector
 
-#: Relative tolerance for rank decisions during orthogonalization.
+#: Rank tolerance: the relative cut of orthogonalization, and the cut on the
+#: metric singular values that decides which directions :func:`truncate` keeps.
 RANK_TOL = 1e-10
 
 
@@ -216,23 +217,21 @@ def _check_compatible(sub: Subspace, space: TruncatedSpace) -> None:
         raise AmbientMismatch("weight sequences disagree on the common truncation")
 
 
-def _float_truncation_coords(sub: Subspace, dim: int, rank_tol: float) -> np.ndarray:
-    """Basis coordinates of the part of ``sub`` supported on degrees < dim.
+def _null_coords(m: LinearMap, tol: float) -> np.ndarray:
+    """Domain coordinates of {v : ||m v|| <= tol ||v||}, one column per direction.
 
-    The rank decision happens in the weighted metric with columns scaled to
-    unit metric norm, so the singular values measure the relative metric mass
-    above the cut and the absolute threshold ``rank_tol`` is scale-free.
+    Exact mode solves m v = 0.  Float mode cuts the singular values of the
+    metric-normalized matrix (see :func:`weighted_matrix`) at the absolute
+    ``tol``, which is scale-free in the metric, and maps the null right
+    singular vectors back to coordinates by the inverse square root of the
+    domain metric.  :func:`kernel`, :func:`wandering` and :func:`truncate`
+    all decide their null directions here.
     """
-    top = sub.basis[dim:, :]
-    rows, cols = top.shape
-    if rows == 0 or cols == 0:
-        return np.eye(cols, dtype=np.complex128)
-    w_top = np.sqrt(np.asarray(sub.ambient.metric, dtype=np.float64)[dim:])
-    col_norms = np.sqrt(np.asarray(sub.norms_sq, dtype=np.float64))
-    scaled = (top * w_top[:, None]) / col_norms[None, :]
-    _u, s, vt = np.linalg.svd(scaled, full_matrices=True)
-    rank = int(np.sum(s > rank_tol))
-    return vt[rank:].conj().T / col_norms[:, None]
+    if m.mode.is_exact:
+        return _exact.nullspace(m.matrix)
+    _u, s, vt = np.linalg.svd(weighted_matrix(m), full_matrices=True)
+    rank = int(np.sum(s > tol))
+    return vt[rank:].conj().T / np.sqrt(np.asarray(m.domain.metric))[:, None]
 
 
 def truncate(sub: Subspace, dim: int, rank_tol: float = RANK_TOL) -> Subspace:
@@ -248,11 +247,11 @@ def truncate(sub: Subspace, dim: int, rank_tol: float = RANK_TOL) -> Subspace:
         return residue_subspace(target, sub.multiplicity, sub.residues)
     if dim == sub.ambient.dim:
         return Subspace(target, sub.basis, sub.norms_sq)
-    if sub.ambient.mode.is_exact:
-        coords = _exact.nullspace(sub.basis[dim:, :])
-    else:
-        coords = _float_truncation_coords(sub, dim, rank_tol)
-    cols = (sub.basis @ coords)[:dim, :]
+    # basis combinations whose coefficients of degree >= dim all vanish
+    above = TruncatedSpace(metric=np.asarray(sub.ambient.metric)[dim:],
+                           mode=sub.ambient.mode)
+    top = LinearMap(sub.coordinate_space(), above, sub.basis[dim:, :])
+    cols = (sub.basis @ _null_coords(top, rank_tol))[:dim, :]
     return from_vectors(target, cols, rank_tol)
 
 
@@ -381,37 +380,17 @@ def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> LinearMap:
 
 
 def wandering(sub: Subspace, t: LinearMap) -> Subspace:
-    """Orthogonal complement of range(t) inside the subspace's extension.
+    """Wandering part E = ext(sub) minus range(t), computed as ker t*.
 
     ``t`` must be a restricted map (carrying subspace links), typically the
-    shift restricted to ``sub``; the result is the wandering part, expressed
-    in the ambient truncation of t's codomain subspace.
+    shift restricted to ``sub``.  The orthogonal complement of range(t)
+    inside the subspace's extension is the kernel of the metric adjoint of
+    t, so E comes from :func:`kernel` and is expressed in the ambient
+    truncation of t's codomain subspace.
     """
-    cod = t.codomain_sub
-    if cod is None or t.domain_sub is None:
+    if t.codomain_sub is None or t.domain_sub is None:
         raise DimensionMismatch("wandering needs a restricted map with subspace links")
-    g = np.asarray(cod.norms_sq)
-    mode = cod.ambient.mode
-    rp, r = t.matrix.shape
-    if rp == 0:
-        return zero_subspace(cod.ambient)
-    if r == 0:
-        coords = mode.eye(rp)
-    elif mode.is_exact:
-        constraints = _conj(t.matrix, mode).T * g[None, :]
-        coords = _exact.nullspace(constraints)
-    else:
-        sg = np.sqrt(g)
-        weighted_cols = t.matrix * sg[:, None]
-        u, s, _vt = np.linalg.svd(weighted_cols, full_matrices=True)
-        rank = int(np.sum(s > RANK_TOL * (s[0] if len(s) else 1.0)))
-        coords = u[:, rank:] / sg[:, None]
-    basis = cod.basis @ coords
-    if mode.is_exact:
-        basis, norms = orthogonalize(cod.ambient, basis)
-        return Subspace(cod.ambient, basis, norms)
-    norms = np.ones(coords.shape[1])
-    return Subspace(cod.ambient, basis, norms)
+    return kernel(t.adjoint())
 
 
 def invariant_closure(e: Subspace, t: LinearMap, h: Subspace, depth: int) -> Subspace:
@@ -449,24 +428,14 @@ def invariant_closure(e: Subspace, t: LinearMap, h: Subspace, depth: int) -> Sub
 
 
 def kernel(m: LinearMap, tol: float = 1e-10) -> Subspace:
-    """Subspace {v : ||m v|| <= tol ||v||}, exact kernel in rational mode.
+    """Subspace {v : ||m v|| <= tol ||v||} in the metric; exact kernel in rational mode.
 
-    When m acts between subspace coordinate spaces the kernel is re-expressed
-    in the ambient truncation of m's domain subspace.
+    In float mode ``tol`` bounds the metric singular values of m, so the cut
+    does not depend on the scale of the weights.  When m acts between
+    subspace coordinate spaces the kernel is re-expressed in the ambient
+    truncation of m's domain subspace.
     """
-    mode = m.mode
-    din = m.domain.dim
-    if mode.is_exact:
-        coords = _exact.nullspace(m.matrix)
-    else:
-        if din == 0:
-            coords = np.zeros((0, 0), dtype=np.complex128)
-        else:
-            wm = weighted_matrix(m)
-            u, s, vt = np.linalg.svd(wm, full_matrices=True)
-            rank = int(np.sum(s > tol))
-            null_w = vt[rank:].conj().T
-            coords = null_w / np.sqrt(np.asarray(m.domain.metric))[:, None]
+    coords = _null_coords(m, tol)
     if m.domain_sub is not None:
         ambient = m.domain_sub.ambient
         cols = m.domain_sub.basis @ coords

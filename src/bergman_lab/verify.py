@@ -105,8 +105,12 @@ class ReportEntry:
     residual: float
     passed: bool
     wall_ms: float = 0.0
-    exact: Optional[bool] = None
     note: str = ""
+
+    @property
+    def exact(self) -> Optional[bool]:
+        """The verdict when it was decided by exact equality; None in float mode."""
+        return self.passed if self.spec.mode.is_exact else None
 
 
 @dataclass
@@ -186,11 +190,6 @@ class Tower:
     left_invs: list = field(default_factory=list)
 
 
-#: Invariance threshold used when restricting to residue ladders while
-#: building towers; ladders are exactly invariant, so any slack would do.
-RESTRICT_TOL = 1e-8
-
-
 @functools.lru_cache(maxsize=16)
 def _tower_cached(N: int, alpha: Scalar, D: int, residues: tuple,
                   mode: ScalarMode, levels: int) -> Tower:
@@ -200,7 +199,7 @@ def _tower_cached(N: int, alpha: Scalar, D: int, residues: tuple,
     shifts = [shift(spaces[j], spaces[j + 1], N) for j in range(levels)]
     subs = [residue_subspace(spaces[j], N, residues) for j in range(levels + 1)]
     tower = Tower(levels, spaces, shifts, subs)
-    tower.ts = [restrict(shifts[j], subs[j], RESTRICT_TOL) for j in range(levels)]
+    tower.ts = [restrict(shifts[j], subs[j]) for j in range(levels)]
     tower.lifts = [pinv_adjoint(t) for t in tower.ts]
     tower.left_invs = [pinv(t) for t in tower.ts]
     return tower
@@ -221,12 +220,26 @@ def _exactly_zero(arr: np.ndarray) -> bool:
     return not bool((arr != 0).any())
 
 
-def _map_residual(m: LinearMap) -> tuple[float, Optional[bool]]:
-    """Metric operator norm of a map expected to vanish, plus exactness flag."""
+def _map_residual(m: LinearMap) -> tuple[float, bool]:
+    """Metric operator norm of a map expected to vanish, and whether it may pass.
+
+    Exact mode requires the matrix to be exactly zero; float mode leaves the
+    verdict to the residual and the tolerance.
+    """
     if m.mode.is_exact:
         ok = _exactly_zero(m.matrix)
         return (0.0 if ok else operator_norm(m)), ok
-    return operator_norm(m), None
+    return operator_norm(m), True
+
+
+def _entry(spec: CheckSpec, residual: float, ok: bool = True, note: str = "") -> ReportEntry:
+    """The one verdict rule of every check.
+
+    Exact mode passes on ``ok`` alone, which each check decides by exact
+    equality; float mode also needs ``residual <= spec.tol``.
+    """
+    passed = ok if spec.mode.is_exact else ok and residual <= spec.tol
+    return ReportEntry(spec, residual, bool(passed), note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +262,7 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
     vectors = [monomial(dom, n) for n in range(spec.D)]
     vectors += _random_coord_vectors(dom, spec.seed)
     worst = 0.0
-    exact_ok: Optional[bool] = True if spec.mode.is_exact else None
+    ok = True
     for f in vectors:
         lhs = norm_sq(s.apply(f))
         if spec.mode.is_exact:
@@ -258,7 +271,7 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
             if den == 0:
                 continue
             if lhs != rhs:
-                exact_ok = False
+                ok = False
                 worst = max(worst, abs(float(lhs - rhs)) / float(den))
         else:
             rhs = float(np.sum(np.asarray(coeffs) * w * np.abs(f.coeffs) ** 2))
@@ -266,8 +279,7 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
             if den == 0.0:
                 continue
             worst = max(worst, abs(lhs - rhs) / den)
-    passed = (exact_ok if spec.mode.is_exact else worst <= spec.tol)
-    return ReportEntry(spec, worst, bool(passed), exact=exact_ok)
+    return _entry(spec, worst, ok)
 
 
 def check_coeff_bounds(spec: CheckSpec) -> ReportEntry:
@@ -280,8 +292,7 @@ def check_coeff_bounds(spec: CheckSpec) -> ReportEntry:
         if not (lo < c < 1):
             ok = False
         worst = max(worst, float(lo - c), float(c - 1), 0.0)
-    exact = ok if spec.mode.is_exact else None
-    return ReportEntry(spec, worst, ok and worst <= spec.tol, exact=exact)
+    return _entry(spec, worst, ok)
 
 
 def check_lower_bound(spec: CheckSpec) -> ReportEntry:
@@ -293,11 +304,10 @@ def check_lower_bound(spec: CheckSpec) -> ReportEntry:
     tower = _tower(spec)
     t = tower.ts[0]
     if t.domain.dim == 0:
-        return ReportEntry(spec, 0.0, True, exact=spec.mode.is_exact or None,
-                           note="zero subspace, vacuous")
+        return _entry(spec, 0.0, note="zero subspace, vacuous")
     bound = lower_bound(spec.N, spec.alpha)
     worst = 0.0
-    exact_ok: Optional[bool] = None
+    ok = True
     for g in _random_coord_vectors(t.domain, spec.seed):
         num = norm_sq(t.apply(g))
         den = norm_sq(g)
@@ -307,14 +317,13 @@ def check_lower_bound(spec: CheckSpec) -> ReportEntry:
         elif den > 0.0:
             worst = max(worst, max(0.0, (float(bound) * den - num) / den))
     if spec.mode.is_exact:
-        exact_ok = all(shift_coeff(spec.N, spec.alpha, n, spec.mode) > bound
-                       for n in range(spec.D)) and worst == 0.0
+        ok = all(shift_coeff(spec.N, spec.alpha, n, spec.mode) > bound
+                 for n in range(spec.D)) and worst == 0.0
     else:
         sigma = smallest_singular_value(t)
         worst = max(worst, max(0.0, math.sqrt(float(bound)) - sigma))
-    passed = exact_ok if spec.mode.is_exact else worst <= spec.tol
-    note = "finite-section surrogate for the closed-range bound"
-    return ReportEntry(spec, worst, bool(passed), exact=exact_ok, note=note)
+    return _entry(spec, worst, ok,
+                  note="finite-section surrogate for the closed-range bound")
 
 
 def check_left_inverse(spec: CheckSpec) -> ReportEntry:
@@ -322,9 +331,7 @@ def check_left_inverse(spec: CheckSpec) -> ReportEntry:
     tower = _tower(spec)
     t = tower.ts[0]
     m = tower.left_invs[0].compose(t) - identity_map(t.domain)
-    residual, exact = _map_residual(m)
-    passed = exact if spec.mode.is_exact else residual <= spec.tol
-    return ReportEntry(spec, residual, bool(passed), exact=exact)
+    return _entry(spec, *_map_residual(m))
 
 
 def check_range_projector(spec: CheckSpec) -> ReportEntry:
@@ -339,15 +346,10 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
     p = t.compose(tower.left_invs[0])
     residuals = []
     flags = []
-
-    def _push(m: LinearMap) -> None:
+    for m in (p.compose(p) - p, p.adjoint() - p):
         r, ok = _map_residual(m)
         residuals.append(r)
-        if ok is not None:
-            flags.append(ok)
-
-    _push(p.compose(p) - p)
-    _push(p.adjoint() - p)
+        flags.append(ok)
     if t.domain.dim > 0:
         for g in _random_coord_vectors(t.domain, spec.seed):
             tg = t.apply(g)
@@ -373,10 +375,7 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
             flags.append(_exactly_zero(comp))
         else:
             residuals.append(operator_norm(LinearMap(cod, cod, comp)))
-    residual = max(residuals, default=0.0)
-    exact = (all(flags) if spec.mode.is_exact else None)
-    passed = exact if spec.mode.is_exact else residual <= spec.tol
-    return ReportEntry(spec, residual, bool(passed), exact=exact)
+    return _entry(spec, max(residuals), all(flags))
 
 
 def check_telescoping(spec: CheckSpec) -> ReportEntry:
@@ -407,13 +406,9 @@ def check_telescoping(spec: CheckSpec) -> ReportEntry:
         rhs = identity_map(top) - asc[n].compose(desc[n])
         r, ok = _map_residual(total - rhs)
         residuals.append(r)
-        if ok is not None:
-            flags.append(ok)
-    residual = max(residuals)
-    exact = all(flags) if spec.mode.is_exact else None
-    passed = exact if spec.mode.is_exact else residual <= spec.tol
-    return ReportEntry(spec, residual, bool(passed), exact=exact,
-                       note=f"partial sums n=1..{levels}")
+        flags.append(ok)
+    return _entry(spec, max(residuals), all(flags),
+                  note=f"partial sums n=1..{levels}")
 
 
 def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
@@ -424,8 +419,7 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
     levels = max(1, spec.depth)
     tower = _tower(spec)
     if tower.subs[0].dim == 0 and tower.subs[levels].dim == 0:
-        return ReportEntry(spec, 0.0, True, exact=spec.mode.is_exact or None,
-                           note="zero subspace, vacuous")
+        return _entry(spec, 0.0, note="zero subspace, vacuous")
     e = wandering(tower.subs[0], tower.ts[0])
     mode = spec.mode
     worst = 0.0
@@ -454,10 +448,8 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
             else:
                 worst = max(worst, math.sqrt(
                     top_space.norm_sq(leftover) / float(ker.norms_sq[j])))
-    exact = (all(flags) and dims_ok) if mode.is_exact else None
-    passed = (exact if mode.is_exact else worst <= spec.tol and dims_ok)
     note = f"n=1..{levels}, dim ker={kdims}, step={len(_residues_of(spec))}"
-    return ReportEntry(spec, worst, bool(passed), exact=exact, note=note)
+    return _entry(spec, worst, all(flags) and dims_ok, note=note)
 
 
 def check_expansive(spec: CheckSpec) -> ReportEntry:
@@ -468,10 +460,9 @@ def check_expansive(spec: CheckSpec) -> ReportEntry:
     m_max = max(1, spec.depth)
     tower = _tower(spec)
     if tower.subs[0].dim == 0:
-        return ReportEntry(spec, 0.0, True, exact=spec.mode.is_exact or None,
-                           note="zero subspace, vacuous")
+        return _entry(spec, 0.0, note="zero subspace, vacuous")
     worst = 0.0
-    exact_ok = True
+    ok = True
     chain = None
     vectors = _random_coord_vectors(tower.ts[0].domain, spec.seed)
     for m in range(1, m_max + 1):
@@ -481,18 +472,16 @@ def check_expansive(spec: CheckSpec) -> ReportEntry:
             den = norm_sq(g)
             if spec.mode.is_exact:
                 if den != 0 and num < den:
-                    exact_ok = False
+                    ok = False
                     worst = max(worst, float(den - num) / float(den))
             elif den > 0.0:
                 worst = max(worst, max(0.0, 1.0 - math.sqrt(num / den)))
     for n in range(spec.D):
         c = shift_coeff(spec.N, spec.alpha, n, spec.mode)
         if not c <= 1:
-            exact_ok = False
+            ok = False
             worst = max(worst, float(c - 1))
-    exact = exact_ok if spec.mode.is_exact else None
-    passed = exact if spec.mode.is_exact else worst <= spec.tol
-    return ReportEntry(spec, worst, bool(passed), exact=exact)
+    return _entry(spec, worst, ok)
 
 
 def check_min_degree(spec: CheckSpec) -> ReportEntry:
@@ -500,8 +489,7 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
     m_max = max(1, spec.depth)
     tower = _tower(spec)
     if tower.subs[0].dim == 0:
-        return ReportEntry(spec, 0.0, True, exact=spec.mode.is_exact or None,
-                           note="zero subspace, vacuous")
+        return _entry(spec, 0.0, note="zero subspace, vacuous")
     worst = 0.0
     flags = []
     chain = None
@@ -516,10 +504,8 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
                 den = math.sqrt(tower.spaces[m].norm_sq(ambient_cols[:, j]))
                 if den > 0.0:
                     worst = max(worst, float(np.abs(low[:, j]).max(initial=0.0)) / den)
-    exact = all(flags) if spec.mode.is_exact else None
-    passed = exact if spec.mode.is_exact else worst <= spec.tol
-    note = "finite-section surrogate for trivial intersection of iterated ranges"
-    return ReportEntry(spec, worst, bool(passed), exact=exact, note=note)
+    return _entry(spec, worst, all(flags),
+                  note="finite-section surrogate for trivial intersection of iterated ranges")
 
 
 def check_beurling(spec: CheckSpec, subspace: Optional[Subspace] = None) -> ReportEntry:
@@ -542,8 +528,7 @@ def check_beurling(spec: CheckSpec, subspace: Optional[Subspace] = None) -> Repo
             f"adjoint residual {red.residual_adjoint:.3e}"
         )
     if h.dim == 0:
-        return ReportEntry(spec, 0.0, True, exact=spec.mode.is_exact or None,
-                           note="zero subspace, vacuous")
+        return _entry(spec, 0.0, note="zero subspace, vacuous")
     t = restrict(tower.shifts[0], h, spec.tol)
     e = wandering(h, t)
     e_base = truncate(e, spec.D)
@@ -557,14 +542,9 @@ def check_beurling(spec: CheckSpec, subspace: Optional[Subspace] = None) -> Repo
     c_safe = truncate(closure, safe)
     h_safe = truncate(h, safe)
     residual = subspace_distance(c_safe, h_safe)
-    exact: Optional[bool] = None
-    if spec.mode.is_exact:
-        exact = projectors_equal(c_safe, h_safe) and dims_ok
-        passed = bool(exact)
-    else:
-        passed = residual <= spec.tol and dims_ok
+    ok = dims_ok and (not spec.mode.is_exact or projectors_equal(c_safe, h_safe))
     note = f"depth={depth}, dim E={e.dim}, safe degrees < {safe}"
-    return ReportEntry(spec, residual, passed, exact=exact, note=note)
+    return _entry(spec, residual, ok, note=note)
 
 
 def check_census(spec: CheckSpec) -> ReportEntry:
@@ -576,11 +556,9 @@ def check_census(spec: CheckSpec) -> ReportEntry:
     residual = report.max_residue_residual
     if not report.all_randoms_fail:
         residual = max(residual, 1.0)
-    passed = report.passed and residual <= spec.tol
-    exact = passed if spec.mode.is_exact else None
     note = (f"2^{spec.N} residue subspaces, {trials} random controls, "
             f"min control residual {report.min_random_residual:.3e}")
-    return ReportEntry(spec, residual, passed, exact=exact, note=note)
+    return _entry(spec, residual, report.passed, note=note)
 
 
 CHECKS: dict[str, Callable[[CheckSpec], ReportEntry]] = {

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import pathlib
 import re
 
 import pytest
@@ -221,6 +222,17 @@ def test_suite_text_has_summary(capsys):
     assert code == 0
     assert "total=103 passed=103 failed=0" in out
     assert out.count("PASS") == 103
+
+
+SMOKE_VERDICTS = pathlib.Path(__file__).parent / "data" / "smoke_verdicts.txt"
+
+
+def test_suite_smoke_verdicts_pinned(capsys):
+    # every pass/fail, note and [exact] tag of the smoke grid; residual digits masked
+    code, out, _ = run_cli(capsys, "suite", "--grid", "smoke")
+    assert code == 0
+    masked = re.sub(r"residual=\S+", "residual=*", out)
+    assert masked == SMOKE_VERDICTS.read_text(encoding="utf-8")
 
 
 def test_module_entry_point():

@@ -317,6 +317,50 @@ def test_wandering_of_single_ladder():
     assert max_degree(e) == 1
 
 
+def ladder_wandering_oracle(cod, residues):
+    """span{z^k : k in residues}, the wandering part of the ladder (Shimorin 2001)."""
+    cols = np.column_stack([monomial(cod, k).coeffs for k in sorted(residues)])
+    return from_vectors(cod, cols)
+
+
+def ladder_wandering(alpha, N, D, residues):
+    dom, cod = graded_pair(alpha, N, D)
+    h = residue_subspace(dom, N, residues)
+    return wandering(h, restrict(shift(dom, cod, N), h)), cod
+
+
+@pytest.mark.parametrize("D", [64, 128])
+@pytest.mark.parametrize("residues", [(0,), (1,), (0, 1)])
+def test_wandering_scale_free_at_large_alpha(D, residues):
+    # a rank cut scaled by the codomain metric alone kept 16..99 directions here
+    e, cod = ladder_wandering(50.0, 2, D, residues)
+    assert e.dim == len(residues)
+    assert subspace_distance(e, ladder_wandering_oracle(cod, residues)) <= 1e-10
+
+
+def test_wandering_matches_ladder_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def ladders(draw):
+        N = draw(st.integers(1, 3))
+        D = draw(st.integers(2 * N, 128))
+        residues = draw(st.sets(st.integers(0, N - 1), min_size=1))
+        alpha = draw(st.floats(-1.0, 200.0, exclude_min=True))
+        return alpha, N, D, tuple(sorted(residues))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(ladders())
+    def check(case):
+        alpha, N, D, residues = case
+        e, cod = ladder_wandering(alpha, N, D, residues)
+        assert e.dim == len(residues)
+        assert subspace_distance(e, ladder_wandering_oracle(cod, residues)) <= 1e-10
+
+    check()
+
+
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_invariant_closure_recovers_ladder(mode):
     alpha = Fraction(1, 2) if mode.is_exact else 0.5

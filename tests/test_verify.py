@@ -93,6 +93,16 @@ def test_beurling_rejects_non_reducing_subspace():
         check_beurling(spec, subspace=from_vectors(sp, c[:, None]))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "max_degree thresholds raw coefficients at an absolute 1e-12: rounding noise "
+    "near degree 252, amplified by 1/sqrt(omega_n), exceeds it, so the closure "
+    "depth collapses and the safe window is not regrown"))
+def test_beurling_float_large_d():
+    spec = CheckSpec("beurling", 2, 2.5, 256, (0,), 4, 0, FLOAT, DEFAULT_TOLS["beurling"])
+    entry = run_check(spec)
+    assert entry.passed, entry.note
+
+
 def test_beurling_needs_a_safe_window():
     with pytest.raises(DepthOverflow):
         check_beurling(CheckSpec("beurling", 2, 0.5, 3))
