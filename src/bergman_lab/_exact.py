@@ -11,9 +11,9 @@ from fractions import Fraction
 import numpy as np
 
 
-def zeros(shape, value=Fraction(0)) -> np.ndarray:
+def zeros(shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
-    out[...] = value
+    out[...] = Fraction(0)
     return out
 
 

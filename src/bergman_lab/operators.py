@@ -11,22 +11,15 @@ codomain: adj(M) = G_in^(-1) M^H G_out.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import _exact
 from .errors import DimensionMismatch, SingularGram
 from .space import CoefficientVector, TruncatedSpace
-from .weights import ScalarMode, shift_coeff
+from .weights import shift_coeff
 
 #: Gram operators with a worse 2-norm condition number than this are refused.
 GRAM_CONDITION_LIMIT = 1e12
-
-
-def _conj(a: np.ndarray, mode: ScalarMode) -> np.ndarray:
-    # exact-mode data is real rational, conjugation is the identity
-    return a if mode.is_exact else np.conjugate(a)
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
@@ -76,18 +69,14 @@ class LinearMap:
         return CoefficientVector(self.codomain, self.matrix @ v.coeffs)
 
     def adjoint(self) -> "LinearMap":
-        m = _conj(self.matrix, self.mode).T
         w_out = np.asarray(self.codomain.metric)
         w_in = np.asarray(self.domain.metric)
-        if self.mode.is_exact:
-            m = m * w_out[None, :] / w_in[:, None]
-        else:
-            # ratio in real arithmetic: complex division rounds even x/x
-            m = m * (w_out[None, :].astype(np.float64) / w_in[:, None])
+        # the metric ratio is formed first, in real arithmetic: complex
+        # division rounds even x/x
         return LinearMap(
             self.codomain,
             self.domain,
-            m,
+            np.conjugate(self.matrix).T * (w_out[None, :] / w_in[:, None]),
             domain_sub=self.codomain_sub,
             codomain_sub=self.domain_sub,
         )
@@ -150,10 +139,9 @@ def shift(domain: TruncatedSpace, codomain: TruncatedSpace, N: int) -> LinearMap
     if N < 1:
         raise DimensionMismatch(f"multiplicity N must be >= 1, got {N}")
     _require_graded_pair(domain, codomain, N)
-    one = Fraction(1) if domain.mode.is_exact else 1.0
     m = domain.mode.zeros((codomain.dim, domain.dim))
     for n in range(domain.dim):
-        m[N + n, n] = one
+        m[N + n, n] = domain.mode.one
     return LinearMap(domain, codomain, m)
 
 
@@ -179,7 +167,7 @@ def weighted_matrix(m: LinearMap) -> np.ndarray:
 
     Its Euclidean singular values are the metric singular values of the map.
     """
-    mat = to_float(m.matrix) if m.mode.is_exact else m.matrix
+    mat = to_float(m.matrix)
     sw_out = np.sqrt(to_float(np.asarray(m.codomain.metric)))
     sw_in = np.sqrt(to_float(np.asarray(m.domain.metric)))
     return (mat * sw_out[:, None]) / sw_in[None, :]
@@ -227,16 +215,11 @@ def _gram_inverse(t: LinearMap) -> LinearMap:
 def pinv(t: LinearMap) -> LinearMap:
     """Metric Moore-Penrose pseudoinverse (T* T)^(-1) T* of an injective map.
 
-    It is a left inverse: pinv(t) o t is the identity on the domain.
+    It is a left inverse: pinv(t) o t is the identity on the domain, and
+    t o pinv(t) is the metric-orthogonal projector onto the range of t.  Its
+    adjoint pinv(t).adjoint() = T (T* T)^(-1) is the norm-expanding lift
+    (the Gram inverse is metric-self-adjoint): applying it never shrinks the
+    metric norm.
     """
     return _gram_inverse(t).compose(t.adjoint())
-
-
-def pinv_adjoint(t: LinearMap) -> LinearMap:
-    """Adjoint T (T* T)^(-1) of the left inverse, the norm-expanding lift.
-
-    Applying it never shrinks the metric norm, and t.compose(pinv(t)) is the
-    metric-orthogonal projector onto the range of t.
-    """
-    return t.compose(_gram_inverse(t))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     DimensionMismatch,
     NotInvariant,
 )
-from .operators import LinearMap, _conj, to_float, weighted_matrix
+from .operators import LinearMap, to_float, weighted_matrix
 from .space import CoefficientVector, TruncatedSpace, random_vector
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
@@ -80,8 +79,7 @@ class Subspace:
 
 
 def _empty_basis(ambient: TruncatedSpace) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.empty(0, dtype=object) if ambient.mode.is_exact else np.zeros(0)
-    return ambient.mode.zeros((ambient.dim, 0)), norms
+    return ambient.mode.zeros((ambient.dim, 0)), np.asarray(ambient.metric)[:0]
 
 
 def zero_subspace(ambient: TruncatedSpace) -> Subspace:
@@ -89,15 +87,11 @@ def zero_subspace(ambient: TruncatedSpace) -> Subspace:
     return Subspace(ambient, basis, norms)
 
 
-def orthogonalize(
-    ambient: TruncatedSpace,
-    columns: np.ndarray,
-    rank_tol: float = RANK_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt in the weighted metric, one re-orthogonalization pass.
 
     Float mode normalizes the surviving vectors and drops any whose residual
-    norm falls below ``rank_tol`` times its original norm.  Exact mode keeps
+    norm falls below ``RANK_TOL`` times its original norm.  Exact mode keeps
     unnormalized orthogonal vectors (square roots leave the rationals) and
     drops exactly dependent ones.
     """
@@ -120,7 +114,7 @@ def orthogonalize(
                 for b, _g in zip(kept, norms):
                     v = v - b * ambient.inner(v, b)
             n = np.sqrt(ambient.norm_sq(v))
-            if n > rank_tol * ref:
+            if n > RANK_TOL * ref:
                 kept.append(v / n)
                 norms.append(1.0)
     if not kept:
@@ -129,13 +123,9 @@ def orthogonalize(
     return np.column_stack(kept), np.asarray(norms)
 
 
-def from_vectors(
-    ambient: TruncatedSpace,
-    columns: np.ndarray,
-    rank_tol: float = RANK_TOL,
-) -> Subspace:
+def from_vectors(ambient: TruncatedSpace, columns: np.ndarray) -> Subspace:
     """Span of the given coefficient columns, orthogonalized."""
-    basis, norms = orthogonalize(ambient, np.asarray(columns), rank_tol)
+    basis, norms = orthogonalize(ambient, np.asarray(columns))
     return Subspace(ambient, basis, norms)
 
 
@@ -158,11 +148,9 @@ def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> 
         raise AmbientMismatch("residue subspaces need a weight-backed ambient space")
     degrees = residue_degrees(N, residues, space.dim)
     basis = space.mode.zeros((space.dim, len(degrees)))
-    one = Fraction(1) if space.mode.is_exact else 1.0
     for j, d in enumerate(degrees):
-        basis[d, j] = one
-    norms = np.asarray(space.metric)[degrees] if degrees else _empty_basis(space)[1]
-    return Subspace(space, basis, norms,
+        basis[d, j] = space.mode.one
+    return Subspace(space, basis, np.asarray(space.metric)[degrees],
                     residues=frozenset(residues), multiplicity=N)
 
 
@@ -174,17 +162,13 @@ def coefficient_functionals(sub: Subspace) -> np.ndarray:
     """Matrix of the coordinate functionals: coords(v) = functionals @ v.
 
     Row j is conj(b_j) scaled entrywise by metric / ||b_j||^2.  The scaling
-    ratio is formed first, in real arithmetic in float mode (complex division
-    rounds even x/x), so one-hot monomial bases produce exact 1.0 entries and
-    projections of lattice vectors are exact even in floating point.
+    ratio is formed first, in real arithmetic (complex division rounds even
+    x/x), so one-hot monomial bases produce exact 1.0 entries and projections
+    of lattice vectors are exact even in floating point.
     """
     w = np.asarray(sub.ambient.metric)
     g = np.asarray(sub.norms_sq)
-    if sub.ambient.mode.is_exact:
-        m = _conj(sub.basis, sub.ambient.mode).T * w[None, :]
-        return m / g[:, None]
-    scale = w[None, :].astype(np.float64) / g[:, None].astype(np.float64)
-    return np.conjugate(sub.basis).T * scale
+    return np.conjugate(sub.basis).T * (w[None, :] / g[:, None])
 
 
 def project_coefficients(sub: Subspace, arr: np.ndarray) -> np.ndarray:
@@ -234,7 +218,7 @@ def _null_coords(m: LinearMap, tol: float) -> np.ndarray:
     return vt[rank:].conj().T / np.sqrt(np.asarray(m.domain.metric))[:, None]
 
 
-def truncate(sub: Subspace, dim: int, rank_tol: float = RANK_TOL) -> Subspace:
+def truncate(sub: Subspace, dim: int) -> Subspace:
     """Intersection of the subspace with the smaller truncation span{z^n : n < dim}."""
     if dim > sub.ambient.dim:
         raise DimensionMismatch("truncate target exceeds the current ambient dimension")
@@ -251,8 +235,8 @@ def truncate(sub: Subspace, dim: int, rank_tol: float = RANK_TOL) -> Subspace:
     above = TruncatedSpace(metric=np.asarray(sub.ambient.metric)[dim:],
                            mode=sub.ambient.mode)
     top = LinearMap(sub.coordinate_space(), above, sub.basis[dim:, :])
-    cols = (sub.basis @ _null_coords(top, rank_tol))[:dim, :]
-    return from_vectors(target, cols, rank_tol)
+    cols = (sub.basis @ _null_coords(top, RANK_TOL))[:dim, :]
+    return from_vectors(target, cols)
 
 
 def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
@@ -274,7 +258,7 @@ def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
     return Subspace(space, basis, sub.norms_sq)
 
 
-def max_degree(sub: Subspace, rel_tol: float = 1e-12) -> int:
+def max_degree(sub: Subspace) -> int:
     """Largest degree carrying a nonnegligible coefficient; -1 for the zero subspace."""
     if sub.dim == 0:
         return -1
@@ -282,7 +266,7 @@ def max_degree(sub: Subspace, rel_tol: float = 1e-12) -> int:
         rows = [i for i in range(sub.ambient.dim) if bool((sub.basis[i, :] != 0).any())]
         return max(rows) if rows else -1
     amax = np.abs(sub.basis).max(axis=1)
-    thr = rel_tol * max(float(amax.max()), 1.0)
+    thr = 1e-12 * max(float(amax.max()), 1.0)
     rows = np.nonzero(amax > thr)[0]
     return int(rows.max()) if len(rows) else -1
 
@@ -379,14 +363,15 @@ def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> LinearMap:
     )
 
 
-def wandering(sub: Subspace, t: LinearMap) -> Subspace:
-    """Wandering part E = ext(sub) minus range(t), computed as ker t*.
+def wandering(t: LinearMap) -> Subspace:
+    """Wandering part E = t.codomain_sub minus range(t), computed as ker t*.
 
     ``t`` must be a restricted map (carrying subspace links), typically the
-    shift restricted to ``sub``.  The orthogonal complement of range(t)
-    inside the subspace's extension is the kernel of the metric adjoint of
-    t, so E comes from :func:`kernel` and is expressed in the ambient
-    truncation of t's codomain subspace.
+    shift restricted to a subspace by :func:`restrict`, whose codomain
+    subspace is then the subspace's extension.  The orthogonal complement of
+    range(t) there is the kernel of the metric adjoint of t, so E comes from
+    :func:`kernel` and is expressed in the ambient truncation of t's
+    codomain subspace.
     """
     if t.codomain_sub is None or t.domain_sub is None:
         raise DimensionMismatch("wandering needs a restricted map with subspace links")
@@ -467,8 +452,7 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
         raise AmbientMismatch("subspaces live in different ambient spaces")
     if u.ambient.dim == 0:
         return 0.0
-    diff = to_float(projector(u) - projector(v)) if u.ambient.mode.is_exact \
-        else projector(u) - projector(v)
+    diff = to_float(projector(u) - projector(v))
     sw = np.sqrt(to_float(np.asarray(u.ambient.metric)))
     m = (diff * sw[:, None]) / sw[None, :]
     return float(np.linalg.norm(m, 2))
@@ -532,13 +516,12 @@ def reducing_census(
     trials: int = 20,
     seed: int = 0,
     tol: float = 1e-10,
-    random_dim: int = 2,
 ) -> CensusReport:
     """Verify that residue ladders, and only they, pass the reducing test.
 
     All 2^N residue subspaces (including the zero and full ones) must reduce
     the shift with zero residual; ``trials`` seeded random subspaces must all
-    fail.
+    fail.  Each random control spans two random vectors.
     """
     residue_entries = []
     for size in range(N + 1):
@@ -549,7 +532,7 @@ def reducing_census(
             residue_entries.append(CensusEntry(label, r.residual, r.passed))
     random_entries = []
     for i in range(trials):
-        sub = random_subspace(s.domain, random_dim, seed + i)
+        sub = random_subspace(s.domain, 2, seed + i)
         r = is_reducing(s, sub, tol)
         random_entries.append(CensusEntry(f"random[{seed + i}]", r.residual, r.passed))
     return CensusReport(tuple(residue_entries), tuple(random_entries))

@@ -37,6 +37,11 @@ class ScalarMode(enum.Enum):
     def is_exact(self) -> bool:
         return self is ScalarMode.EXACT_RATIONAL
 
+    @property
+    def one(self) -> Scalar:
+        """The unit scalar of this mode: Fraction(1) or 1.0."""
+        return Fraction(1) if self.is_exact else 1.0
+
     def zeros(self, shape) -> np.ndarray:
         """Zero array in this mode's storage: Fraction objects or complex128."""
         if self.is_exact:
@@ -120,16 +125,13 @@ class WeightSequence:
 def weight_sequence(params: WeightParams, mode: ScalarMode = ScalarMode.FLOAT64) -> WeightSequence:
     """Compute omega_0 .. omega_{D-1} by the first-order recurrence."""
     alpha = coerce_alpha(params.alpha, mode)
-    if mode.is_exact:
-        values = np.empty(params.D, dtype=object)
-        w: Scalar = Fraction(1)
-    else:
-        values = np.empty(params.D, dtype=np.float64)
-        w = 1.0
+    values = []
+    w = mode.one
     for n in range(params.D):
-        values[n] = w
+        values.append(w)
         w = w * (n + 1) / (n + 2 + alpha)
-    return WeightSequence(params, mode, values)
+    # Fractions stack into an object array, floats into a float64 one
+    return WeightSequence(params, mode, np.asarray(values))
 
 
 def shift_coeff(N: int, alpha: Scalar, n: int, mode: ScalarMode = ScalarMode.FLOAT64) -> Scalar:
@@ -144,7 +146,7 @@ def shift_coeff(N: int, alpha: Scalar, n: int, mode: ScalarMode = ScalarMode.FLO
     if N < 1 or n < 0:
         raise ValueError(f"need N >= 1 and n >= 0, got N={N}, n={n}")
     alpha = coerce_alpha(alpha, mode)
-    out: Scalar = Fraction(1) if mode.is_exact else 1.0
+    out = mode.one
     for j in range(N):
         out = out * (n + j + 1) / (n + j + 2 + alpha)
     return out
@@ -160,7 +162,7 @@ def iterated_coeff(
     """
     if m < 0:
         raise ValueError(f"iteration count m must be >= 0, got {m}")
-    out: Scalar = Fraction(1) if mode.is_exact else 1.0
+    out = mode.one
     for j in range(m):
         out = out / shift_coeff(N, alpha, n + j * N, mode)
     return out

@@ -127,7 +127,7 @@ def range_and_wandering_projectors(tw: Tower):
     p = t.compose(tw.left_invs[0])
     rng = from_vectors(t.codomain, t.matrix)
     p_range = projector(rng)
-    e = wandering(tw.subs[0], t)
+    e = wandering(t)
     e_coords = coefficient_functionals(tw.subs[1]) @ e.basis
     p_wander = projector(Subspace(t.codomain, e_coords, e.norms_sq))
     return p, p_range, p_wander
@@ -246,7 +246,7 @@ def test_criterion_05_kernel_containment():
             for N in (1, 2, 3):
                 for lam in nonempty_subsets(N):
                     tw = build_tower(N, alpha, D_KERNEL, lam, FLOAT, DEPTH)
-                    e = truncate(wandering(tw.subs[0], tw.ts[0]), D_KERNEL)
+                    e = truncate(wandering(tw.ts[0]), D_KERNEL)
                     desc = None
                     for n in range(1, DEPTH + 1):
                         desc = tw.left_invs[n - 1] if desc is None \
@@ -301,7 +301,7 @@ def test_criterion_07_ladder_reconstruction():
                 for lam in nonempty_subsets(N):
                     h = residue_subspace(dom, N, lam)
                     t = restrict(s, h, 1e-8)
-                    e = wandering(h, t)
+                    e = wandering(t)
                     assert e.dim == len(lam)
                     e_base = truncate(e, D_BEURLING)
                     depth = (D_BEURLING - 1 - max_degree(e_base)) // N

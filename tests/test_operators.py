@@ -21,7 +21,6 @@ from bergman_lab import (
     norm,
     operator_norm,
     pinv,
-    pinv_adjoint,
     random_vector,
     residue_subspace,
     restrict,
@@ -33,7 +32,7 @@ from bergman_lab import (
     vector,
     weight_sequence,
 )
-from bergman_lab.operators import LinearMap, to_float, weighted_matrix
+from bergman_lab.operators import LinearMap, _gram_inverse, to_float, weighted_matrix
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -190,10 +189,21 @@ def test_pinv_adjoint_frozen_action():
     """For N = 1, alpha = 0 the lift sends 1 to 2z: 1/C(1,0,0) = 2."""
     dom, cod = spaces(Fraction(0), 1, 6, EXACT)
     t = restrict(shift(dom, cod, 1), full_subspace(dom, 1))
-    a = pinv_adjoint(t)
+    a = pinv(t).adjoint()
     img = a.matrix[:, 0]
     expected = np.array([Fraction(0), Fraction(2)] + [Fraction(0)] * 5, dtype=object)
     assert (img == expected).all()
+
+
+@pytest.mark.parametrize("residues", [(0,), (0, 1)])
+def test_pinv_adjoint_is_t_times_gram_inverse(residues):
+    """The adjoint of the left inverse is exactly T (T* T)^(-1), entry for entry."""
+    dom, cod = spaces(Fraction(1, 2), 2, 12, EXACT)
+    t = restrict(shift(dom, cod, 2), residue_subspace(dom, 2, residues))
+    lift = pinv(t).adjoint()
+    direct = t.compose(_gram_inverse(t))
+    assert lift.matrix.shape == direct.matrix.shape
+    assert (lift.matrix == direct.matrix).all()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -206,7 +216,7 @@ def test_pinv_adjoint_iterates_match_iterated_coeff(m):
     chain = None
     for j in range(m):
         t = restrict(shift(levels[j], levels[j + 1], N), full_subspace(levels[j], N))
-        lift = pinv_adjoint(t)
+        lift = pinv(t).adjoint()
         chain = lift if chain is None else lift @ chain
     for n in range(D):
         col = chain.matrix[:, n]

@@ -301,7 +301,7 @@ def test_wandering_of_full_space_is_low_degrees():
     s = shift(dom, cod, 3)
     h = full_subspace(dom, 3)
     t = restrict(s, h)
-    e = wandering(h, t)
+    e = wandering(t)
     assert e.dim == 3
     cols = np.column_stack([monomial(cod, n).coeffs for n in range(3)])
     assert subspace_distance(e, from_vectors(cod, cols)) <= 1e-12
@@ -311,7 +311,7 @@ def test_wandering_of_single_ladder():
     dom, cod = graded_pair(0.5, 2, 10)
     s = shift(dom, cod, 2)
     h = residue_subspace(dom, 2, [1])
-    e = wandering(h, t := restrict(s, h))
+    e = wandering(t := restrict(s, h))
     assert t.matrix.shape == (6, 5)
     assert e.dim == 1
     assert max_degree(e) == 1
@@ -326,7 +326,7 @@ def ladder_wandering_oracle(cod, residues):
 def ladder_wandering(alpha, N, D, residues):
     dom, cod = graded_pair(alpha, N, D)
     h = residue_subspace(dom, N, residues)
-    return wandering(h, restrict(shift(dom, cod, N), h)), cod
+    return wandering(restrict(shift(dom, cod, N), h)), cod
 
 
 @pytest.mark.parametrize("D", [64, 128])
@@ -368,7 +368,7 @@ def test_invariant_closure_recovers_ladder(mode):
     s = shift(dom, cod, 2)
     h = residue_subspace(dom, 2, [0])
     t = restrict(s, h)
-    e = truncate(wandering(h, t), 12)
+    e = truncate(wandering(t), 12)
     assert e.dim == 1
     depth = (12 - 1 - max_degree(e)) // 2
     closure = invariant_closure(e, t, h, depth)

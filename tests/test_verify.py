@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bergman_lab import DepthOverflow, NotReducing, ScalarMode
+from bergman_lab import DepthOverflow, NotReducing, ScalarMode, operators
 from bergman_lab.verify import (
     AMBIENT_CHECKS,
     CHECKS,
@@ -18,7 +18,9 @@ from bergman_lab.verify import (
     run_check,
     run_suite,
     smoke_grid,
+    _entry,
     _tower,
+    _tower_cached,
 )
 
 FLOAT = ScalarMode.FLOAT64
@@ -117,6 +119,33 @@ def test_tower_shared_between_checks():
     assert a is b
     c = _tower(spec_for("left_inverse", residues=(1,)))
     assert c is not a
+
+
+def test_gram_inverse_once_per_level(monkeypatch):
+    """Each tower level inverts its Gram operator once; the lift reuses pinv."""
+    calls = []
+    gram_inverse = operators._gram_inverse
+
+    def counted(t):
+        calls.append(t)
+        return gram_inverse(t)
+
+    monkeypatch.setattr(operators, "_gram_inverse", counted)
+    tower = _tower_cached.__wrapped__(2, 0.5, 12, (0,), FLOAT, 3)
+    assert len(tower.lifts) == len(tower.left_invs) == 3
+    assert len(calls) == 3
+
+
+def test_entry_exact_needs_zero_defects_float_needs_tol():
+    exact, flt = spec_for("left_inverse", mode=EXACT), spec_for("left_inverse")
+    tiny = (1e-30, False)
+    assert not _entry(exact, [tiny]).passed
+    assert _entry(flt, [tiny]).passed
+    assert _entry(exact, [tiny]).residual == _entry(flt, [tiny]).residual == 1e-30
+    for spec in (exact, flt):
+        assert _entry(spec, [(0.0, True)]).passed
+        assert not _entry(spec, [(0.0, True)], ok=False).passed
+        assert _entry(spec, []).residual == 0.0
 
 
 def test_lower_bound_notes_the_surrogate():
