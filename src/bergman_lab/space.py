@@ -74,12 +74,6 @@ class TruncatedSpace:
     def zeros(self) -> np.ndarray:
         return self.mode.zeros(self.dim)
 
-    def inner(self, a: np.ndarray, b: np.ndarray):
-        """Weighted inner product sum_n omega_n a_n conj(b_n) of coefficient arrays."""
-        if self.mode.is_exact:
-            return ((a * b) * self.metric).sum()
-        return complex(np.sum(self.metric * a * np.conjugate(b)))
-
     def norm_sq(self, a: np.ndarray):
         """Squared weighted norm of a coefficient array; a Fraction in exact mode."""
         if self.mode.is_exact:
@@ -144,7 +138,7 @@ def monomial(space: TruncatedSpace, n: int, coeff: Union[Scalar, complex] = 1) -
 def inner(f: CoefficientVector, g: CoefficientVector):
     """Weighted inner product sum_n omega_n f_n conj(g_n)."""
     f._check_same_space(g)
-    return f.space.inner(f.coeffs, g.coeffs)
+    return np.sum(f.space.metric * f.coeffs * np.conjugate(g.coeffs))
 
 
 def norm_sq(f: CoefficientVector):

@@ -78,49 +78,49 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient.dim}{tag})"
 
 
-def _empty_basis(ambient: TruncatedSpace) -> tuple[np.ndarray, np.ndarray]:
-    return ambient.mode.zeros((ambient.dim, 0)), np.asarray(ambient.metric)[:0]
-
-
 def zero_subspace(ambient: TruncatedSpace) -> Subspace:
-    basis, norms = _empty_basis(ambient)
-    return Subspace(ambient, basis, norms)
+    return Subspace(ambient, ambient.mode.zeros((ambient.dim, 0)),
+                    np.asarray(ambient.metric)[:0])
 
 
 def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt in the weighted metric, one re-orthogonalization pass.
+    """Gram-Schmidt in the weighted metric, one block projection per column.
 
-    Float mode normalizes the surviving vectors and drops any whose residual
-    norm falls below ``RANK_TOL`` times its original norm.  Exact mode keeps
-    unnormalized orthogonal vectors (square roots leave the rationals) and
-    drops exactly dependent ones.
+    Each column loses its projection onto the vectors kept so far in one
+    product ``v - B[:, :k] @ (F[:k] @ v)``, where row i of F is the coordinate
+    functional of kept vector i (see :func:`coefficient_functionals`).  Float
+    mode projects twice (CGS2; Giraud, Langou and Rozloznik, 2005, show two
+    passes suffice), drops a column whose residual norm falls below
+    ``RANK_TOL`` times its original norm and normalizes the rest.  Exact mode
+    projects once, which in rational arithmetic gives exactly the modified
+    Gram-Schmidt vectors, keeps every nonzero residual unnormalized (square
+    roots leave the rationals) and carries its squared norm.
     """
     mode = ambient.mode
-    kept: list[np.ndarray] = []
-    norms: list = []
-    for j in range(columns.shape[1]):
-        v = columns[:, j].copy()
+    w = np.asarray(ambient.metric)
+    count = columns.shape[1]
+    basis = mode.zeros((ambient.dim, count))
+    functionals = mode.zeros((count, ambient.dim))
+    norms = np.empty(count, dtype=w.dtype)
+    k = 0
+    for j in range(count):
+        v = columns[:, j]
+        for _ in range(1 if mode.is_exact else 2):
+            v = v - basis[:, :k] @ (functionals[:k] @ v)
+        g = ambient.norm_sq(v)
         if mode.is_exact:
-            for b, g in zip(kept, norms):
-                v = v - b * (ambient.inner(v, b) / g)
-            if bool((v != 0).any()):
-                kept.append(v)
-                norms.append(ambient.norm_sq(v))
-        else:
-            ref = np.sqrt(ambient.norm_sq(v))
-            if ref == 0.0:
+            if g == 0:
                 continue
-            for _ in range(2):
-                for b, _g in zip(kept, norms):
-                    v = v - b * ambient.inner(v, b)
-            n = np.sqrt(ambient.norm_sq(v))
-            if n > RANK_TOL * ref:
-                kept.append(v / n)
-                norms.append(1.0)
-    if not kept:
-        return _empty_basis(ambient)
-    # Fractions stack into object arrays, floats into complex/float64 ones
-    return np.column_stack(kept), np.asarray(norms)
+        else:
+            n = np.sqrt(g)
+            if not n > RANK_TOL * np.sqrt(ambient.norm_sq(columns[:, j])):
+                continue
+            v, g = v / n, 1.0
+        basis[:, k] = v
+        norms[k] = g
+        functionals[k] = np.conjugate(v) * (w / g)
+        k += 1
+    return basis[:, :k], norms[:k]
 
 
 def from_vectors(ambient: TruncatedSpace, columns: np.ndarray) -> Subspace:
@@ -259,15 +259,19 @@ def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
 
 
 def max_degree(sub: Subspace) -> int:
-    """Largest degree carrying a nonnegligible coefficient; -1 for the zero subspace."""
+    """Largest degree carrying a nonnegligible coefficient; -1 for the zero subspace.
+
+    Exact mode takes the last nonzero row.  Float mode measures each degree's
+    largest coefficient in metric units, |b_n| sqrt(omega_n), and cuts at
+    1e-12 times the largest of them, so the decision is scale-free.
+    """
     if sub.dim == 0:
         return -1
     if sub.ambient.mode.is_exact:
         rows = [i for i in range(sub.ambient.dim) if bool((sub.basis[i, :] != 0).any())]
         return max(rows) if rows else -1
-    amax = np.abs(sub.basis).max(axis=1)
-    thr = 1e-12 * max(float(amax.max()), 1.0)
-    rows = np.nonzero(amax > thr)[0]
+    amax = np.abs(sub.basis).max(axis=1) * np.sqrt(np.asarray(sub.ambient.metric))
+    rows = np.nonzero(amax > 1e-12 * amax.max())[0]
     return int(rows.max()) if len(rows) else -1
 
 

@@ -470,7 +470,7 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
                   note="finite-section surrogate for trivial intersection of iterated ranges")
 
 
-def check_beurling(spec: CheckSpec, subspace: Optional[Subspace] = None) -> ReportEntry:
+def check_beurling(spec: CheckSpec) -> ReportEntry:
     """A reducing subspace is recovered from its wandering part.
 
     The closure of {T^j E} at the maximal depth the grading supports is
@@ -482,7 +482,7 @@ def check_beurling(spec: CheckSpec, subspace: Optional[Subspace] = None) -> Repo
             f"D={spec.D} leaves no safe comparison window for N={spec.N}; raise D"
         )
     tower = _tower(spec)
-    h = subspace if subspace is not None else tower.subs[0]
+    h = tower.subs[0]
     red = is_reducing(tower.shifts[0], h, spec.tol)
     if not red.passed:
         raise NotReducing(
@@ -491,7 +491,7 @@ def check_beurling(spec: CheckSpec, subspace: Optional[Subspace] = None) -> Repo
         )
     if h.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
-    t = restrict(tower.shifts[0], h, spec.tol)
+    t = tower.ts[0]
     e = wandering(t)
     e_base = truncate(e, spec.D)
     dims_ok = e_base.dim == e.dim

@@ -42,7 +42,7 @@ from bergman_lab import (
     zero_subspace,
 )
 from bergman_lab.operators import LinearMap, to_float
-from bergman_lab.subspaces import coefficient_functionals, orthogonalize
+from bergman_lab.subspaces import RANK_TOL, Subspace, coefficient_functionals, orthogonalize
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -95,6 +95,47 @@ def test_full_and_empty_residue_sets():
     assert zero_subspace(sp).dim == 0
 
 
+def reference_gram_schmidt(space, columns):
+    """Modified Gram-Schmidt one pair of vectors at a time, for comparison.
+
+    Exact mode subtracts each kept vector once; float mode sweeps the kept
+    vectors twice and keeps a column under the same relative rank rule as
+    :func:`orthogonalize`.
+    """
+    w = np.asarray(space.metric)
+
+    def inner(a, b):
+        return np.sum(w * a * np.conjugate(b))
+
+    kept, norms = [], []
+    for j in range(columns.shape[1]):
+        v = columns[:, j].copy()
+        if space.mode.is_exact:
+            for b, g in zip(kept, norms):
+                v = v - b * (inner(v, b) / g)
+            if (v != 0).any():
+                kept.append(v)
+                norms.append(inner(v, v))
+        else:
+            ref = np.sqrt(inner(v, v).real)
+            for _ in range(2):
+                for b in kept:
+                    v = v - b * inner(v, b)
+            n = np.sqrt(inner(v, v).real)
+            if n > RANK_TOL * ref:
+                kept.append(v / n)
+                norms.append(1.0)
+    return kept, norms
+
+
+def assert_orthonormal(space, basis, norms, tol):
+    """Metric Gram matrix of the basis equals diag(norms) within tol."""
+    w = to_float(np.asarray(space.metric))
+    b = to_float(basis)
+    gram = np.conjugate(b).T @ (w[:, None] * b)
+    assert np.abs(gram - np.diag(to_float(np.asarray(norms)))).max() <= tol
+
+
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_orthogonalize_pairwise_orthogonal(mode):
     alpha = Fraction(1, 2) if mode.is_exact else 0.5
@@ -114,30 +155,90 @@ def test_orthogonalize_pairwise_orthogonal(mode):
     for i in range(4):
         for j in range(i + 1, 4):
             dot = np.sum(w * np.conjugate(to_float(basis[:, i])) * to_float(basis[:, j]))
-            assert abs(dot) <= 1e-12
+            assert abs(dot) <= 1e-13
     if mode.is_exact:
         for j in range(4):
             g = sum(wk * bk * bk for wk, bk in zip(w, basis[:, j]))
             assert g == norms[j]
     else:
-        assert np.allclose(np.asarray(norms), 1.0, rtol=0, atol=1e-14)
-        for j in range(4):
-            assert abs(wnorm(sp, basis[:, j]) - 1.0) <= 1e-12
+        assert (np.asarray(norms) == 1.0).all()
+        assert_orthonormal(sp, basis, norms, 1e-13)
+
+
+def test_orthogonalize_matches_modified_gram_schmidt():
+    """Exact output equals modified Gram-Schmidt entry for entry; float output
+    is orthonormal and spans what modified Gram-Schmidt spans."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def problems(draw):
+        mode = draw(st.sampled_from([FLOAT, EXACT]))
+        alpha = draw(st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 2),
+                                      Fraction(2), Fraction(7, 2)]))
+        D = draw(st.integers(2, 8))
+        sp = make_space(alpha if mode.is_exact else float(alpha), 1, D, mode)
+        entries = st.integers(-3, 3)
+        cols, close = [], False
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(["random", "zero", "combination", "close"]))
+            if kind == "random" or not cols:
+                col = [Fraction(draw(entries), draw(st.integers(1, 4))) for _ in range(D)]
+            elif kind == "zero":
+                col = [Fraction(0)] * D
+            else:
+                coeffs = [draw(entries) for _ in cols]
+                col = [sum(c * v[i] for c, v in zip(coeffs, cols)) for i in range(D)]
+                if kind == "close":
+                    # off the span by about 1e-6: one projection pass is not enough
+                    col[draw(st.integers(0, D - 1))] += Fraction(1, 10**6)
+                    close = True
+            cols.append(col)
+        mat = sp.mode.zeros((D, len(cols)))
+        for j, col in enumerate(cols):
+            mat[:, j] = col if mode.is_exact else [float(x) for x in col]
+        return sp, mat, close
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(problems())
+    def check(problem):
+        sp, cols, close = problem
+        basis, norms = orthogonalize(sp, cols)
+        kept, ref_norms = reference_gram_schmidt(sp, cols)
+        assert basis.shape == (sp.dim, len(kept))
+        if not kept:
+            return
+        if sp.mode.is_exact:
+            assert (basis == np.column_stack(kept)).all()
+            assert list(norms) == ref_norms
+        else:
+            assert (np.asarray(norms) == 1.0).all()
+            assert_orthonormal(sp, basis, norms, 1e-13)
+            ref = Subspace(sp, np.column_stack(kept), np.asarray(ref_norms))
+            # rounding moves a direction 1e-6 off the span by about 1e-16 / 1e-6
+            tol = 1e-8 if close else 1e-12
+            assert subspace_distance(Subspace(sp, basis, norms), ref) <= tol
+
+    check()
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_from_vectors_drops_dependent_columns(mode):
+    """Zero and dependent columns are dropped; a column off the span by 1e-12
+    (relative) is dropped in float mode and kept in exact mode."""
     alpha = Fraction(0) if mode.is_exact else 0.0
     sp = make_space(alpha, 1, 5, mode)
     a = monomial(sp, 0).coeffs
     b = monomial(sp, 3).coeffs
-    cols = np.empty((5, 3), dtype=object) if mode.is_exact else \
-        np.zeros((5, 3), dtype=np.complex128)
-    cols[:, 0] = a
-    cols[:, 1] = b
-    cols[:, 2] = a + b if mode.is_exact else a + b
-    sub = from_vectors(sp, cols)
-    assert sub.dim == 2
+    eps = Fraction(1, 10**12) if mode.is_exact else 1e-12
+    thirds = {"zero": (a * 0, 2), "sum": (a + b, 2),
+              "near": (a + b + eps * monomial(sp, 4).coeffs, 3 if mode.is_exact else 2)}
+    for third, (c, dim) in thirds.items():
+        cols = mode.zeros((5, 3))
+        cols[:, 0] = a
+        cols[:, 1] = b
+        cols[:, 2] = c
+        assert from_vectors(sp, cols).dim == dim, third
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])

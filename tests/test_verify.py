@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bergman_lab import DepthOverflow, NotReducing, ScalarMode, operators
+from bergman_lab import DepthOverflow, NotReducing, ReducingResult, ScalarMode, operators
 from bergman_lab.verify import (
     AMBIENT_CHECKS,
     CHECKS,
@@ -83,26 +83,23 @@ def test_run_check_wraps_exceptions():
     assert "KeyError" in bad_name.note
 
 
-def test_beurling_rejects_non_reducing_subspace():
-    from bergman_lab import from_vectors
-    spec = spec_for("beurling")
-    tower = _tower(spec)
-    sp = tower.spaces[0]
-    c = sp.zeros()
-    c[0] = 1.0
-    c[1] = 1.0
+def test_beurling_rejects_non_reducing_subspace(monkeypatch):
+    import bergman_lab.verify as verify
+    monkeypatch.setattr(verify, "is_reducing",
+                        lambda *args: ReducingResult(False, 1.0, 0.0))
     with pytest.raises(NotReducing):
-        check_beurling(spec, subspace=from_vectors(sp, c[:, None]))
+        check_beurling(spec_for("beurling"))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "max_degree thresholds raw coefficients at an absolute 1e-12: rounding noise "
-    "near degree 252, amplified by 1/sqrt(omega_n), exceeds it, so the closure "
-    "depth collapses and the safe window is not regrown"))
-def test_beurling_float_large_d():
-    spec = CheckSpec("beurling", 2, 2.5, 256, (0,), 4, 0, FLOAT, DEFAULT_TOLS["beurling"])
+@pytest.mark.parametrize("D,alpha", [(256, 2.5), (128, 4.0), (64, 6.0)])
+def test_beurling_float_large_d(D, alpha):
+    """max_degree cuts in metric units, so rounding noise in the top degrees,
+    large in raw coefficients where 1/sqrt(omega_n) amplifies it, does not
+    shorten the closure depth."""
+    spec = CheckSpec("beurling", 2, alpha, D, (0,), 4, 0, FLOAT, DEFAULT_TOLS["beurling"])
     entry = run_check(spec)
     assert entry.passed, entry.note
+    assert f"depth={(D - 1) // 2}," in entry.note
 
 
 def test_beurling_needs_a_safe_window():
