@@ -154,10 +154,6 @@ def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> 
                     residues=frozenset(residues), multiplicity=N)
 
 
-def full_subspace(space: TruncatedSpace, N: int) -> Subspace:
-    return residue_subspace(space, N, range(N))
-
-
 def coefficient_functionals(sub: Subspace) -> np.ndarray:
     """Matrix of the coordinate functionals: coords(v) = functionals @ v.
 
@@ -183,12 +179,6 @@ def projector(sub: Subspace) -> np.ndarray:
     if sub.dim == 0:
         return sub.ambient.mode.zeros((sub.ambient.dim, sub.ambient.dim))
     return sub.basis @ coefficient_functionals(sub)
-
-
-def project(sub: Subspace, v: CoefficientVector) -> CoefficientVector:
-    if v.space != sub.ambient:
-        raise AmbientMismatch("vector does not live in the subspace's ambient space")
-    return CoefficientVector(sub.ambient, project_coefficients(sub, v.coeffs))
 
 
 def _check_compatible(sub: Subspace, space: TruncatedSpace) -> None:
@@ -313,10 +303,12 @@ def _restriction_data(m: LinearMap, sub: Subspace, tol: float):
         coords = coefficient_functionals(ext) @ imgs
         recon = ext.basis @ coords
     leftover = imgs - recon
-    residual = 0.0
-    for i in range(sub.dim):
-        rsq = m.codomain.norm_sq(leftover[:, i])
-        residual = max(residual, float(np.sqrt(float(rsq) / float(sub.norms_sq[i]))))
+    # squared metric norm of every column at once; each column is one
+    # contiguous row, so its sum runs in the order of a single vector's norm
+    rows = np.ascontiguousarray(leftover.T)
+    rsq = np.sum(np.abs(rows) ** 2 * np.asarray(m.codomain.metric), axis=1)
+    ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))
+    residual = float(np.sqrt(ratios).max(initial=0.0))
     if m.mode.is_exact:
         passed = not bool((leftover != 0).any())
     else:
@@ -431,18 +423,6 @@ def kernel(m: LinearMap, tol: float = 1e-10) -> Subspace:
     else:
         ambient = m.domain
         cols = coords
-    return from_vectors(ambient, cols)
-
-
-def span_union(*subs: Subspace) -> Subspace:
-    """Orthogonalized span of the union of the given subspaces."""
-    if not subs:
-        raise ValueError("at least one subspace required")
-    ambient = subs[0].ambient
-    for s in subs[1:]:
-        if s.ambient != ambient:
-            raise AmbientMismatch("subspaces live in different ambient spaces")
-    cols = np.concatenate([s.basis for s in subs], axis=1)
     return from_vectors(ambient, cols)
 
 

@@ -11,7 +11,9 @@ Checks run on a graded tower: the base truncation of dimension D at level 0,
 and at level j the extension of the subspace inside dimension D + j*N.  The
 shift maps level j into level j + 1 exactly, so in exact rational mode every
 identity is decided exactly; in float mode the residuals are metric operator
-norms compared against the tolerance of the check.
+norms compared against the tolerance of the check.  Levels are built and
+cached one at a time, on first read: a check that reads only level 0 builds
+only level 0, and the ambient checks use the bare shift and no tower.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .space import TruncatedSpace, monomial, norm_sq, random_vector
 from .subspaces import (
     Subspace,
     coefficient_functionals,
+    extend,
     from_vectors,
     invariant_closure,
     is_reducing,
@@ -176,40 +179,45 @@ def _residues_of(spec: CheckSpec) -> tuple[int, ...]:
     return tuple(range(spec.N)) if spec.residues is None else spec.residues
 
 
-@dataclass
-class Tower:
-    """Graded chain of ambient spaces, shifts, and restricted operators."""
+class Level(NamedTuple):
+    """Level j of the tower: the shift from dimension D + jN into D + (j+1)N,
+    its restriction ``t`` to the residue ladder, and the two pseudoinverse
+    factors of ``t``.  Spaces and ladders are read off the maps."""
 
-    levels: int
-    spaces: list
-    shifts: list
-    subs: list
-    ts: list = field(default_factory=list)
-    lifts: list = field(default_factory=list)
-    left_invs: list = field(default_factory=list)
+    shift: LinearMap
+    t: LinearMap
+    left_inv: LinearMap
+    lift: LinearMap
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def _tower_cached(N: int, alpha: Scalar, D: int, residues: tuple,
-                  mode: ScalarMode, levels: int) -> Tower:
-    params = WeightParams(alpha, N, D + (levels + 1) * N)
-    ws = weight_sequence(params, mode)
-    spaces = [TruncatedSpace(ws, D + j * N) for j in range(levels + 1)]
-    shifts = [shift(spaces[j], spaces[j + 1], N) for j in range(levels)]
-    subs = [residue_subspace(spaces[j], N, residues) for j in range(levels + 1)]
-    tower = Tower(levels, spaces, shifts, subs)
-    tower.ts = [restrict(shifts[j], subs[j]) for j in range(levels)]
-    tower.left_invs = [pinv(t) for t in tower.ts]
+                  mode: ScalarMode, j: int) -> Level:
+    s = _shift(N, alpha, D + j * N, mode)
+    t = restrict(s, residue_subspace(s.domain, N, residues))
+    left_inv = pinv(t)
     # the lift T (T*T)^-1 is the adjoint of the left inverse (T*T)^-1 T*
-    tower.lifts = [left_inv.adjoint() for left_inv in tower.left_invs]
-    return tower
+    return Level(s, t, left_inv, left_inv.adjoint())
 
 
-def _tower(spec: CheckSpec) -> Tower:
-    """Tower shared by every check with the same parameters (checks never mutate it)."""
-    levels = max(1, spec.depth)
-    return _tower_cached(spec.N, spec.alpha, spec.D, _residues_of(spec),
-                         spec.mode, levels)
+def _tower(spec: CheckSpec, j: int = 0) -> Level:
+    """Level j of the tower shared by every check with the same parameters.
+
+    Levels are built on first read and cached one at a time; checks never
+    mutate them.
+    """
+    return _tower_cached(spec.N, spec.alpha, spec.D, _residues_of(spec), spec.mode, j)
+
+
+def _levels(spec: CheckSpec) -> list[Level]:
+    """Levels 0 .. max(1, depth) - 1, for the checks that climb the tower."""
+    return [_tower(spec, j) for j in range(max(1, spec.depth))]
+
+
+def _shift(N: int, alpha: Scalar, D: int, mode: ScalarMode) -> LinearMap:
+    """The ambient shift z^N from dimension D into D + N."""
+    ws = weight_sequence(WeightParams(alpha, N, D + N), mode)
+    return shift(TruncatedSpace(ws, D), TruncatedSpace(ws, D + N), N)
 
 
 def _random_coord_vectors(space: TruncatedSpace, seed: int):
@@ -271,11 +279,8 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
     Swept over every monomial (one coefficient at a time, which pins each
     C individually) and over random vectors.
     """
-    params = WeightParams(spec.alpha, spec.N, spec.D + spec.N)
-    ws = weight_sequence(params, spec.mode)
-    dom = TruncatedSpace(ws, spec.D)
-    cod = TruncatedSpace(ws, spec.D + spec.N)
-    s = shift(dom, cod, spec.N)
+    s = _shift(spec.N, spec.alpha, spec.D, spec.mode)
+    dom = s.domain
     coeffs = np.asarray([shift_coeff(spec.N, spec.alpha, n, spec.mode)
                          for n in range(spec.D)])
     vectors = [monomial(dom, n) for n in range(spec.D)]
@@ -305,8 +310,7 @@ def check_lower_bound(spec: CheckSpec) -> ReportEntry:
     Verified on random vectors and through the smallest metric singular
     value; exact mode instead certifies the strict per-coefficient bound.
     """
-    tower = _tower(spec)
-    t = tower.ts[0]
+    t = _tower(spec).t
     if t.domain.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
     bound = lower_bound(spec.N, spec.alpha)
@@ -330,9 +334,9 @@ def check_lower_bound(spec: CheckSpec) -> ReportEntry:
 
 def check_left_inverse(spec: CheckSpec) -> ReportEntry:
     """pinv(T) composed with T is the identity on the subspace."""
-    tower = _tower(spec)
-    t = tower.ts[0]
-    return _entry(spec, [_map_defect(tower.left_invs[0].compose(t) - identity_map(t.domain))])
+    level = _tower(spec)
+    t = level.t
+    return _entry(spec, [_map_defect(level.left_inv.compose(t) - identity_map(t.domain))])
 
 
 def check_range_projector(spec: CheckSpec) -> ReportEntry:
@@ -341,10 +345,10 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
     The complement projector is compared against one assembled independently
     from an orthogonal basis of the wandering part.
     """
-    tower = _tower(spec)
-    t = tower.ts[0]
+    level = _tower(spec)
+    t = level.t
     cod = t.codomain
-    p = t.compose(tower.left_invs[0])
+    p = t.compose(level.left_inv)
     defects = [_map_defect(p.compose(p) - p), _map_defect(p.adjoint() - p)]
     if t.domain.dim > 0:
         for g in _random_coord_vectors(t.domain, spec.seed):
@@ -354,7 +358,7 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
                 defects.append(_vector_defect(cod, (p.apply(tg) - tg).coeffs, den))
     e = wandering(t)
     if e.dim > 0:
-        e_coords = coefficient_functionals(tower.subs[1]) @ e.basis
+        e_coords = coefficient_functionals(t.codomain_sub) @ e.basis
         for j in range(e.dim):
             defects.append(_vector_defect(cod, p.matrix @ e_coords[:, j], e.norms_sq[j]))
         e_in_coords = Subspace(t.codomain, e_coords, e.norms_sq)
@@ -370,26 +374,23 @@ def check_telescoping(spec: CheckSpec) -> ReportEntry:
     top level; each term lowers by k levels, projects onto the wandering part
     there, and lifts back.
     """
-    levels = max(1, spec.depth)
-    tower = _tower(spec)
-    top = tower.ts[levels - 1].codomain
+    levels = _levels(spec)
+    top = levels[-1].t.codomain
     asc = [identity_map(top)]
     desc = [identity_map(top)]
-    for k in range(1, levels + 1):
-        asc.append(asc[k - 1].compose(tower.ts[levels - k]))
-        desc.append(tower.left_invs[levels - k].compose(desc[k - 1]))
+    for level in reversed(levels):
+        asc.append(asc[-1].compose(level.t))
+        desc.append(level.left_inv.compose(desc[-1]))
     defects = []
     total = None
-    for n in range(1, levels + 1):
-        k = n - 1
-        level = levels - k
-        p_range = tower.ts[level - 1].compose(tower.left_invs[level - 1])
+    for k, level in enumerate(reversed(levels)):
+        p_range = level.t.compose(level.left_inv)
         p_e = identity_map(p_range.domain) - p_range
         term = asc[k].compose(p_e).compose(desc[k])
         total = term if total is None else total + term
-        rhs = identity_map(top) - asc[n].compose(desc[n])
+        rhs = identity_map(top) - asc[k + 1].compose(desc[k + 1])
         defects.append(_map_defect(total - rhs))
-    return _entry(spec, defects, note=f"partial sums n=1..{levels}")
+    return _entry(spec, defects, note=f"partial sums n=1..{len(levels)}")
 
 
 def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
@@ -397,23 +398,24 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
 
     Swept over every n = 1..depth.
     """
-    levels = max(1, spec.depth)
-    tower = _tower(spec)
-    if tower.subs[0].dim == 0 and tower.subs[levels].dim == 0:
+    levels = _levels(spec)
+    base = levels[0].t.domain_sub
+    if base.dim == 0 and levels[-1].t.codomain_sub.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
-    e = wandering(tower.ts[0])
+    e = wandering(levels[0].t)
     defects = []
     dims_ok = True
     kdims = []
     desc = None
-    for n in range(1, levels + 1):
+    for n, level in enumerate(levels, start=1):
         # (pinv T)^n maps level n down to level 0
-        desc = tower.left_invs[0] if n == 1 else desc.compose(tower.left_invs[n - 1])
+        desc = level.left_inv if desc is None else desc.compose(level.left_inv)
         ker = kernel(desc, tol=min(spec.tol, 1e-8))
         expected = n * len(_residues_of(spec))
-        dims_ok = dims_ok and ker.dim == expected == tower.subs[n].dim - tower.subs[0].dim
+        top = level.t.codomain_sub
+        dims_ok = dims_ok and ker.dim == expected == top.dim - base.dim
         kdims.append(ker.dim)
-        top_space = tower.spaces[n]
+        top_space = top.ambient
         cols = spec.mode.zeros((top_space.dim, e.dim * n))
         for k in range(n):
             lo = k * spec.N
@@ -423,7 +425,7 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
             v = ker.basis[:, j]
             defects.append(_vector_defect(top_space, v - project_coefficients(w_span, v),
                                           ker.norms_sq[j]))
-    note = f"n=1..{levels}, dim ker={kdims}, step={len(_residues_of(spec))}"
+    note = f"n=1..{len(levels)}, dim ker={kdims}, step={len(_residues_of(spec))}"
     return _entry(spec, defects, dims_ok, note=note)
 
 
@@ -432,15 +434,14 @@ def check_expansive(spec: CheckSpec) -> ReportEntry:
 
     Includes the per-coefficient certificate 1 / C(N, alpha, n) >= 1.
     """
-    m_max = max(1, spec.depth)
-    tower = _tower(spec)
-    if tower.subs[0].dim == 0:
+    levels = _levels(spec)
+    if levels[0].t.domain.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
     defects = []
     chain = None
-    vectors = _random_coord_vectors(tower.ts[0].domain, spec.seed)
-    for m in range(1, m_max + 1):
-        chain = tower.lifts[m - 1] if chain is None else tower.lifts[m - 1].compose(chain)
+    vectors = _random_coord_vectors(levels[0].t.domain, spec.seed)
+    for level in levels:
+        chain = level.lift if chain is None else level.lift.compose(chain)
         for g in vectors:
             num = norm_sq(chain.apply(g))
             den = norm_sq(g)
@@ -453,19 +454,19 @@ def check_expansive(spec: CheckSpec) -> ReportEntry:
 
 def check_min_degree(spec: CheckSpec) -> ReportEntry:
     """m-fold lifts vanish to order m*N at the origin (columns start at degree >= m*N)."""
-    m_max = max(1, spec.depth)
-    tower = _tower(spec)
-    if tower.subs[0].dim == 0:
+    levels = _levels(spec)
+    if levels[0].t.domain.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
     defects = []
     chain = None
-    for m in range(1, m_max + 1):
-        chain = tower.lifts[m - 1] if chain is None else tower.lifts[m - 1].compose(chain)
-        ambient_cols = tower.subs[m].basis @ chain.matrix
+    for m, level in enumerate(levels, start=1):
+        chain = level.lift if chain is None else level.lift.compose(chain)
+        top = level.t.codomain_sub
+        ambient_cols = top.basis @ chain.matrix
         for col in ambient_cols.T:
             low = col[: m * spec.N]
             defects.append(_defect(_exactly_zero(low), lambda: float(np.abs(low).max())
-                                   / math.sqrt(tower.spaces[m].norm_sq(col))))
+                                   / math.sqrt(top.ambient.norm_sq(col))))
     return _entry(spec, defects,
                   note="finite-section surrogate for trivial intersection of iterated ranges")
 
@@ -481,9 +482,10 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
         raise DepthOverflow(
             f"D={spec.D} leaves no safe comparison window for N={spec.N}; raise D"
         )
-    tower = _tower(spec)
-    h = tower.subs[0]
-    red = is_reducing(tower.shifts[0], h, spec.tol)
+    level = _tower(spec)
+    t = level.t
+    h = t.domain_sub
+    red = is_reducing(level.shift, h, spec.tol)
     if not red.passed:
         raise NotReducing(
             f"subspace is not reducing: forward residual {red.residual_forward:.3e}, "
@@ -491,13 +493,15 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
         )
     if h.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
-    t = tower.ts[0]
     e = wandering(t)
     e_base = truncate(e, spec.D)
     dims_ok = e_base.dim == e.dim
     if h.residues is not None:
         dims_ok = dims_ok and e.dim == len(h.residues)
     k = max_degree(e_base)
+    # keep only the combinations of E that vanish above degree k, so rounding
+    # noise there is not amplified along the orbit
+    e_base = extend(truncate(e_base, k + 1), h.ambient)
     depth = (spec.D - 1 - k) // spec.N
     closure = invariant_closure(e_base, t, h, depth)
     safe = spec.D - spec.N
@@ -511,10 +515,9 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
 
 def check_census(spec: CheckSpec) -> ReportEntry:
     """All residue ladders reduce the shift with zero residual; random controls fail."""
-    tower = _tower(spec)
     trials = max(1, min(spec.depth, 8)) * 5
-    report = reducing_census(tower.shifts[0], spec.N, trials=trials,
-                             seed=spec.seed, tol=spec.tol)
+    s = _shift(spec.N, spec.alpha, spec.D, spec.mode)
+    report = reducing_census(s, spec.N, trials=trials, seed=spec.seed, tol=spec.tol)
     defects = [(e.residual, e.passed) for e in report.residue_entries]
     if not report.all_randoms_fail:
         defects.append((1.0, False))

@@ -34,7 +34,6 @@ from bergman_lab import (
     norm,
     norm_sq,
     operator_norm,
-    project,
     projector,
     random_vector,
     reducing_census,
@@ -50,8 +49,8 @@ from bergman_lab import (
 )
 from bergman_lab import cli, verify
 from bergman_lab.operators import LinearMap
-from bergman_lab.subspaces import Subspace, coefficient_functionals
-from bergman_lab.verify import Tower, run_suite, smoke_grid
+from bergman_lab.subspaces import Subspace, coefficient_functionals, project_coefficients
+from bergman_lab.verify import Level, run_suite, smoke_grid
 
 EXACT = ScalarMode.EXACT_RATIONAL
 FLOAT = ScalarMode.FLOAT64
@@ -76,59 +75,64 @@ def _report(num: int, desc: str, body) -> None:
     print(f"ACCEPTANCE {num:02d} PASS: {desc}")
 
 
-#: The suite's tower builder without its 16-entry cache; the towers reused
-#: across criteria are kept below in unbounded caches so none is rebuilt.
-build_tower = verify._tower_cached.__wrapped__
+#: One level of the suite's tower, without the suite's level cache.
+build_level = verify._tower_cached.__wrapped__
 
 
+def build_tower(N, alpha, D, residues, mode, levels) -> list[Level]:
+    """Levels 0 .. levels - 1 of the suite's tower, each built on its own."""
+    return [build_level(N, alpha, D, residues, mode, j) for j in range(levels)]
+
+
+# the towers reused across criteria are kept in unbounded caches so none is
+# rebuilt
 @functools.lru_cache(maxsize=None)
-def exact_tower(alpha, N) -> Tower:
+def exact_tower(alpha, N) -> list[Level]:
     return build_tower(N, alpha, D_EXACT, tuple(range(N)), EXACT, DEPTH)
 
 
 @functools.lru_cache(maxsize=None)
-def float_tower(alpha, N) -> Tower:
+def float_tower(alpha, N) -> list[Level]:
     return build_tower(N, alpha, D_FLOAT, tuple(range(N)), FLOAT, DEPTH)
 
 
-def lift_chains(tw: Tower):
+def lift_chains(tw: list[Level]):
     """The m-fold lift compositions for m = 1 .. levels."""
-    chains = [tw.lifts[0]]
-    for m in range(2, tw.levels + 1):
-        chains.append(tw.lifts[m - 1].compose(chains[-1]))
+    chains = [tw[0].lift]
+    for level in tw[1:]:
+        chains.append(level.lift.compose(chains[-1]))
     return chains
 
 
-def telescoping_sides(tw: Tower):
+def telescoping_sides(tw: list[Level]):
     """Pairs (partial sum, identity minus m-fold round trip) anchored at the top."""
-    L = tw.levels
-    top = identity_map(tw.ts[L - 1].codomain)
+    L = len(tw)
+    top = identity_map(tw[L - 1].t.codomain)
     asc = [top]
     desc = [top]
     for k in range(1, L + 1):
-        asc.append(asc[-1].compose(tw.ts[L - k]))
-        desc.append(tw.left_invs[L - k].compose(desc[-1]))
+        asc.append(asc[-1].compose(tw[L - k].t))
+        desc.append(tw[L - k].left_inv.compose(desc[-1]))
     pairs = []
     for n in range(1, L + 1):
         total = None
         for k in range(n):
-            j = L - k
-            pe = identity_map(tw.ts[j - 1].codomain) \
-                - tw.ts[j - 1].compose(tw.left_invs[j - 1])
+            level = tw[L - k - 1]
+            pe = identity_map(level.t.codomain) - level.t.compose(level.left_inv)
             term = asc[k].compose(pe).compose(desc[k])
             total = term if total is None else total + term
         pairs.append((total, top - asc[n].compose(desc[n])))
     return pairs
 
 
-def range_and_wandering_projectors(tw: Tower):
+def range_and_wandering_projectors(tw: list[Level]):
     """(T pinv(T), projector onto range T, projector onto E) in level-1 coords."""
-    t = tw.ts[0]
-    p = t.compose(tw.left_invs[0])
+    t = tw[0].t
+    p = t.compose(tw[0].left_inv)
     rng = from_vectors(t.codomain, t.matrix)
     p_range = projector(rng)
     e = wandering(t)
-    e_coords = coefficient_functionals(tw.subs[1]) @ e.basis
+    e_coords = coefficient_functionals(t.codomain_sub) @ e.basis
     p_wander = projector(Subspace(t.codomain, e_coords, e.norms_sq))
     return p, p_range, p_wander
 
@@ -145,7 +149,7 @@ def test_criterion_01_exact_coefficient_algebra():
         for alpha in EXACT_ALPHAS:
             for N in EXACT_NS:
                 tw = exact_tower(alpha, N)
-                ws = tw.spaces[0].weights
+                ws = tw[0].shift.domain.weights
                 lo = lower_bound(N, alpha)
                 for n in range(D_EXACT):
                     c = shift_coeff(N, alpha, n, EXACT)
@@ -166,8 +170,8 @@ def test_criterion_02_exact_operator_identities():
         for alpha in EXACT_ALPHAS:
             for N in EXACT_NS:
                 tw = exact_tower(alpha, N)
-                t = tw.ts[0]
-                left = tw.left_invs[0].compose(t)
+                t = tw[0].t
+                left = tw[0].left_inv.compose(t)
                 assert (left.matrix == identity_map(t.domain).matrix).all()
                 p, p_range, p_wander = range_and_wandering_projectors(tw)
                 assert (p.matrix == p_range).all()
@@ -186,7 +190,7 @@ def test_criterion_03_float_operator_identities():
         for alpha in FLOAT_ALPHAS:
             for N in FLOAT_NS:
                 tw = float_tower(alpha, N)
-                ws = tw.spaces[0].weights
+                ws = tw[0].shift.domain.weights
                 lo = lower_bound(N, alpha)
                 for n in range(D_FLOAT):
                     c = shift_coeff(N, alpha, n)
@@ -197,9 +201,9 @@ def test_criterion_03_float_operator_identities():
                         ref = iterated_coeff(N, alpha, n, m)
                         worst = max(worst,
                                     abs(chain.matrix[n + m * N, n] - ref) / ref)
-                t = tw.ts[0]
+                t = tw[0].t
                 worst = max(worst, operator_norm(
-                    tw.left_invs[0].compose(t) - identity_map(t.domain)))
+                    tw[0].left_inv.compose(t) - identity_map(t.domain)))
                 p, p_range, p_wander = range_and_wandering_projectors(tw)
                 worst = max(worst, operator_norm(
                     p - LinearMap(p.domain, p.codomain, p_range)))
@@ -219,8 +223,8 @@ def test_criterion_04_norms_and_bounds():
         for alpha in FLOAT_ALPHAS:
             for N in FLOAT_NS:
                 tw = float_tower(alpha, N)
-                dom = tw.spaces[0]
-                s = tw.shifts[0]
+                s = tw[0].shift
+                dom = s.domain
                 coeffs = np.array([shift_coeff(N, alpha, n) for n in range(D_FLOAT)])
                 w = np.asarray(dom.metric)
                 for i in range(20):
@@ -228,7 +232,7 @@ def test_criterion_04_norms_and_bounds():
                     lhs = norm_sq(s.apply(f))
                     rhs = float(np.sum(coeffs * w * np.abs(f.coeffs) ** 2))
                     assert abs(lhs - rhs) / norm_sq(f) <= 1e-12
-                sigma = smallest_singular_value(tw.ts[0])
+                sigma = smallest_singular_value(tw[0].t)
                 assert sigma >= (3 + alpha) ** (-N / 2) - 1e-12
                 for chain in lift_chains(tw):
                     for i in range(20):
@@ -246,23 +250,24 @@ def test_criterion_05_kernel_containment():
             for N in (1, 2, 3):
                 for lam in nonempty_subsets(N):
                     tw = build_tower(N, alpha, D_KERNEL, lam, FLOAT, DEPTH)
-                    e = truncate(wandering(tw.ts[0]), D_KERNEL)
+                    e = truncate(wandering(tw[0].t), D_KERNEL)
                     desc = None
                     for n in range(1, DEPTH + 1):
-                        desc = tw.left_invs[n - 1] if desc is None \
-                            else desc.compose(tw.left_invs[n - 1])
+                        desc = tw[n - 1].left_inv if desc is None \
+                            else desc.compose(tw[n - 1].left_inv)
                         ker = kernel(desc, tol=1e-9)
+                        top = tw[n - 1].t.codomain_sub
                         assert ker.dim == n * len(lam)
-                        assert ker.dim == tw.subs[n].dim - tw.subs[0].dim
-                        d_n = tw.subs[n].ambient.dim
+                        assert ker.dim == top.dim - tw[0].t.domain_sub.dim
+                        d_n = top.ambient.dim
                         cols = np.zeros((d_n, e.dim * n), dtype=np.complex128)
                         for k in range(n):
                             lo = k * N
                             cols[lo:lo + D_KERNEL,
                                  k * e.dim:(k + 1) * e.dim] = e.basis
-                        w_span = from_vectors(tw.subs[n].ambient, cols)
+                        w_span = from_vectors(top.ambient, cols)
                         for v in ker.vectors():
-                            left = v.coeffs - project(w_span, v).coeffs
+                            left = v.coeffs - project_coefficients(w_span, v.coeffs)
                             vec = CoefficientVector(v.space, left)
                             assert norm(vec) / norm(v) <= 1e-9
 
@@ -276,14 +281,14 @@ def test_criterion_06_minimum_degree_of_lifts():
             for N in EXACT_NS:
                 tw = exact_tower(alpha, N)
                 for m, chain in enumerate(lift_chains(tw), start=1):
-                    ambient = tw.subs[m].basis @ chain.matrix
+                    ambient = tw[m - 1].t.codomain_sub.basis @ chain.matrix
                     low = ambient[: m * N, :]
                     assert not bool((low != 0).any())
         for alpha in FLOAT_ALPHAS:
             for N in FLOAT_NS:
                 tw = float_tower(alpha, N)
                 for m, chain in enumerate(lift_chains(tw), start=1):
-                    ambient = tw.subs[m].basis @ chain.matrix
+                    ambient = tw[m - 1].t.codomain_sub.basis @ chain.matrix
                     low = np.abs(ambient[: m * N, :])
                     assert low.size == 0 or float(low.max()) <= 1e-13
 

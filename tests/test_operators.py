@@ -13,7 +13,6 @@ from bergman_lab import (
     TruncatedSpace,
     WeightParams,
     from_vectors,
-    full_subspace,
     identity_map,
     inner,
     iterated_coeff,
@@ -132,7 +131,7 @@ def test_restrict_full_space_is_shift(mode):
     alpha = Fraction(1) if mode.is_exact else 1.0
     dom, cod = spaces(alpha, 2, 8, mode)
     s = shift(dom, cod, 2)
-    h = full_subspace(dom, 2)
+    h = residue_subspace(dom, 2, range(2))
     t = restrict(s, h)
     assert (t.matrix == s.matrix).all()
     assert np.array_equal(np.asarray(t.domain.metric), np.asarray(dom.metric))
@@ -188,7 +187,7 @@ def test_pinv_is_left_inverse(mode):
 def test_pinv_adjoint_frozen_action():
     """For N = 1, alpha = 0 the lift sends 1 to 2z: 1/C(1,0,0) = 2."""
     dom, cod = spaces(Fraction(0), 1, 6, EXACT)
-    t = restrict(shift(dom, cod, 1), full_subspace(dom, 1))
+    t = restrict(shift(dom, cod, 1), residue_subspace(dom, 1, range(1)))
     a = pinv(t).adjoint()
     img = a.matrix[:, 0]
     expected = np.array([Fraction(0), Fraction(2)] + [Fraction(0)] * 5, dtype=object)
@@ -215,7 +214,8 @@ def test_pinv_adjoint_iterates_match_iterated_coeff(m):
     levels = [TruncatedSpace(ws, D + j * N) for j in range(m + 1)]
     chain = None
     for j in range(m):
-        t = restrict(shift(levels[j], levels[j + 1], N), full_subspace(levels[j], N))
+        full = residue_subspace(levels[j], N, range(N))
+        t = restrict(shift(levels[j], levels[j + 1], N), full)
         lift = pinv(t).adjoint()
         chain = lift if chain is None else lift @ chain
     for n in range(D):

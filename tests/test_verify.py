@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from bergman_lab import DepthOverflow, NotReducing, ReducingResult, ScalarMode, operators
+from bergman_lab import (
+    DepthOverflow,
+    NotReducing,
+    ReducingResult,
+    ScalarMode,
+    operators,
+    restrict,
+)
 from bergman_lab.verify import (
     AMBIENT_CHECKS,
     CHECKS,
@@ -102,6 +109,49 @@ def test_beurling_float_large_d(D, alpha):
     assert f"depth={(D - 1) // 2}," in entry.note
 
 
+@pytest.mark.parametrize("N,alpha,D,residues", [
+    (3, 50.0, 128, (0, 2)),
+    (3, 50.0, 128, (1, 2)),
+    (3, 50.0, 128, (0, 1, 2)),
+    (3, 50.0, 256, (0, 1)),
+    (3, 50.0, 256, (0, 2)),
+    (3, 50.0, 256, (0, 1, 2)),
+    (2, 200.0, 47, (0, 1)),
+])
+def test_beurling_float_large_alpha(N, alpha, D, residues):
+    """E keeps only its combinations that vanish above its max degree, so
+    rounding noise there, amplified along the orbit by the ratio of shift
+    coefficients at high and low degree, no longer leaks out of the ladder."""
+    spec = CheckSpec("beurling", N, alpha, D, residues, 4, 0, FLOAT, DEFAULT_TOLS["beurling"])
+    entry = run_check(spec)
+    assert entry.passed, (entry.residual, entry.note)
+
+
+def test_beurling_float_closure_property():
+    """Float beurling regrows every residue ladder, at any alpha up to 200."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def ladders(draw):
+        N = draw(st.integers(1, 3))
+        D = draw(st.integers(2 * N, 128))
+        residues = draw(st.sets(st.integers(0, N - 1), min_size=1))
+        alpha = draw(st.floats(-1.0, 200.0, exclude_min=True))
+        return alpha, N, D, tuple(sorted(residues))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(ladders())
+    def check(case):
+        alpha, N, D, residues = case
+        spec = CheckSpec("beurling", N, alpha, D, residues, 4, 0, FLOAT,
+                         DEFAULT_TOLS["beurling"])
+        entry = run_check(spec)
+        assert entry.passed, (entry.residual, entry.note)
+
+    check()
+
+
 def test_beurling_needs_a_safe_window():
     with pytest.raises(DepthOverflow):
         check_beurling(CheckSpec("beurling", 2, 0.5, 3))
@@ -118,8 +168,7 @@ def test_tower_shared_between_checks():
     assert c is not a
 
 
-def test_gram_inverse_once_per_level(monkeypatch):
-    """Each tower level inverts its Gram operator once; the lift reuses pinv."""
+def _count_gram_inverses(monkeypatch) -> list:
     calls = []
     gram_inverse = operators._gram_inverse
 
@@ -128,9 +177,37 @@ def test_gram_inverse_once_per_level(monkeypatch):
         return gram_inverse(t)
 
     monkeypatch.setattr(operators, "_gram_inverse", counted)
-    tower = _tower_cached.__wrapped__(2, 0.5, 12, (0,), FLOAT, 3)
-    assert len(tower.lifts) == len(tower.left_invs) == 3
+    return calls
+
+
+def test_gram_inverse_once_per_level(monkeypatch):
+    """Each tower level inverts its Gram operator once; the lift reuses pinv."""
+    calls = _count_gram_inverses(monkeypatch)
+    levels = [_tower_cached.__wrapped__(2, 0.5, 12, (0,), FLOAT, j) for j in range(3)]
     assert len(calls) == 3
+    for j, level in enumerate(levels):
+        assert level.shift.domain.dim == 12 + 2 * j
+        assert level.shift.codomain.dim == 12 + 2 * (j + 1)
+        assert level.t.domain_sub.ambient == level.shift.domain
+        assert level.t.codomain_sub.ambient == level.shift.codomain
+        assert level.lift.domain == level.left_inv.codomain == level.t.domain
+        assert level.lift.codomain == level.left_inv.domain == level.t.codomain
+
+
+def test_checks_build_only_the_levels_they_read(monkeypatch):
+    """A level-0 check inverts one Gram operator at any depth; census none."""
+    import bergman_lab.verify as verify
+    calls = _count_gram_inverses(monkeypatch)
+    restricts = []
+    monkeypatch.setattr(verify, "restrict",
+                        lambda *args: restricts.append(args) or restrict(*args))
+    _tower_cached.cache_clear()
+    assert run_check(spec_for("left_inverse", depth=4)).passed
+    assert len(calls) == 1 and len(restricts) == 1
+    assert run_check(spec_for("expansive", depth=4)).passed
+    assert len(calls) == 4 and len(restricts) == 4
+    assert run_check(spec_for("census", depth=4)).passed
+    assert len(calls) == 4 and len(restricts) == 4
 
 
 def test_entry_exact_needs_zero_defects_float_needs_tol():
