@@ -1,7 +1,15 @@
-"""Exact rational dense linear algebra on object arrays of Fractions.
+"""Exact rational linear algebra on object arrays of Fractions.
 
 Sizes here are small (truncation dimensions), so plain Gauss-Jordan with
 exact pivots is entirely adequate.
+
+Every matrix product of the package goes through :func:`mm`, and both metric
+adjoints through :func:`metric_adjoint`.  On float data they evaluate the
+plain numpy expression.  On object data they multiply only pairs of nonzero
+entries: shifts, residue ladders and lifts have one nonzero per column, so
+almost every dense ``Fraction`` product is a multiplication by zero.  Exact
+sums do not depend on term order or on zero terms, so the results are the
+same ``Fraction`` values as the dense expressions.
 """
 
 from __future__ import annotations
@@ -21,6 +29,44 @@ def eye(n: int) -> np.ndarray:
     out = zeros((n, n))
     for i in range(n):
         out[i, i] = Fraction(1)
+    return out
+
+
+def mm(a: np.ndarray, b: np.ndarray):
+    """``a @ b`` of arrays; on object data only pairs of nonzero factors are multiplied."""
+    if a.dtype != object and b.dtype != object:
+        return a @ b
+    a2 = a.reshape(1, -1) if a.ndim == 1 else a
+    b2 = b.reshape(-1, 1) if b.ndim == 1 else b
+    if a2.shape[1] != b2.shape[0]:
+        raise ValueError(f"matmul: shapes {a.shape} and {b.shape} do not align")
+    out = zeros((a2.shape[0], b2.shape[1]))
+    # the nonzeros of b grouped by row: a nonzero a[i, p] meets only row p's
+    b_rows = [[] for _ in range(b2.shape[0])]
+    p_b, j_b = np.nonzero(b2 != 0)
+    for p, j, y in zip(p_b.tolist(), j_b.tolist(), b2[p_b, j_b]):
+        b_rows[p].append((j, y))
+    i_a, p_a = np.nonzero(a2 != 0)
+    for i, p, x in zip(i_a.tolist(), p_a.tolist(), a2[i_a, p_a]):
+        for j, y in b_rows[p]:
+            out[i, j] += x * y
+    return out[0 if a.ndim == 1 else slice(None), 0 if b.ndim == 1 else slice(None)]
+
+
+def metric_adjoint(m: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> np.ndarray:
+    """Metric adjoint G_in^-1 m^H G_out of a matrix between diagonal metrics.
+
+    It is ``conj(m).T * (w_out[None, :] / w_in[:, None])``.  The metric
+    ratio is formed before the product, in real arithmetic (complex division
+    rounds even x/x).  On object data it is formed only at the nonzero
+    entries of ``m``.
+    """
+    m, w_out, w_in = np.asarray(m), np.asarray(w_out), np.asarray(w_in)
+    if m.dtype != object:
+        return np.conjugate(m).T * (w_out[None, :] / w_in[:, None])
+    out = zeros(m.shape[::-1])
+    o, i = np.nonzero(m != 0)
+    out[i, o] = np.conjugate(m[o, i]) * (w_out[o] / w_in[i])
     return out
 
 

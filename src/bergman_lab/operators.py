@@ -66,17 +66,13 @@ class LinearMap:
     def apply(self, v: CoefficientVector) -> CoefficientVector:
         if v.space != self.domain:
             raise DimensionMismatch("vector does not live in the map's domain")
-        return CoefficientVector(self.codomain, self.matrix @ v.coeffs)
+        return CoefficientVector(self.codomain, _exact.mm(self.matrix, v.coeffs))
 
     def adjoint(self) -> "LinearMap":
-        w_out = np.asarray(self.codomain.metric)
-        w_in = np.asarray(self.domain.metric)
-        # the metric ratio is formed first, in real arithmetic: complex
-        # division rounds even x/x
         return LinearMap(
             self.codomain,
             self.domain,
-            np.conjugate(self.matrix).T * (w_out[None, :] / w_in[:, None]),
+            _exact.metric_adjoint(self.matrix, self.codomain.metric, self.domain.metric),
             domain_sub=self.codomain_sub,
             codomain_sub=self.domain_sub,
         )
@@ -88,7 +84,7 @@ class LinearMap:
         return LinearMap(
             other.domain,
             self.codomain,
-            self.matrix @ other.matrix,
+            _exact.mm(self.matrix, other.matrix),
             domain_sub=other.domain_sub,
             codomain_sub=self.codomain_sub,
         )

@@ -77,7 +77,8 @@ class TruncatedSpace:
     def norm_sq(self, a: np.ndarray):
         """Squared weighted norm of a coefficient array; a Fraction in exact mode."""
         if self.mode.is_exact:
-            return ((a * a) * self.metric).sum()
+            nz = a != 0
+            return ((a[nz] * a[nz]) * self.metric[nz]).sum(initial=Fraction(0))
         return float(np.sum(self.metric * np.abs(a) ** 2))
 
 

@@ -106,7 +106,7 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
     for j in range(count):
         v = columns[:, j]
         for _ in range(1 if mode.is_exact else 2):
-            v = v - basis[:, :k] @ (functionals[:k] @ v)
+            v = v - _exact.mm(basis[:, :k], _exact.mm(functionals[:k], v))
         g = ambient.norm_sq(v)
         if mode.is_exact:
             if g == 0:
@@ -157,28 +157,27 @@ def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> 
 def coefficient_functionals(sub: Subspace) -> np.ndarray:
     """Matrix of the coordinate functionals: coords(v) = functionals @ v.
 
-    Row j is conj(b_j) scaled entrywise by metric / ||b_j||^2.  The scaling
-    ratio is formed first, in real arithmetic (complex division rounds even
-    x/x), so one-hot monomial bases produce exact 1.0 entries and projections
-    of lattice vectors are exact even in floating point.
+    Row j is conj(b_j) scaled entrywise by metric / ||b_j||^2, the metric
+    adjoint of the basis matrix.  The scaling ratio is formed first, in real
+    arithmetic (complex division rounds even x/x), so one-hot monomial bases
+    produce exact 1.0 entries and projections of lattice vectors are exact
+    even in floating point.
     """
-    w = np.asarray(sub.ambient.metric)
-    g = np.asarray(sub.norms_sq)
-    return np.conjugate(sub.basis).T * (w[None, :] / g[:, None])
+    return _exact.metric_adjoint(sub.basis, sub.ambient.metric, sub.norms_sq)
 
 
 def project_coefficients(sub: Subspace, arr: np.ndarray) -> np.ndarray:
     """Apply the metric-orthogonal projector onto ``sub`` to raw coefficients."""
     if sub.dim == 0:
         return arr * 0
-    return sub.basis @ (coefficient_functionals(sub) @ arr)
+    return _exact.mm(sub.basis, _exact.mm(coefficient_functionals(sub), arr))
 
 
 def projector(sub: Subspace) -> np.ndarray:
     """Projector matrix in ambient coordinates: B diag(1/g) B^H G."""
     if sub.dim == 0:
         return sub.ambient.mode.zeros((sub.ambient.dim, sub.ambient.dim))
-    return sub.basis @ coefficient_functionals(sub)
+    return _exact.mm(sub.basis, coefficient_functionals(sub))
 
 
 def _check_compatible(sub: Subspace, space: TruncatedSpace) -> None:
@@ -225,7 +224,7 @@ def truncate(sub: Subspace, dim: int) -> Subspace:
     above = TruncatedSpace(metric=np.asarray(sub.ambient.metric)[dim:],
                            mode=sub.ambient.mode)
     top = LinearMap(sub.coordinate_space(), above, sub.basis[dim:, :])
-    cols = (sub.basis @ _null_coords(top, RANK_TOL))[:dim, :]
+    cols = _exact.mm(sub.basis, _null_coords(top, RANK_TOL))[:dim, :]
     return from_vectors(target, cols)
 
 
@@ -295,13 +294,13 @@ def _restriction_data(m: LinearMap, sub: Subspace, tol: float):
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
     ext = extend(sub, m.codomain)
-    imgs = m.matrix @ sub.basis
+    imgs = _exact.mm(m.matrix, sub.basis)
     if ext.dim == 0:
         coords = imgs[:0, :]
         recon = imgs * 0
     else:
-        coords = coefficient_functionals(ext) @ imgs
-        recon = ext.basis @ coords
+        coords = _exact.mm(coefficient_functionals(ext), imgs)
+        recon = _exact.mm(ext.basis, coords)
     leftover = imgs - recon
     # squared metric norm of every column at once; each column is one
     # contiguous row, so its sum runs in the order of a single vector's norm
@@ -419,7 +418,7 @@ def kernel(m: LinearMap, tol: float = 1e-10) -> Subspace:
     coords = _null_coords(m, tol)
     if m.domain_sub is not None:
         ambient = m.domain_sub.ambient
-        cols = m.domain_sub.basis @ coords
+        cols = _exact.mm(m.domain_sub.basis, coords)
     else:
         ambient = m.domain
         cols = coords

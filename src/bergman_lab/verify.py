@@ -28,6 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import _exact
 from .errors import DepthOverflow, NotReducing
 from .operators import (
     LinearMap,
@@ -358,9 +359,10 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
                 defects.append(_vector_defect(cod, (p.apply(tg) - tg).coeffs, den))
     e = wandering(t)
     if e.dim > 0:
-        e_coords = coefficient_functionals(t.codomain_sub) @ e.basis
+        e_coords = _exact.mm(coefficient_functionals(t.codomain_sub), e.basis)
         for j in range(e.dim):
-            defects.append(_vector_defect(cod, p.matrix @ e_coords[:, j], e.norms_sq[j]))
+            pe = _exact.mm(p.matrix, e_coords[:, j])
+            defects.append(_vector_defect(cod, pe, e.norms_sq[j]))
         e_in_coords = Subspace(t.codomain, e_coords, e.norms_sq)
         comp = (identity_map(cod) - p).matrix - projector(e_in_coords)
         defects.append(_map_defect(LinearMap(cod, cod, comp)))
@@ -462,7 +464,7 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
     for m, level in enumerate(levels, start=1):
         chain = level.lift if chain is None else level.lift.compose(chain)
         top = level.t.codomain_sub
-        ambient_cols = top.basis @ chain.matrix
+        ambient_cols = _exact.mm(top.basis, chain.matrix)
         for col in ambient_cols.T:
             low = col[: m * spec.N]
             defects.append(_defect(_exactly_zero(low), lambda: float(np.abs(low).max())
