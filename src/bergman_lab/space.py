@@ -5,6 +5,11 @@ inner product <f, g> = sum_n omega_n a_n conj(b_n).  Vectors are stored in raw
 monomial coefficients; the metric is applied at inner-product time.  The same
 class also serves as the coordinate space of a subspace expressed in an
 orthogonal basis, where the diagonal metric holds the squared basis norms.
+
+In float mode the space is complex, so the coefficient vectors made here
+(``vector``, ``monomial``, ``random_vector``) are complex128.  The weights are
+real, and so are the operators and bases built from them: the mode stores
+those as float64 (see ``ScalarMode.zeros``).
 """
 
 from __future__ import annotations
@@ -81,6 +86,15 @@ class TruncatedSpace:
             return ((a[nz] * a[nz]) * self.metric[nz]).sum(initial=Fraction(0))
         return float(np.sum(self.metric * np.abs(a) ** 2))
 
+    def column_norms_sq(self, mat: np.ndarray) -> np.ndarray:
+        """Squared weighted norm of every column of ``mat`` at once.
+
+        Each column becomes one contiguous row of a transposed copy, so its
+        sum runs in the order of a single vector's :meth:`norm_sq`.
+        """
+        rows = np.ascontiguousarray(mat.T)
+        return np.sum(np.abs(rows) ** 2 * self.metric, axis=1)
+
 
 class CoefficientVector:
     """Element of a truncated space, held as monomial/basis coefficients."""
@@ -131,8 +145,12 @@ def monomial(space: TruncatedSpace, n: int, coeff: Union[Scalar, complex] = 1) -
     """The basis vector z^n (scaled by ``coeff``)."""
     if not 0 <= n < space.dim:
         raise DimensionMismatch(f"degree {n} outside truncation of dimension {space.dim}")
-    c = space.zeros()
-    c[n] = Fraction(coeff) if space.mode.is_exact else complex(coeff)
+    if space.mode.is_exact:
+        c = space.zeros()
+        c[n] = Fraction(coeff)
+    else:
+        c = np.zeros(space.dim, dtype=np.complex128)
+        c[n] = complex(coeff)
     return CoefficientVector(space, c)
 
 

@@ -99,8 +99,8 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
     mode = ambient.mode
     w = np.asarray(ambient.metric)
     count = columns.shape[1]
-    basis = mode.zeros((ambient.dim, count))
-    functionals = mode.zeros((count, ambient.dim))
+    basis = mode.buffer((ambient.dim, count), columns)
+    functionals = mode.buffer((count, ambient.dim), columns)
     norms = np.empty(count, dtype=w.dtype)
     k = 0
     for j in range(count):
@@ -242,7 +242,7 @@ def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
         return Subspace(space, sub.basis, sub.norms_sq)
     if space.dim < sub.ambient.dim:
         return truncate(sub, space.dim)
-    basis = space.mode.zeros((space.dim, sub.dim))
+    basis = space.mode.buffer((space.dim, sub.dim), sub.basis)
     basis[: sub.ambient.dim, :] = sub.basis
     return Subspace(space, basis, sub.norms_sq)
 
@@ -302,10 +302,7 @@ def _restriction_data(m: LinearMap, sub: Subspace, tol: float):
         coords = _exact.mm(coefficient_functionals(ext), imgs)
         recon = _exact.mm(ext.basis, coords)
     leftover = imgs - recon
-    # squared metric norm of every column at once; each column is one
-    # contiguous row, so its sum runs in the order of a single vector's norm
-    rows = np.ascontiguousarray(leftover.T)
-    rsq = np.sum(np.abs(rows) ** 2 * np.asarray(m.codomain.metric), axis=1)
+    rsq = m.codomain.column_norms_sq(leftover)
     ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
     if m.mode.is_exact:
@@ -326,11 +323,16 @@ def is_invariant(m: LinearMap, sub: Subspace, tol: float = 1e-10) -> InvarianceR
     return _restriction_data(m, sub, tol)[2]
 
 
+def _reducing(s: LinearMap, s_adj: LinearMap, sub: Subspace, tol: float) -> ReducingResult:
+    """Invariance under ``s`` and under its metric adjoint ``s_adj``."""
+    ext, _coords, fwd = _restriction_data(s, sub, tol)
+    adj = is_invariant(s_adj, ext, tol)
+    return ReducingResult(fwd.passed and adj.passed, fwd.residual, adj.residual)
+
+
 def is_reducing(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> ReducingResult:
     """Invariance under the map and under its metric adjoint."""
-    ext, _coords, fwd = _restriction_data(s, sub, tol)
-    adj = is_invariant(s.adjoint(), ext, tol)
-    return ReducingResult(fwd.passed and adj.passed, fwd.residual, adj.residual)
+    return _reducing(s, s.adjoint(), sub, tol)
 
 
 def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> LinearMap:
@@ -399,7 +401,7 @@ def invariant_closure(e: Subspace, t: LinearMap, h: Subspace, depth: int) -> Sub
             f"orbit of depth {depth} reaches degree {k + depth * step}, "
             f"beyond truncation {d}; raise the dimension"
         )
-    cols = h.ambient.mode.zeros((d, e.dim * (depth + 1)))
+    cols = h.ambient.mode.buffer((d, e.dim * (depth + 1)), e.basis)
     for j in range(depth + 1):
         lo = j * step
         block = e.basis[: d - lo, :] if lo else e.basis
@@ -452,7 +454,7 @@ def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:
     """Span of ``dim`` deterministic pseudo-random vectors (untagged)."""
     cols = [random_vector(space, int(s)).coeffs
             for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=dim)]
-    mat = space.mode.zeros((space.dim, dim))
+    mat = space.mode.buffer((space.dim, dim), *cols)
     for j, c in enumerate(cols):
         mat[:, j] = c
     return from_vectors(space, mat)
@@ -504,18 +506,20 @@ def reducing_census(
 
     All 2^N residue subspaces (including the zero and full ones) must reduce
     the shift with zero residual; ``trials`` seeded random subspaces must all
-    fail.  Each random control spans two random vectors.
+    fail.  Each random control spans two random vectors.  The metric adjoint
+    of ``s`` is formed once for the whole census.
     """
+    s_adj = s.adjoint()
     residue_entries = []
     for size in range(N + 1):
         for combo in itertools.combinations(range(N), size):
             sub = residue_subspace(s.domain, N, combo)
-            r = is_reducing(s, sub, tol)
+            r = _reducing(s, s_adj, sub, tol)
             label = "{" + ",".join(map(str, combo)) + "}"
             residue_entries.append(CensusEntry(label, r.residual, r.passed))
     random_entries = []
     for i in range(trials):
         sub = random_subspace(s.domain, 2, seed + i)
-        r = is_reducing(s, sub, tol)
+        r = _reducing(s, s_adj, sub, tol)
         random_entries.append(CensusEntry(f"random[{seed + i}]", r.residual, r.passed))
     return CensusReport(tuple(residue_entries), tuple(random_entries))

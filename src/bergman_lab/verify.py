@@ -38,7 +38,7 @@ from .operators import (
     shift,
     smallest_singular_value,
 )
-from .space import TruncatedSpace, monomial, norm_sq, random_vector
+from .space import TruncatedSpace, norm_sq, random_vector
 from .subspaces import (
     Subspace,
     coefficient_functionals,
@@ -278,20 +278,25 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
     """||z^N f||^2 equals sum_n C(N, alpha, n) omega_n |a_n|^2.
 
     Swept over every monomial (one coefficient at a time, which pins each
-    C individually) and over random vectors.
+    C individually) and over random vectors.  The shift is applied once, to
+    all of them stacked as columns.  The right-hand side is the squared norm
+    in the metric C(N, alpha, n) omega_n.
     """
     s = _shift(spec.N, spec.alpha, spec.D, spec.mode)
     dom = s.domain
     coeffs = np.asarray([shift_coeff(spec.N, spec.alpha, n, spec.mode)
                          for n in range(spec.D)])
-    vectors = [monomial(dom, n) for n in range(spec.D)]
-    vectors += _random_coord_vectors(dom, spec.seed)
+    scaled = TruncatedSpace(metric=coeffs * dom.metric, mode=spec.mode)
+    # the monomials z^0 .. z^(D-1) are the columns of the identity
+    randoms = [f.coeffs for f in _random_coord_vectors(dom, spec.seed)]
+    vectors = np.concatenate([spec.mode.eye(spec.D), np.stack(randoms, axis=1)], axis=1)
+    nums = s.codomain.column_norms_sq(_exact.mm(s.matrix, vectors))
     defects = []
-    for f in vectors:
-        den = norm_sq(f)
+    for num, rhs, den in zip(nums, scaled.column_norms_sq(vectors),
+                             dom.column_norms_sq(vectors)):
         if den == 0:
             continue
-        diff = norm_sq(s.apply(f)) - np.sum(coeffs * dom.metric * np.abs(f.coeffs) ** 2)
+        diff = num - rhs
         defects.append(_defect(diff == 0, lambda: abs(float(diff)) / float(den)))
     return _entry(spec, defects)
 
@@ -418,7 +423,7 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
         dims_ok = dims_ok and ker.dim == expected == top.dim - base.dim
         kdims.append(ker.dim)
         top_space = top.ambient
-        cols = spec.mode.zeros((top_space.dim, e.dim * n))
+        cols = spec.mode.buffer((top_space.dim, e.dim * n), e.basis)
         for k in range(n):
             lo = k * spec.N
             cols[lo : lo + e.ambient.dim, k * e.dim : (k + 1) * e.dim] = e.basis
@@ -442,11 +447,11 @@ def check_expansive(spec: CheckSpec) -> ReportEntry:
     defects = []
     chain = None
     vectors = _random_coord_vectors(levels[0].t.domain, spec.seed)
+    dens = [norm_sq(g) for g in vectors]
     for level in levels:
         chain = level.lift if chain is None else level.lift.compose(chain)
-        for g in vectors:
+        for g, den in zip(vectors, dens):
             num = norm_sq(chain.apply(g))
-            den = norm_sq(g)
             if den != 0:
                 defects.append((max(0.0, 1.0 - math.sqrt(num / den)), num >= den))
     coeffs = [shift_coeff(spec.N, spec.alpha, n, spec.mode) for n in range(spec.D)]

@@ -43,16 +43,30 @@ class ScalarMode(enum.Enum):
         return Fraction(1) if self.is_exact else 1.0
 
     def zeros(self, shape) -> np.ndarray:
-        """Zero array in this mode's storage: Fraction objects or complex128."""
-        if self.is_exact:
-            return _exact.zeros(shape)
-        return np.zeros(shape, dtype=np.complex128)
+        """Zero array in this mode's storage: Fraction objects or float64.
+
+        Operators and bases built from the weights are real, so float mode
+        stores them as float64; only coefficient vectors are complex (see
+        ``space.vector``), and numpy promotes mixed products by itself.
+        """
+        return self.buffer(shape)
 
     def eye(self, n: int) -> np.ndarray:
         """Identity matrix in this mode's storage."""
         if self.is_exact:
             return _exact.eye(n)
-        return np.eye(n, dtype=np.complex128)
+        return np.eye(n)
+
+    def buffer(self, shape, *data: np.ndarray) -> np.ndarray:
+        """Zero array to be filled from ``data``.
+
+        Exact mode stores Fractions.  Float mode takes the dtype that holds
+        every entry of ``data``: float64, or complex128 when any of it is
+        complex, so no imaginary part is ever cast away.
+        """
+        if self.is_exact:
+            return _exact.zeros(shape)
+        return np.zeros(shape, dtype=np.result_type(np.float64, *data))
 
 
 def _validate_alpha(alpha: Scalar) -> None:

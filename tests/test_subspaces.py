@@ -25,6 +25,7 @@ from bergman_lab import (
     projector,
     projectors_equal,
     random_subspace,
+    random_vector,
     reducing_census,
     residue_degrees,
     residue_subspace,
@@ -237,7 +238,7 @@ def test_from_vectors_drops_dependent_columns(mode):
     thirds = {"zero": (a * 0, 2), "sum": (a + b, 2),
               "near": (a + b + eps * monomial(sp, 4).coeffs, 3 if mode.is_exact else 2)}
     for third, (c, dim) in thirds.items():
-        cols = mode.zeros((5, 3))
+        cols = mode.buffer((5, 3), a, b, c)
         cols[:, 0] = a
         cols[:, 1] = b
         cols[:, 2] = c
@@ -566,3 +567,66 @@ def test_reducing_census():
     assert rep.min_random_residual > 1e-6
     assert [e.label for e in rep.residue_entries] == ["{}", "{0}", "{1}", "{0,1}"]
     assert len(rep.random_entries) == 6
+
+
+def _span_projector(sp, x):
+    """Reference metric projector onto the span of full-rank columns, in complex128."""
+    x = np.asarray(x, dtype=np.complex128)
+    gx = np.asarray(sp.metric)[:, None] * x
+    return x @ np.linalg.solve(x.conj().T @ gx, gx.conj().T)
+
+
+def _metric_gap(sp, sub, x):
+    """Metric operator norm of P_sub minus the reference projector onto span(x)."""
+    sw = np.sqrt(np.asarray(sp.metric))
+    diff = projector(sub) - _span_projector(sp, x)
+    return float(np.linalg.norm(diff * sw[:, None] / sw[None, :], 2))
+
+
+def test_complex_columns_keep_their_imaginary_parts():
+    """Float storage is real, but buffers filled from complex columns stay complex:
+    from_vectors, extend into a larger truncation, invariant_closure and
+    random_subspace all span what a complex128 reference spans."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.floats(-0.9, 4.0), st.integers(1, 3), st.integers(6, 16),
+                      st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def check(alpha, N, D, k, seed):
+        ws = weight_sequence(WeightParams(alpha, N, D + N), FLOAT)
+        small, big = TruncatedSpace(ws, D), TruncatedSpace(ws, D + N)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (D, k)) + 1j * rng.uniform(-1, 1, (D, k))
+
+        sub = from_vectors(small, x)
+        assert sub.basis.dtype == np.complex128 and sub.dim == k
+        assert _metric_gap(small, sub, x) <= 1e-9
+
+        ext = extend(sub, big)
+        assert ext.basis.dtype == np.complex128
+        assert _metric_gap(big, ext, np.concatenate([x, np.zeros((N, k))])) <= 1e-9
+
+        # E on degrees < N, so its orbit under z^N has disjoint supports
+        y = x[:, : min(k, N)].copy()
+        y[N:] = 0
+        h = residue_subspace(small, N, range(N))
+        t = restrict(shift(small, big, N), h)
+        e = from_vectors(small, y)
+        depth = (D - 1 - max_degree(e)) // N
+        closure = invariant_closure(e, t, h, depth)
+        m = y.shape[1]
+        orbit = np.zeros((D, m * (depth + 1)), dtype=np.complex128)
+        for j in range(depth + 1):
+            orbit[j * N :, j * m : (j + 1) * m] = y[: D - j * N]
+        assert closure.basis.dtype == np.complex128
+        assert closure.dim == m * (depth + 1)
+        assert _metric_gap(small, closure, orbit) <= 1e-9
+
+        rand = random_subspace(small, k, seed)
+        seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=k)
+        ref = np.stack([random_vector(small, int(s)).coeffs for s in seeds], axis=1)
+        assert rand.basis.dtype == np.complex128
+        assert _metric_gap(small, rand, ref) <= 1e-9
+
+    check()

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bergman_lab import (
@@ -12,6 +13,7 @@ from bergman_lab import (
     ScalarMode,
     operators,
     restrict,
+    wandering,
 )
 from bergman_lab.verify import (
     AMBIENT_CHECKS,
@@ -192,6 +194,15 @@ def test_gram_inverse_once_per_level(monkeypatch):
         assert level.t.codomain_sub.ambient == level.shift.codomain
         assert level.lift.domain == level.left_inv.codomain == level.t.domain
         assert level.lift.codomain == level.left_inv.domain == level.t.codomain
+
+
+def test_float_tower_levels_are_real():
+    """The weights are real, so float tower maps and wandering bases are float64."""
+    for j in range(3):
+        level = _tower_cached.__wrapped__(3, 0.5, 12, (0, 2), FLOAT, j)
+        for name, m in level._asdict().items():
+            assert m.matrix.dtype == np.float64, (j, name)
+        assert wandering(level.t).basis.dtype == np.float64
 
 
 def test_checks_build_only_the_levels_they_read(monkeypatch):

@@ -161,7 +161,7 @@ def test_iterated_coeff_is_weight_ratio(mode):
 
 
 @pytest.mark.parametrize("mode,dtype,scalar",
-                         [(FLOAT, np.complex128, complex), (EXACT, object, Fraction)])
+                         [(FLOAT, np.float64, float), (EXACT, object, Fraction)])
 def test_scalar_mode_storage(mode, dtype, scalar):
     z = mode.zeros((2, 3))
     e = mode.eye(3)
