@@ -15,7 +15,7 @@ those as float64 (see ``ScalarMode.zeros``).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -186,3 +186,9 @@ def random_vector(space: TruncatedSpace, seed: int) -> CoefficientVector:
     re = rng.uniform(-1.0, 1.0, size=space.dim)
     im = rng.uniform(-1.0, 1.0, size=space.dim)
     return CoefficientVector(space, re + 1j * im)
+
+
+def random_columns(space: TruncatedSpace, seeds: Iterable[int]) -> np.ndarray:
+    """``random_vector(space, s).coeffs`` for each seed, stacked as columns."""
+    cols = [random_vector(space, int(s)).coeffs for s in seeds]
+    return np.stack(cols, axis=1) if cols else space.mode.buffer((space.dim, 0))

@@ -27,7 +27,7 @@ from .errors import (
     NotInvariant,
 )
 from .operators import LinearMap, to_float, weighted_matrix
-from .space import CoefficientVector, TruncatedSpace, random_vector
+from .space import CoefficientVector, TruncatedSpace, random_columns
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
 #: metric singular values that decides which directions :func:`truncate` keeps.
@@ -452,12 +452,8 @@ def projectors_equal(u: Subspace, v: Subspace) -> bool:
 
 def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:
     """Span of ``dim`` deterministic pseudo-random vectors (untagged)."""
-    cols = [random_vector(space, int(s)).coeffs
-            for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=dim)]
-    mat = space.mode.buffer((space.dim, dim), *cols)
-    for j, c in enumerate(cols):
-        mat[:, j] = c
-    return from_vectors(space, mat)
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=dim)
+    return from_vectors(space, random_columns(space, seeds))
 
 
 @dataclass(frozen=True)

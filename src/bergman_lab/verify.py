@@ -38,7 +38,7 @@ from .operators import (
     shift,
     smallest_singular_value,
 )
-from .space import TruncatedSpace, norm_sq, random_vector
+from .space import TruncatedSpace, random_columns
 from .subspaces import (
     Subspace,
     coefficient_functionals,
@@ -221,10 +221,6 @@ def _shift(N: int, alpha: Scalar, D: int, mode: ScalarMode) -> LinearMap:
     return shift(TruncatedSpace(ws, D), TruncatedSpace(ws, D + N), N)
 
 
-def _random_coord_vectors(space: TruncatedSpace, seed: int):
-    return [random_vector(space, seed + i) for i in range(NUM_RANDOM_VECTORS)]
-
-
 #: A quantity a check expects to vanish: its float size, and whether it is
 #: exactly zero.
 Defect = tuple[float, bool]
@@ -248,10 +244,17 @@ def _map_defect(m: LinearMap) -> Defect:
     return _defect(_exactly_zero(m.matrix), lambda: operator_norm(m))
 
 
-def _vector_defect(space: TruncatedSpace, v: np.ndarray, den_sq) -> Defect:
-    """Defect of a coefficient array expected to vanish, relative to sqrt(den_sq)."""
-    return _defect(_exactly_zero(v),
-                   lambda: math.sqrt(float(space.norm_sq(v)) / float(den_sq)))
+def _column_defects(space: TruncatedSpace, cols: np.ndarray, dens_sq) -> list[Defect]:
+    """Defect of each column of ``cols`` expected to vanish, relative to
+    sqrt of its entry of ``dens_sq``.
+
+    Exactly zero columns are (0.0, True); only the others are measured, all
+    with one weighted reduction.
+    """
+    zero = ~(cols != 0).any(axis=0)
+    nums = iter(space.column_norms_sq(cols[:, ~zero]))
+    return [(0.0, True) if z else (math.sqrt(float(next(nums)) / float(den)), False)
+            for z, den in zip(zero, dens_sq)]
 
 
 def _entry(spec: CheckSpec, defects: list[Defect], ok: bool = True,
@@ -288,8 +291,8 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
                          for n in range(spec.D)])
     scaled = TruncatedSpace(metric=coeffs * dom.metric, mode=spec.mode)
     # the monomials z^0 .. z^(D-1) are the columns of the identity
-    randoms = [f.coeffs for f in _random_coord_vectors(dom, spec.seed)]
-    vectors = np.concatenate([spec.mode.eye(spec.D), np.stack(randoms, axis=1)], axis=1)
+    randoms = random_columns(dom, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
+    vectors = np.concatenate([spec.mode.eye(spec.D), randoms], axis=1)
     nums = s.codomain.column_norms_sq(_exact.mm(s.matrix, vectors))
     defects = []
     for num, rhs, den in zip(nums, scaled.column_norms_sq(vectors),
@@ -321,9 +324,9 @@ def check_lower_bound(spec: CheckSpec) -> ReportEntry:
         return _entry(spec, [], note="zero subspace, vacuous")
     bound = lower_bound(spec.N, spec.alpha)
     defects = []
-    for g in _random_coord_vectors(t.domain, spec.seed):
-        num = norm_sq(t.apply(g))
-        den = norm_sq(g)
+    g = random_columns(t.domain, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
+    nums = t.codomain.column_norms_sq(_exact.mm(t.matrix, g))
+    for num, den in zip(nums, t.domain.column_norms_sq(g)):
         if den != 0:
             short = bound * den - num
             defects.append((float(max(short, 0)) / float(den), short <= 0))
@@ -357,17 +360,13 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
     p = t.compose(level.left_inv)
     defects = [_map_defect(p.compose(p) - p), _map_defect(p.adjoint() - p)]
     if t.domain.dim > 0:
-        for g in _random_coord_vectors(t.domain, spec.seed):
-            tg = t.apply(g)
-            den = norm_sq(tg)
-            if den != 0:
-                defects.append(_vector_defect(cod, (p.apply(tg) - tg).coeffs, den))
+        g = random_columns(t.domain, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
+        tg = _exact.mm(t.matrix, g)
+        defects += _column_defects(cod, _exact.mm(p.matrix, tg) - tg, cod.column_norms_sq(tg))
     e = wandering(t)
     if e.dim > 0:
         e_coords = _exact.mm(coefficient_functionals(t.codomain_sub), e.basis)
-        for j in range(e.dim):
-            pe = _exact.mm(p.matrix, e_coords[:, j])
-            defects.append(_vector_defect(cod, pe, e.norms_sq[j]))
+        defects += _column_defects(cod, _exact.mm(p.matrix, e_coords), e.norms_sq)
         e_in_coords = Subspace(t.codomain, e_coords, e.norms_sq)
         comp = (identity_map(cod) - p).matrix - projector(e_in_coords)
         defects.append(_map_defect(LinearMap(cod, cod, comp)))
@@ -428,10 +427,8 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
             lo = k * spec.N
             cols[lo : lo + e.ambient.dim, k * e.dim : (k + 1) * e.dim] = e.basis
         w_span = from_vectors(top_space, cols)
-        for j in range(ker.dim):
-            v = ker.basis[:, j]
-            defects.append(_vector_defect(top_space, v - project_coefficients(w_span, v),
-                                          ker.norms_sq[j]))
+        leftover = ker.basis - project_coefficients(w_span, ker.basis)
+        defects += _column_defects(top_space, leftover, ker.norms_sq)
     note = f"n=1..{len(levels)}, dim ker={kdims}, step={len(_residues_of(spec))}"
     return _entry(spec, defects, dims_ok, note=note)
 
@@ -446,12 +443,12 @@ def check_expansive(spec: CheckSpec) -> ReportEntry:
         return _entry(spec, [], note="zero subspace, vacuous")
     defects = []
     chain = None
-    vectors = _random_coord_vectors(levels[0].t.domain, spec.seed)
-    dens = [norm_sq(g) for g in vectors]
+    g = random_columns(levels[0].t.domain, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
+    dens = levels[0].t.domain.column_norms_sq(g)
     for level in levels:
         chain = level.lift if chain is None else level.lift.compose(chain)
-        for g, den in zip(vectors, dens):
-            num = norm_sq(chain.apply(g))
+        nums = chain.codomain.column_norms_sq(_exact.mm(chain.matrix, g))
+        for num, den in zip(nums, dens):
             if den != 0:
                 defects.append((max(0.0, 1.0 - math.sqrt(num / den)), num >= den))
     coeffs = [shift_coeff(spec.N, spec.alpha, n, spec.mode) for n in range(spec.D)]

@@ -14,6 +14,7 @@ rational) on the same code path.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -74,6 +75,8 @@ def _validate_alpha(alpha: Scalar) -> None:
         raise InvalidAlpha(f"alpha must be real, got {alpha!r}")
     if not alpha > -1:
         raise InvalidAlpha(f"alpha must satisfy alpha > -1, got {alpha!r}")
+    if not isinstance(alpha, Rational) and not math.isfinite(alpha):
+        raise InvalidAlpha(f"alpha must be finite, got {alpha!r}")
 
 
 def coerce_alpha(alpha: Scalar, mode: ScalarMode) -> Scalar:
@@ -144,6 +147,10 @@ def weight_sequence(params: WeightParams, mode: ScalarMode = ScalarMode.FLOAT64)
     for n in range(params.D):
         values.append(w)
         w = w * (n + 1) / (n + 2 + alpha)
+    # the weights decrease, so a zero anywhere leaves the last one zero
+    if values[-1] == 0:
+        raise InvalidAlpha(f"weight omega_{values.index(0)} underflows to 0.0 "
+                           f"in float64 at alpha={alpha!r}")
     # Fractions stack into an object array, floats into a float64 one
     return WeightSequence(params, mode, np.asarray(values))
 

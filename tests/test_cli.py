@@ -124,6 +124,9 @@ def test_exact_mode_accepts_decimal_alpha(capsys):
 @pytest.mark.parametrize("argv,flag", [
     (("weights", "--alpha", "abc", "--dim", "3"), "--alpha"),
     (("weights", "--alpha", "-2.0", "--dim", "3"), "--alpha"),
+    (("weights", "--alpha", "inf", "--dim", "3"), "--alpha"),
+    (("weights", "--alpha", "1e300", "--dim", "3"), "--alpha"),
+    (("coeffs", "--N", "1", "--alpha", "1e400", "--dim", "3"), "--alpha"),
     (("weights", "--alpha", "0.5", "--dim", "0"), "--dim"),
     (("coeffs", "--N", "0", "--alpha", "0.5", "--dim", "3"), "--N"),
     (("verify", "--check", "coeff_bounds", "--N", "2", "--alpha", "0.5",
@@ -136,7 +139,8 @@ def test_exact_mode_accepts_decimal_alpha(capsys):
       "--dim", "16", "--tol", "-1"), "--tol"),
     (("verify", "--check", "coeff_bounds", "--N", "2", "--alpha", "0.5",
       "--dim", "16", "--depth", "0"), "--depth"),
-], ids=["alpha-text", "alpha-range", "weights-dim", "coeffs-N", "residue-range",
+], ids=["alpha-text", "alpha-range", "alpha-inf", "alpha-underflow", "coeffs-alpha-inf",
+        "weights-dim", "coeffs-N", "residue-range",
         "residue-text", "verify-dim", "tol-negative", "depth-zero"])
 def test_usage_errors_name_the_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)

@@ -20,6 +20,7 @@ from bergman_lab import (
     vector,
     weight_sequence,
 )
+from bergman_lab.space import random_columns
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -171,3 +172,37 @@ def test_explicit_metric_fixes_dim():
     assert TruncatedSpace(metric=g, mode=FLOAT, dim=5).dim == 5
     with pytest.raises(DimensionMismatch):
         TruncatedSpace(metric=g, mode=FLOAT, dim=3)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_random_columns_stack_random_vectors(mode):
+    """random_columns draws exactly random_vector(space, s) for each seed."""
+    space = make_space(Fraction(1, 2) if mode.is_exact else 0.5, 9, mode)
+    seeds = [5, 6, 2**40, 7]
+    cols = random_columns(space, np.asarray(seeds))
+    assert cols.shape == (9, 4)
+    for j, s in enumerate(seeds):
+        assert np.array_equal(cols[:, j], random_vector(space, s).coeffs)
+    assert random_columns(space, []).shape == (9, 0)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_column_norms_sq_matches_norm_sq(mode):
+    """Every column's squared norm equals norm_sq of that column as a vector:
+    bit for bit in float mode (complex and real blocks), as a Fraction in
+    exact mode, a zero column and a zero-width block included."""
+    space = make_space(Fraction(3, 2) if mode.is_exact else 1.5, 11, mode)
+    block = random_columns(space, range(30, 36))
+    block[:, 2] = space.zeros()
+    blocks = [block, block[:, :0]]
+    if not mode.is_exact:
+        blocks += [block.real.copy(), block.real[:, :0]]
+    for b in blocks:
+        got = space.column_norms_sq(b)
+        want = [norm_sq(vector(space, b[:, j])) for j in range(b.shape[1])]
+        assert len(got) == len(want) == b.shape[1]
+        for g, w in zip(got, want):
+            if mode.is_exact:
+                assert isinstance(g, Fraction) and g == w
+            else:
+                assert float(g) == w

@@ -1,7 +1,9 @@
 """Check registry, report schema, grids, and suite determinism."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,14 @@ from bergman_lab import (
     NotReducing,
     ReducingResult,
     ScalarMode,
+    TruncatedSpace,
+    norm_sq,
     operators,
     restrict,
+    vector,
     wandering,
 )
+import bergman_lab.verify as verify
 from bergman_lab.verify import (
     AMBIENT_CHECKS,
     CHECKS,
@@ -27,6 +33,7 @@ from bergman_lab.verify import (
     run_check,
     run_suite,
     smoke_grid,
+    _column_defects,
     _entry,
     _tower,
     _tower_cached,
@@ -80,6 +87,58 @@ def test_norm_identity_detects_coefficient_corruption(monkeypatch):
     entry = run_check(spec_for("norm_identity"))
     assert not entry.passed
     assert entry.residual > 1e-10
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_column_defects_measure_only_nonzero_columns(mode):
+    """Zero columns are (0.0, True) without a norm (their den may even be 0);
+    the others measure sqrt(norm_sq(col) / den)."""
+    one = mode.one
+    space = TruncatedSpace(metric=np.asarray([one, one / 3, one / 6]), mode=mode)
+    cols = space.mode.zeros((3, 4))
+    cols[:, 1] = [one, 2 * one, 0 * one]
+    cols[:, 3] = [0 * one, one / 5, one]
+    dens = [0, 4 * one, 0, one / 7]
+    got = _column_defects(space, cols, dens)
+    assert got[0] == got[2] == (0.0, True)
+    for j in (1, 3):
+        want = math.sqrt(float(norm_sq(vector(space, cols[:, j]))) / float(dens[j]))
+        assert got[j] == (want, False)
+    assert _column_defects(space, cols[:, :0], []) == []
+
+
+def _scaled(m, c):
+    return operators.LinearMap(m.domain, m.codomain, m.matrix * c,
+                               domain_sub=m.domain_sub, codomain_sub=m.codomain_sub)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("name,field,factor", [
+    ("expansive", "lift", Fraction(1, 2)),
+    ("lower_bound", "t", Fraction(1, 100)),
+])
+def test_block_checks_catch_faulty_levels(monkeypatch, mode, name, field, factor):
+    """A halved lift fails expansive; a shift shrunk 100-fold fails lower_bound."""
+    built = verify._tower_cached
+    c = factor if mode.is_exact else float(factor)
+
+    def faulty(*key):
+        level = built(*key)
+        return level._replace(**{field: _scaled(getattr(level, field), c)})
+
+    monkeypatch.setattr(verify, "_tower_cached", faulty)
+    entry = run_check(spec_for(name, mode=mode))
+    assert not entry.passed
+    assert entry.residual > DEFAULT_TOLS[name]
+
+
+def test_checks_make_no_per_vector_applies():
+    """Checks apply each map once to a block of columns, never per vector."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "apply"]
+    assert found == []
 
 
 def test_run_check_wraps_exceptions():

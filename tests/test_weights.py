@@ -178,6 +178,21 @@ def test_alpha_validation():
         WeightParams(-2.5, 2, 8)
     with pytest.raises(InvalidAlpha):
         shift_coeff(1, -1.0, 0, FLOAT)
+    with pytest.raises(InvalidAlpha):
+        WeightParams(math.inf, 1, 8)
+    with pytest.raises(InvalidAlpha):
+        coerce_alpha(math.inf, FLOAT)
+    with pytest.raises(InvalidAlpha):
+        lower_bound(1, math.inf)
+    with pytest.raises(InvalidAlpha):
+        shift_coeff(1, math.inf, 0, FLOAT)
+
+
+def test_weight_underflow_is_invalid_alpha():
+    """A float weight that underflows to 0.0 would zero the metric."""
+    assert weight_sequence(WeightParams(1e300, 1, 2), FLOAT)[1] == 1e-300
+    with pytest.raises(InvalidAlpha, match="omega_2"):
+        weight_sequence(WeightParams(1e300, 1, 3), FLOAT)
 
 
 def test_mode_mismatch_float_alpha_in_exact_mode():
