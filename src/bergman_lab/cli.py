@@ -296,7 +296,10 @@ def _check_spec_from_args(parser: argparse.ArgumentParser, args, name: str) -> C
         parser.error(f"--dim: must be >= N + 1 = {args.N + 1}")
     residues = _parse_residues(parser, args.residues, args.N)
     try:
-        WeightParams(alpha, args.N, args.dim)
+        params = WeightParams(alpha, args.N, args.dim + args.N)
+        if not mode.is_exact:
+            # float weights can underflow; check them up to the shift's codomain D + N
+            weight_sequence(params, mode)
     except BergmanLabError as exc:
         parser.error(f"--alpha: {exc}")
     if args.depth < 1:

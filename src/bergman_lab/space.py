@@ -81,17 +81,21 @@ class TruncatedSpace:
 
     def norm_sq(self, a: np.ndarray):
         """Squared weighted norm of a coefficient array; a Fraction in exact mode."""
-        if self.mode.is_exact:
-            nz = a != 0
-            return ((a[nz] * a[nz]) * self.metric[nz]).sum(initial=Fraction(0))
-        return float(np.sum(self.metric * np.abs(a) ** 2))
+        return self.column_norms_sq(np.asarray(a)[:, None])[0]
 
     def column_norms_sq(self, mat: np.ndarray) -> np.ndarray:
         """Squared weighted norm of every column of ``mat`` at once.
 
-        Each column becomes one contiguous row of a transposed copy, so its
-        sum runs in the order of a single vector's :meth:`norm_sq`.
+        The one weighted-norm routine.  Float mode sums each column as one
+        contiguous row of a transposed copy, in the same order at any block
+        width.  Exact mode adds the terms of nonzero entries only.
         """
+        if self.mode.is_exact:
+            out = self.mode.zeros(mat.shape[1])
+            i_nz, j_nz = np.nonzero(mat != 0)
+            for i, j, x in zip(i_nz.tolist(), j_nz.tolist(), mat[i_nz, j_nz]):
+                out[j] += x * x * self.metric[i]
+            return out
         rows = np.ascontiguousarray(mat.T)
         return np.sum(np.abs(rows) ** 2 * self.metric, axis=1)
 

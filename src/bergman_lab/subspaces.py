@@ -102,6 +102,8 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
     basis = mode.buffer((ambient.dim, count), columns)
     functionals = mode.buffer((count, ambient.dim), columns)
     norms = np.empty(count, dtype=w.dtype)
+    if not mode.is_exact:
+        cuts = RANK_TOL * np.sqrt(ambient.column_norms_sq(columns))
     k = 0
     for j in range(count):
         v = columns[:, j]
@@ -113,7 +115,7 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
                 continue
         else:
             n = np.sqrt(g)
-            if not n > RANK_TOL * np.sqrt(ambient.norm_sq(columns[:, j])):
+            if not n > cuts[j]:
                 continue
             v, g = v / n, 1.0
         basis[:, k] = v
@@ -281,35 +283,32 @@ class ReducingResult:
         return max(self.residual_forward, self.residual_adjoint)
 
 
-def _restriction_data(m: LinearMap, sub: Subspace, tol: float):
+def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float):
     """Restriction of m to sub: the one place invariance is decided.
 
-    Returns the canonical extension of the subspace inside m's codomain, the
-    coordinates of m(basis of sub) in the extension's basis, and the
-    invariance verdict.  The residual is max_i ||(I - P) m b_i|| / ||b_i||
-    over basis vectors, P projecting onto the extension.  Exact mode passes
-    only when the leftover is exactly zero; float mode when the residual is
-    at most ``tol``.
+    Returns the coordinates of m(basis of sub) in the basis of ``target``, a
+    subspace of m's codomain, and the invariance verdict.  The residual is
+    max_i ||(I - P) m b_i|| / ||b_i|| over basis vectors, P projecting onto
+    the target.  Exact mode passes only when every leftover norm is exactly
+    zero; float mode when the residual is at most ``tol``.
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
-    ext = extend(sub, m.codomain)
     imgs = _exact.mm(m.matrix, sub.basis)
-    if ext.dim == 0:
+    if target.dim == 0:
         coords = imgs[:0, :]
         recon = imgs * 0
     else:
-        coords = _exact.mm(coefficient_functionals(ext), imgs)
-        recon = _exact.mm(ext.basis, coords)
-    leftover = imgs - recon
-    rsq = m.codomain.column_norms_sq(leftover)
+        coords = _exact.mm(coefficient_functionals(target), imgs)
+        recon = _exact.mm(target.basis, coords)
+    rsq = m.codomain.column_norms_sq(imgs - recon)
     ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
     if m.mode.is_exact:
-        passed = not bool((leftover != 0).any())
+        passed = bool((rsq == 0).all())
     else:
         passed = residual <= tol
-    return ext, coords, InvarianceResult(passed, residual)
+    return coords, InvarianceResult(passed, residual)
 
 
 def is_invariant(m: LinearMap, sub: Subspace, tol: float = 1e-10) -> InvarianceResult:
@@ -320,13 +319,14 @@ def is_invariant(m: LinearMap, sub: Subspace, tol: float = 1e-10) -> InvarianceR
     codomain truncation.  In exact mode ``tol`` is unused: the leftover must
     vanish exactly.
     """
-    return _restriction_data(m, sub, tol)[2]
+    return _restriction_data(m, sub, extend(sub, m.codomain), tol)[1]
 
 
 def _reducing(s: LinearMap, s_adj: LinearMap, sub: Subspace, tol: float) -> ReducingResult:
-    """Invariance under ``s`` and under its metric adjoint ``s_adj``."""
-    ext, _coords, fwd = _restriction_data(s, sub, tol)
-    adj = is_invariant(s_adj, ext, tol)
+    """Does ``s`` map sub into its extension ext, and ``s_adj`` ext into sub?"""
+    ext = extend(sub, s.codomain)
+    fwd = _restriction_data(s, sub, ext, tol)[1]
+    adj = _restriction_data(s_adj, ext, sub, tol)[1]
     return ReducingResult(fwd.passed and adj.passed, fwd.residual, adj.residual)
 
 
@@ -345,7 +345,8 @@ def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> LinearMap:
     """
     if s.domain_sub is not None:
         raise DimensionMismatch("restrict expects a map between ambient truncations")
-    ext, coords, inv = _restriction_data(s, sub, tol)
+    ext = extend(sub, s.codomain)
+    coords, inv = _restriction_data(s, sub, ext, tol)
     if not inv.passed:
         bound = "is not exactly zero" if s.mode.is_exact else f"exceeds tol {tol:.1e}"
         raise NotInvariant(

@@ -226,35 +226,21 @@ def _shift(N: int, alpha: Scalar, D: int, mode: ScalarMode) -> LinearMap:
 Defect = tuple[float, bool]
 
 
-def _exactly_zero(arr: np.ndarray) -> bool:
-    return not bool((arr != 0).any())
-
-
-def _defect(zero: bool, measure: Callable[[], float]) -> Defect:
-    """(0.0, True) for an exactly vanishing quantity, else (measure(), False).
-
-    Deciding exact zero first spares exact mode the norms of zero leftovers;
-    a float measure of an exactly zero array is 0.0 anyway.
-    """
-    return (0.0, True) if zero else (measure(), False)
-
-
 def _map_defect(m: LinearMap) -> Defect:
     """Defect of a map expected to vanish, measured by its metric operator norm."""
-    return _defect(_exactly_zero(m.matrix), lambda: operator_norm(m))
+    return (operator_norm(m), False) if (m.matrix != 0).any() else (0.0, True)
 
 
 def _column_defects(space: TruncatedSpace, cols: np.ndarray, dens_sq) -> list[Defect]:
     """Defect of each column of ``cols`` expected to vanish, relative to
     sqrt of its entry of ``dens_sq``.
 
-    Exactly zero columns are (0.0, True); only the others are measured, all
-    with one weighted reduction.
+    All columns are measured with one :meth:`TruncatedSpace.column_norms_sq`;
+    a column whose norm is 0 is (0.0, True) and its entry of ``dens_sq`` is
+    not read.
     """
-    zero = ~(cols != 0).any(axis=0)
-    nums = iter(space.column_norms_sq(cols[:, ~zero]))
-    return [(0.0, True) if z else (math.sqrt(float(next(nums)) / float(den)), False)
-            for z, den in zip(zero, dens_sq)]
+    return [(0.0, True) if num == 0 else (math.sqrt(float(num) / float(den)), False)
+            for num, den in zip(space.column_norms_sq(cols), dens_sq)]
 
 
 def _entry(spec: CheckSpec, defects: list[Defect], ok: bool = True,
@@ -300,7 +286,7 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
         if den == 0:
             continue
         diff = num - rhs
-        defects.append(_defect(diff == 0, lambda: abs(float(diff)) / float(den)))
+        defects.append((0.0, True) if diff == 0 else (abs(float(diff)) / float(den), False))
     return _entry(spec, defects)
 
 
@@ -310,7 +296,9 @@ def check_coeff_bounds(spec: CheckSpec) -> ReportEntry:
     coeffs = [shift_coeff(spec.N, spec.alpha, n, spec.mode) for n in range(spec.D)]
     # the bounds are strict, so an equality fails in float mode too
     over = [max(float(lo - c), float(c - 1), 0.0) for c in coeffs if not lo < c < 1]
-    return _entry(spec, [(r, False) for r in over], not over)
+    ties = [f"{which} bound attained in {spec.mode.value} at n={coeffs.index(bound)}"
+            for which, bound in (("lower", lo), ("upper", 1)) if bound in coeffs]
+    return _entry(spec, [(r, False) for r in over], not over, note="; ".join(ties))
 
 
 def check_lower_bound(spec: CheckSpec) -> ReportEntry:
@@ -466,11 +454,12 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
     for m, level in enumerate(levels, start=1):
         chain = level.lift if chain is None else level.lift.compose(chain)
         top = level.t.codomain_sub
-        ambient_cols = _exact.mm(top.basis, chain.matrix)
-        for col in ambient_cols.T:
-            low = col[: m * spec.N]
-            defects.append(_defect(_exactly_zero(low), lambda: float(np.abs(low).max())
-                                   / math.sqrt(top.ambient.norm_sq(col))))
+        cols = _exact.mm(top.basis, chain.matrix)
+        low = cols[: m * spec.N]
+        hit = (low != 0).any(axis=0)
+        norms_sq = iter(top.ambient.column_norms_sq(cols[:, hit]))
+        defects += [(float(np.abs(part).max()) / math.sqrt(next(norms_sq)), False)
+                    if h else (0.0, True) for h, part in zip(hit, low.T)]
     return _entry(spec, defects,
                   note="finite-section surrogate for trivial intersection of iterated ranges")
 

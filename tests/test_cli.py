@@ -139,9 +139,14 @@ def test_exact_mode_accepts_decimal_alpha(capsys):
       "--dim", "16", "--tol", "-1"), "--tol"),
     (("verify", "--check", "coeff_bounds", "--N", "2", "--alpha", "0.5",
       "--dim", "16", "--depth", "0"), "--depth"),
+    (("verify", "--check", "expansive", "--N", "1", "--alpha", "1e300",
+      "--dim", "3"), "--alpha"),
+    (("beurling", "--N", "1", "--alpha", "1e300", "--dim", "3"), "--alpha"),
+    (("census", "--N", "1", "--alpha", "1e300", "--dim", "3"), "--alpha"),
 ], ids=["alpha-text", "alpha-range", "alpha-inf", "alpha-underflow", "coeffs-alpha-inf",
         "weights-dim", "coeffs-N", "residue-range",
-        "residue-text", "verify-dim", "tol-negative", "depth-zero"])
+        "residue-text", "verify-dim", "tol-negative", "depth-zero",
+        "verify-alpha-underflow", "beurling-alpha-underflow", "census-alpha-underflow"])
 def test_usage_errors_name_the_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

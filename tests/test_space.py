@@ -188,9 +188,10 @@ def test_random_columns_stack_random_vectors(mode):
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_column_norms_sq_matches_norm_sq(mode):
-    """Every column's squared norm equals norm_sq of that column as a vector:
-    bit for bit in float mode (complex and real blocks), as a Fraction in
-    exact mode, a zero column and a zero-width block included."""
+    """Every column's squared norm, from the block and from norm_sq of the
+    column alone, equals the explicit per-entry formula: bit for bit in float
+    mode (complex and real blocks), as a Fraction in exact mode, a zero
+    column and a zero-width block included."""
     space = make_space(Fraction(3, 2) if mode.is_exact else 1.5, 11, mode)
     block = random_columns(space, range(30, 36))
     block[:, 2] = space.zeros()
@@ -199,10 +200,48 @@ def test_column_norms_sq_matches_norm_sq(mode):
         blocks += [block.real.copy(), block.real[:, :0]]
     for b in blocks:
         got = space.column_norms_sq(b)
-        want = [norm_sq(vector(space, b[:, j])) for j in range(b.shape[1])]
-        assert len(got) == len(want) == b.shape[1]
-        for g, w in zip(got, want):
+        assert len(got) == b.shape[1]
+        for j, g in enumerate(got):
+            col = b[:, j]
             if mode.is_exact:
-                assert isinstance(g, Fraction) and g == w
+                want = sum(x * x * w for x, w in zip(col, space.metric))
+                assert isinstance(g, Fraction) and g == want
             else:
-                assert float(g) == w
+                want = np.sum(space.metric * np.abs(col) ** 2)
+                assert float(g) == float(want)
+            assert norm_sq(vector(space, col)) == g
+
+
+def _recording(op):
+    def wrapped(self, *args):
+        _Recorded.ops.append((op, self))
+        return getattr(Fraction, op)(self, *args)
+    return wrapped
+
+
+class _Recorded(Fraction):
+    """A Fraction that records every product, power and abs applied to it."""
+
+    ops = []
+    __mul__ = _recording("__mul__")
+    __rmul__ = _recording("__rmul__")
+    __pow__ = _recording("__pow__")
+    __abs__ = _recording("__abs__")
+
+
+def test_exact_column_norms_sq_skip_zero_entries():
+    """Exact column norms touch no zero entry: each nonzero entry is squared
+    once, by a product, and a zero column's norm is exactly 0."""
+    space = make_space(Fraction(1, 2), 6, EXACT)
+    rows = [[1, 0, 0], [0, 0, 3], [Fraction(-2, 5), 0, 0],
+            [0, 0, 0], [0, 0, Fraction(7, 3)], [5, 0, 0]]
+    block = np.empty((6, 3), dtype=object)
+    block[...] = [[_Recorded(x) for x in row] for row in rows]
+    _Recorded.ops.clear()
+    got = space.column_norms_sq(block)
+    touched = [x for _op, x in _Recorded.ops]
+    assert all(x != 0 for x in touched)
+    assert sorted(touched) == sorted(x for x in block.ravel() if x != 0)
+    want = [sum(x * x * w for x, w in zip(block[:, j], space.metric)) for j in range(3)]
+    assert list(got) == want
+    assert got[1] == 0 and isinstance(got[1], Fraction)

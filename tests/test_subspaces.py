@@ -39,6 +39,7 @@ from bergman_lab import (
     weight_sequence,
     zero_subspace,
 )
+import bergman_lab.subspaces as subspaces
 from bergman_lab.operators import LinearMap, to_float
 from bergman_lab.subspaces import (
     RANK_TOL,
@@ -396,6 +397,49 @@ def test_is_reducing_ladder_zero_residual(alpha, N):
     r = is_reducing(s, random_subspace(dom, 2, seed=3))
     assert not r.passed
     assert r.residual > 1e-6
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_reducing_measures_adjoint_against_the_subspace(monkeypatch, mode):
+    """The adjoint half of an untagged subspace is measured against the
+    subspace itself, so is_reducing makes no truncate call; its residual is
+    the one of the route through the truncated extension (to 1e-14 in float
+    mode, exactly in exact mode)."""
+    dom, cod = graded_pair(Fraction(1, 2) if mode.is_exact else 0.5, 2, 10, mode)
+    s = shift(dom, cod, 2)
+    sub = random_subspace(dom, 2, seed=3)
+    calls = []
+    counted = subspaces.truncate
+    monkeypatch.setattr(subspaces, "truncate",
+                        lambda *args: calls.append(args) or counted(*args))
+    r = is_reducing(s, sub)
+    assert calls == []
+    monkeypatch.undo()
+    via_truncate = is_invariant(s.adjoint(), extend(sub, s.codomain)).residual
+    assert r.residual_adjoint > 1e-6
+    if mode.is_exact:
+        assert r.residual_adjoint == via_truncate
+    else:
+        assert abs(r.residual_adjoint - via_truncate) <= 1e-14
+
+
+def test_untagged_ladder_copy_reduces_exactly():
+    """A ladder's basis without its residue tag reduces the square finite
+    section of z^N with both residuals exactly 0.  Under the graded shift
+    into D + N only the adjoint half is exactly 0: the zero-padded
+    extension of an untagged subspace lacks the ladder's top degrees."""
+    dom, cod = graded_pair(Fraction(1, 2), 2, 10, EXACT)
+    s = shift(dom, cod, 2)
+    section = LinearMap(dom, dom, s.matrix[:10])
+    for k in range(2):
+        ladder = residue_subspace(dom, 2, [k])
+        copy = Subspace(dom, ladder.basis, ladder.norms_sq)
+        r = is_reducing(section, copy)
+        assert r.passed
+        assert r.residual_forward == r.residual_adjoint == 0.0
+        r = is_reducing(s, copy)
+        assert not r.passed
+        assert r.residual_adjoint == 0.0
 
 
 def test_wandering_of_full_space_is_low_degrees():

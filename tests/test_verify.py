@@ -302,6 +302,22 @@ def test_min_degree_notes_the_surrogate():
     assert "finite-section surrogate" in entry.note
 
 
+@pytest.mark.parametrize("alpha,note", [
+    (1e17, "lower bound attained in float64 at n=0"),
+    (-0.9999999999999999, "upper bound attained in float64 at n=0"),
+])
+def test_coeff_bounds_notes_a_float_tie(alpha, note):
+    """At alpha=1e17, C[0] = 1/(2 + alpha) and the bound (3 + alpha)^-1 round
+    to the same float64; near alpha=-1, C[0] rounds to 1.  The strict rule
+    still fails, with residual 0, and the note names the bound met and the
+    first n."""
+    entry = run_check(CheckSpec("coeff_bounds", 1, alpha, 8, tol=DEFAULT_TOLS["coeff_bounds"]))
+    assert not entry.passed
+    assert entry.residual == 0.0
+    assert entry.note == note
+    assert run_check(spec_for("coeff_bounds")).note == ""
+
+
 def test_census_trial_count_follows_depth():
     entry = run_check(spec_for("census", depth=2))
     assert entry.passed
