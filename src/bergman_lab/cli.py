@@ -27,6 +27,7 @@ from .verify import (
     run_check,
     run_suite,
     smoke_grid,
+    weights_reach,
 )
 from .weights import (
     ScalarMode,
@@ -295,20 +296,21 @@ def _check_spec_from_args(parser: argparse.ArgumentParser, args, name: str) -> C
     if args.dim < args.N + 1:
         parser.error(f"--dim: must be >= N + 1 = {args.N + 1}")
     residues = _parse_residues(parser, args.residues, args.N)
-    try:
-        params = WeightParams(alpha, args.N, args.dim + args.N)
-        if not mode.is_exact:
-            # float weights can underflow; check them up to the shift's codomain D + N
-            weight_sequence(params, mode)
-    except BergmanLabError as exc:
-        parser.error(f"--alpha: {exc}")
     if args.depth < 1:
         parser.error("--depth: must be >= 1")
     tol = args.tol if args.tol is not None else DEFAULT_TOLS[name]
     if tol < 0:
         parser.error("--tol: must be >= 0")
-    return CheckSpec(name, args.N, alpha, args.dim, residues,
+    spec = CheckSpec(name, args.N, alpha, args.dim, residues,
                      args.depth, args.seed, mode, tol)
+    try:
+        params = WeightParams(alpha, args.N, weights_reach(spec))
+        if not mode.is_exact:
+            # float weights can underflow; check every weight the check reads
+            weight_sequence(params, mode)
+    except BergmanLabError as exc:
+        parser.error(f"--alpha: {exc}")
+    return spec
 
 
 def _cmd_single_check(parser: argparse.ArgumentParser, args, name: str) -> int:

@@ -14,7 +14,7 @@ class ModeMismatch(BergmanLabError):
 
 
 class AmbientMismatch(BergmanLabError):
-    """Two vectors or subspaces do not live in the same truncated space."""
+    """Two subspaces do not live in the same truncated space."""
 
 
 class DimensionMismatch(BergmanLabError):

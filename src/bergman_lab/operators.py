@@ -15,8 +15,7 @@ import numpy as np
 
 from . import _exact
 from .errors import DimensionMismatch, SingularGram
-from .space import CoefficientVector, TruncatedSpace
-from .weights import shift_coeff
+from .space import TruncatedSpace
 
 #: Gram operators with a worse 2-norm condition number than this are refused.
 GRAM_CONDITION_LIMIT = 1e12
@@ -63,10 +62,14 @@ class LinearMap:
         self.domain_sub = domain_sub
         self.codomain_sub = codomain_sub
 
-    def apply(self, v: CoefficientVector) -> CoefficientVector:
-        if v.space != self.domain:
-            raise DimensionMismatch("vector does not live in the map's domain")
-        return CoefficientVector(self.codomain, _exact.mm(self.matrix, v.coeffs))
+    def apply(self, cols: np.ndarray) -> np.ndarray:
+        """Image of a coefficient array: one vector, or a block of columns."""
+        cols = np.asarray(cols)
+        if cols.ndim not in (1, 2) or cols.shape[0] != self.domain.dim:
+            raise DimensionMismatch(
+                f"expected {self.domain.dim} rows of coefficients, got shape {cols.shape}"
+            )
+        return _exact.mm(self.matrix, cols)
 
     def adjoint(self) -> "LinearMap":
         return LinearMap(
@@ -88,9 +91,6 @@ class LinearMap:
             domain_sub=other.domain_sub,
             codomain_sub=self.codomain_sub,
         )
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        return self.compose(other)
 
     def _check_same_shape(self, other: "LinearMap") -> None:
         if self.domain != other.domain or self.codomain != other.codomain:
@@ -125,8 +125,7 @@ def _require_graded_pair(domain: TruncatedSpace, codomain: TruncatedSpace, step:
             f"codomain dimension must be domain + {step}, got "
             f"{domain.dim} -> {codomain.dim}"
         )
-    small, large = (domain, codomain) if step >= 0 else (codomain, domain)
-    if not (np.asarray(large.metric)[: small.dim] == np.asarray(small.metric)).all():
+    if not (np.asarray(codomain.metric)[: domain.dim] == np.asarray(domain.metric)).all():
         raise DimensionMismatch("domain and codomain weights disagree")
 
 
@@ -138,23 +137,6 @@ def shift(domain: TruncatedSpace, codomain: TruncatedSpace, N: int) -> LinearMap
     m = domain.mode.zeros((codomain.dim, domain.dim))
     for n in range(domain.dim):
         m[N + n, n] = domain.mode.one
-    return LinearMap(domain, codomain, m)
-
-
-def shift_adjoint(domain: TruncatedSpace, codomain: TruncatedSpace, N: int) -> LinearMap:
-    """Adjoint of multiplication by z^N, in explicit coefficient form.
-
-    Sends sum b_n z^n to sum_n shift_coeff(N, alpha, n) b_{N+n} z^n; the
-    coefficients of degree < N are annihilated.  Agrees with
-    ``shift(...).adjoint()``, which is computed by a different route.
-    """
-    if N < 1:
-        raise DimensionMismatch(f"multiplicity N must be >= 1, got {N}")
-    _require_graded_pair(domain, codomain, -N)
-    alpha = domain.weights.params.alpha
-    m = domain.mode.zeros((codomain.dim, domain.dim))
-    for n in range(codomain.dim):
-        m[n, N + n] = shift_coeff(N, alpha, n, domain.mode)
     return LinearMap(domain, codomain, m)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NotInvariant,
 )
 from .operators import LinearMap, to_float, weighted_matrix
-from .space import CoefficientVector, TruncatedSpace, random_columns
+from .space import TruncatedSpace, random_columns
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
 #: metric singular values that decides which directions :func:`truncate` keeps.
@@ -69,9 +69,6 @@ class Subspace:
     def coordinate_space(self) -> TruncatedSpace:
         """Space of coordinates in this basis; its metric is the squared norms."""
         return TruncatedSpace(metric=np.asarray(self.norms_sq), mode=self.ambient.mode)
-
-    def vectors(self) -> list[CoefficientVector]:
-        return [CoefficientVector(self.ambient, self.basis[:, j]) for j in range(self.dim)]
 
     def __repr__(self) -> str:
         tag = f", residues={sorted(self.residues)}" if self.residues is not None else ""
@@ -294,7 +291,7 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
-    imgs = _exact.mm(m.matrix, sub.basis)
+    imgs = m.apply(sub.basis)
     if target.dim == 0:
         coords = imgs[:0, :]
         recon = imgs * 0

@@ -215,6 +215,18 @@ def _levels(spec: CheckSpec) -> list[Level]:
     return [_tower(spec, j) for j in range(max(1, spec.depth))]
 
 
+#: Checks that climb the tower with :func:`_levels`; every other check reads
+#: level 0 or the bare shift, both from dimension D into D + N.
+TOWER_CHECKS = ("telescoping", "kernel_containment", "expansive", "min_degree")
+
+
+def weights_reach(spec: CheckSpec) -> int:
+    """Number of weights omega_0 .. omega_(n-1) the check of ``spec`` may read:
+    the codomain dimension D + (levels) * N of the highest level it builds."""
+    levels = max(1, spec.depth) if spec.name in TOWER_CHECKS else 1
+    return spec.D + levels * spec.N
+
+
 def _shift(N: int, alpha: Scalar, D: int, mode: ScalarMode) -> LinearMap:
     """The ambient shift z^N from dimension D into D + N."""
     ws = weight_sequence(WeightParams(alpha, N, D + N), mode)
@@ -279,7 +291,7 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
     # the monomials z^0 .. z^(D-1) are the columns of the identity
     randoms = random_columns(dom, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
     vectors = np.concatenate([spec.mode.eye(spec.D), randoms], axis=1)
-    nums = s.codomain.column_norms_sq(_exact.mm(s.matrix, vectors))
+    nums = s.codomain.column_norms_sq(s.apply(vectors))
     defects = []
     for num, rhs, den in zip(nums, scaled.column_norms_sq(vectors),
                              dom.column_norms_sq(vectors)):
@@ -313,7 +325,7 @@ def check_lower_bound(spec: CheckSpec) -> ReportEntry:
     bound = lower_bound(spec.N, spec.alpha)
     defects = []
     g = random_columns(t.domain, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
-    nums = t.codomain.column_norms_sq(_exact.mm(t.matrix, g))
+    nums = t.codomain.column_norms_sq(t.apply(g))
     for num, den in zip(nums, t.domain.column_norms_sq(g)):
         if den != 0:
             short = bound * den - num
@@ -349,12 +361,12 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
     defects = [_map_defect(p.compose(p) - p), _map_defect(p.adjoint() - p)]
     if t.domain.dim > 0:
         g = random_columns(t.domain, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
-        tg = _exact.mm(t.matrix, g)
-        defects += _column_defects(cod, _exact.mm(p.matrix, tg) - tg, cod.column_norms_sq(tg))
+        tg = t.apply(g)
+        defects += _column_defects(cod, p.apply(tg) - tg, cod.column_norms_sq(tg))
     e = wandering(t)
     if e.dim > 0:
         e_coords = _exact.mm(coefficient_functionals(t.codomain_sub), e.basis)
-        defects += _column_defects(cod, _exact.mm(p.matrix, e_coords), e.norms_sq)
+        defects += _column_defects(cod, p.apply(e_coords), e.norms_sq)
         e_in_coords = Subspace(t.codomain, e_coords, e.norms_sq)
         comp = (identity_map(cod) - p).matrix - projector(e_in_coords)
         defects.append(_map_defect(LinearMap(cod, cod, comp)))
@@ -435,7 +447,7 @@ def check_expansive(spec: CheckSpec) -> ReportEntry:
     dens = levels[0].t.domain.column_norms_sq(g)
     for level in levels:
         chain = level.lift if chain is None else level.lift.compose(chain)
-        nums = chain.codomain.column_norms_sq(_exact.mm(chain.matrix, g))
+        nums = chain.codomain.column_norms_sq(chain.apply(g))
         for num, den in zip(nums, dens):
             if den != 0:
                 defects.append((max(0.0, 1.0 - math.sqrt(num / den)), num >= den))

@@ -47,8 +47,8 @@ class ScalarMode(enum.Enum):
         """Zero array in this mode's storage: Fraction objects or float64.
 
         Operators and bases built from the weights are real, so float mode
-        stores them as float64; only coefficient vectors are complex (see
-        ``space.vector``), and numpy promotes mixed products by itself.
+        stores them as float64; only coefficient columns are complex (see
+        ``space.random_columns``), and numpy promotes mixed products by itself.
         """
         return self.buffer(shape)
 
@@ -170,22 +170,6 @@ def shift_coeff(N: int, alpha: Scalar, n: int, mode: ScalarMode = ScalarMode.FLO
     out = mode.one
     for j in range(N):
         out = out * (n + j + 1) / (n + j + 2 + alpha)
-    return out
-
-
-def iterated_coeff(
-    N: int, alpha: Scalar, n: int, m: int, mode: ScalarMode = ScalarMode.FLOAT64
-) -> Scalar:
-    """Coefficient produced by m applications of the norm-raising lift.
-
-    Equals prod_{j=0}^{m-1} 1 / shift_coeff(N, alpha, n + j*N), which
-    telescopes to omega_n / omega_{n+m*N} and is therefore > 1 for m >= 1.
-    """
-    if m < 0:
-        raise ValueError(f"iteration count m must be >= 0, got {m}")
-    out = mode.one
-    for j in range(m):
-        out = out / shift_coeff(N, alpha, n + j * N, mode)
     return out
 
 

@@ -1,0 +1,80 @@
+"""Independent reference formulas that the tests compare the package against.
+
+None of these is used by the package itself.  Each is computed by a route
+other than the one the package takes: the shift adjoint entry by entry from
+the shift coefficients, the iterated lift coefficients as products of those
+coefficients, the inner product straight from its defining sum, and the
+random test columns one seed at a time.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from bergman_lab import LinearMap, ScalarMode, TruncatedSpace, shift_coeff
+from bergman_lab.errors import DimensionMismatch
+from bergman_lab.operators import _require_graded_pair
+
+#: Denominator of the dyadic grid of the exact random draws.
+_EXACT_DENOM = 2**16
+
+
+def inner(space: TruncatedSpace, f: np.ndarray, g: np.ndarray):
+    """Weighted inner product sum_n omega_n f_n conj(g_n) of two coefficient arrays."""
+    return np.sum(np.asarray(space.metric) * f * np.conjugate(g))
+
+
+def monomial(space: TruncatedSpace, n: int) -> np.ndarray:
+    """Coefficients of z^n, in the storage of the space's mode."""
+    return space.mode.eye(space.dim)[:, n]
+
+
+def random_vector(space: TruncatedSpace, seed: int) -> np.ndarray:
+    """The random test vector of one seed, drawn on its own.
+
+    Float mode draws complex coefficients with real and imaginary parts
+    uniform on [-1, 1].  Exact mode draws real rational coefficients on the
+    dyadic grid k / 2^16 over the same interval.
+    """
+    rng = np.random.default_rng(seed)
+    if space.mode.is_exact:
+        ints = rng.integers(-_EXACT_DENOM, _EXACT_DENOM + 1, size=space.dim)
+        arr = np.empty(space.dim, dtype=object)
+        arr[:] = [Fraction(int(k), _EXACT_DENOM) for k in ints]
+        return arr
+    re = rng.uniform(-1.0, 1.0, size=space.dim)
+    im = rng.uniform(-1.0, 1.0, size=space.dim)
+    return re + 1j * im
+
+
+def shift_adjoint(domain: TruncatedSpace, codomain: TruncatedSpace, N: int) -> LinearMap:
+    """Adjoint of multiplication by z^N, in explicit coefficient form.
+
+    Sends sum b_n z^n to sum_n shift_coeff(N, alpha, n) b_{N+n} z^n; the
+    coefficients of degree < N are annihilated.  Agrees with
+    ``shift(...).adjoint()``, which is computed by a different route.
+    """
+    if N < 1:
+        raise DimensionMismatch(f"multiplicity N must be >= 1, got {N}")
+    _require_graded_pair(codomain, domain, N)
+    alpha = domain.weights.params.alpha
+    m = domain.mode.zeros((codomain.dim, domain.dim))
+    for n in range(codomain.dim):
+        m[n, N + n] = shift_coeff(N, alpha, n, domain.mode)
+    return LinearMap(domain, codomain, m)
+
+
+def iterated_coeff(
+    N: int, alpha, n: int, m: int, mode: ScalarMode = ScalarMode.FLOAT64
+):
+    """Coefficient produced by m applications of the norm-raising lift.
+
+    Equals prod_{j=0}^{m-1} 1 / shift_coeff(N, alpha, n + j*N), which
+    telescopes to omega_n / omega_{n+m*N} and is therefore > 1 for m >= 1.
+    """
+    if m < 0:
+        raise ValueError(f"iteration count m must be >= 0, got {m}")
+    out = mode.one
+    for j in range(m):
+        out = out / shift_coeff(N, alpha, n + j * N, mode)
+    return out

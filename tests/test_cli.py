@@ -143,14 +143,27 @@ def test_exact_mode_accepts_decimal_alpha(capsys):
       "--dim", "3"), "--alpha"),
     (("beurling", "--N", "1", "--alpha", "1e300", "--dim", "3"), "--alpha"),
     (("census", "--N", "1", "--alpha", "1e300", "--dim", "3"), "--alpha"),
+    # omega_6 underflows: read by the levels of a tower check, not by D + N
+    (("verify", "--check", "expansive", "--N", "1", "--alpha", "1e60",
+      "--dim", "3"), "--alpha"),
 ], ids=["alpha-text", "alpha-range", "alpha-inf", "alpha-underflow", "coeffs-alpha-inf",
         "weights-dim", "coeffs-N", "residue-range",
         "residue-text", "verify-dim", "tol-negative", "depth-zero",
-        "verify-alpha-underflow", "beurling-alpha-underflow", "census-alpha-underflow"])
+        "verify-alpha-underflow", "beurling-alpha-underflow", "census-alpha-underflow",
+        "verify-alpha-underflow-tower"])
 def test_usage_errors_name_the_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert flag in err
+
+
+def test_alpha_is_checked_only_as_far_as_the_check_reads(capsys):
+    """norm_identity reads the weights up to D + N only, so the alpha that
+    the tower checks refuse at these flags still runs and passes."""
+    code, out, _ = run_cli(capsys, "verify", "--check", "norm_identity", "--N", "1",
+                           "--alpha", "1e60", "--dim", "3")
+    assert code == 0
+    assert out.startswith("PASS norm_identity")
 
 
 def test_unknown_check_is_usage_error(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bergman_lab import (
+    DimensionMismatch,
     NotInvariant,
     ScalarMode,
     SingularGram,
@@ -14,24 +15,20 @@ from bergman_lab import (
     WeightParams,
     from_vectors,
     identity_map,
-    inner,
-    iterated_coeff,
-    monomial,
-    norm,
     operator_norm,
     pinv,
-    random_vector,
     residue_subspace,
     restrict,
     shift,
-    shift_adjoint,
     shift_coeff,
     singular_values,
     smallest_singular_value,
-    vector,
     weight_sequence,
 )
+from bergman_lab import _exact
 from bergman_lab.operators import LinearMap, _gram_inverse, to_float, weighted_matrix
+from bergman_lab.space import random_columns
+from oracles import inner, iterated_coeff, monomial, shift_adjoint
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -60,9 +57,10 @@ def test_shift_action_on_monomials():
     for n in range(8):
         img = s.apply(monomial(dom, n))
         expected = monomial(cod, n + 3)
-        assert np.array_equal(img.coeffs, expected.coeffs)
+        assert np.array_equal(img, expected)
         c = shift_coeff(3, 1.0, n, FLOAT)
-        assert norm(img) == pytest.approx(math.sqrt(c) * norm(monomial(dom, n)), rel=1e-14)
+        assert math.sqrt(cod.norm_sq(img)) == pytest.approx(
+            math.sqrt(c) * math.sqrt(dom.norm_sq(monomial(dom, n))), rel=1e-14)
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -104,23 +102,46 @@ def test_adjoint_involution(mode):
 
 
 def test_adjoint_defining_property():
-    """<S f, g> = <f, S* g> for random vectors."""
+    """<S f, g> = <f, S* g> for random vectors, in the oracle inner product."""
     dom, cod = spaces(2.5, 2, 10)
     s = shift(dom, cod, 2)
     sa = s.adjoint()
-    for seed in range(5):
-        f = random_vector(dom, seed)
-        g = random_vector(cod, seed + 50)
-        assert inner(s.apply(f), g) == pytest.approx(inner(f, sa.apply(g)), rel=1e-13)
+    f = random_columns(dom, range(5))
+    g = random_columns(cod, range(50, 55))
+    s_f, sa_g = s.apply(f), sa.apply(g)
+    for j in range(5):
+        assert inner(cod, s_f[:, j], g[:, j]) == pytest.approx(
+            inner(dom, f[:, j], sa_g[:, j]), rel=1e-13)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_apply_is_the_exact_product(mode):
+    """apply on one coefficient array or on a block of columns is the
+    product with the matrix, entry for entry; any other shape is refused."""
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    dom, cod = spaces(alpha, 2, 7, mode)
+    maps = [shift(dom, cod, 2), shift(dom, cod, 2).adjoint()]
+    for m in maps:
+        block = random_columns(m.domain, range(3))
+        for cols in (block, block[:, 0], block[:, :0], block.real.copy()):
+            got = m.apply(cols)
+            want = _exact.mm(m.matrix, cols)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        bad = [block[1:], block[:, 0][1:], np.concatenate([block, block]),
+               block[:, :, None], block[0, 0]]
+        for cols in bad:
+            with pytest.raises(DimensionMismatch):
+                m.apply(cols)
 
 
 def test_compose_and_identity():
     ws = weight_sequence(WeightParams(0.0, 1, 8), FLOAT)
     dom, cod = TruncatedSpace(ws, 5), TruncatedSpace(ws, 6)
     s = shift(dom, cod, 1)
-    assert np.array_equal((s @ identity_map(dom)).matrix, s.matrix)
-    assert np.array_equal((identity_map(cod) @ s).matrix, s.matrix)
-    two_step = shift(cod, TruncatedSpace(ws, 7), 1) @ s
+    assert np.array_equal(s.compose(identity_map(dom)).matrix, s.matrix)
+    assert np.array_equal(identity_map(cod).compose(s).matrix, s.matrix)
+    two_step = shift(cod, TruncatedSpace(ws, 7), 1).compose(s)
     assert two_step.matrix.shape == (7, 5)
     assert two_step.matrix[2, 0] == 1.0
 
@@ -157,10 +178,11 @@ def test_restrict_preserves_norm():
     s = shift(dom, cod, 3)
     h = residue_subspace(dom, 3, (1,))
     t = restrict(s, h)
-    for seed in range(5):
-        g = random_vector(t.domain, seed)
-        ambient = vector(dom, h.basis @ g.coeffs)
-        assert norm(t.apply(g)) == pytest.approx(norm(s.apply(ambient)), rel=1e-12)
+    g = random_columns(t.domain, range(5))
+    ambient = h.basis @ g
+    got = t.codomain.column_norms_sq(t.apply(g))
+    want = cod.column_norms_sq(s.apply(ambient))
+    assert np.sqrt(got) == pytest.approx(np.sqrt(want), rel=1e-12)
 
 
 def test_restrict_rejects_non_invariant():
@@ -176,7 +198,7 @@ def test_pinv_is_left_inverse(mode):
     alpha = Fraction(1, 2) if mode.is_exact else 0.5
     dom, cod = spaces(alpha, 2, 10, mode)
     t = restrict(shift(dom, cod, 2), residue_subspace(dom, 2, (0, 1)))
-    left = pinv(t) @ t
+    left = pinv(t).compose(t)
     eye = identity_map(t.domain)
     if mode.is_exact:
         assert (left.matrix == eye.matrix).all()
@@ -217,7 +239,7 @@ def test_pinv_adjoint_iterates_match_iterated_coeff(m):
         full = residue_subspace(levels[j], N, range(N))
         t = restrict(shift(levels[j], levels[j + 1], N), full)
         lift = pinv(t).adjoint()
-        chain = lift if chain is None else lift @ chain
+        chain = lift if chain is None else lift.compose(chain)
     for n in range(D):
         col = chain.matrix[:, n]
         q = iterated_coeff(N, alpha, n, m, EXACT)
@@ -270,10 +292,9 @@ def test_weighted_matrix_norm_agrees_with_sampling():
     dom, cod = spaces(0.5, 2, 12)
     s = shift(dom, cod, 2)
     op = operator_norm(s)
-    best = 0.0
-    for seed in range(20):
-        f = random_vector(dom, seed)
-        best = max(best, norm(s.apply(f)) / norm(f))
+    f = random_columns(dom, range(20))
+    ratios = np.sqrt(cod.column_norms_sq(s.apply(f)) / dom.column_norms_sq(f))
+    best = float(ratios.max())
     assert best <= op * (1 + 1e-12)
     assert op <= 1.0
     wm = weighted_matrix(s)

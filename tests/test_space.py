@@ -1,4 +1,4 @@
-"""Inner product, norms, and vector arithmetic on truncated spaces."""
+"""Weighted norms, the inner product they induce, and random test columns."""
 
 import math
 from fractions import Fraction
@@ -7,20 +7,14 @@ import numpy as np
 import pytest
 
 from bergman_lab import (
-    AmbientMismatch,
     DimensionMismatch,
     ScalarMode,
     TruncatedSpace,
     WeightParams,
-    inner,
-    monomial,
-    norm,
-    norm_sq,
-    random_vector,
-    vector,
     weight_sequence,
 )
 from bergman_lab.space import random_columns
+from oracles import monomial, random_vector
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -31,30 +25,40 @@ def make_space(alpha, dim, mode=FLOAT):
     return TruncatedSpace(ws, dim)
 
 
+def columns(*vecs):
+    return np.stack(vecs, axis=1)
+
+
+def polar_inner(space, f, g):
+    """<f, g> recovered from the squared norms of f + i^k g (polarization),
+    all four measured with one column_norms_sq call."""
+    units = (1, 1j, -1, -1j)
+    sq = space.column_norms_sq(columns(*[f + u * g for u in units]))
+    return sum(u * n for u, n in zip(units, sq)) / 4
+
+
 def test_norm_frozen_one_plus_z():
     """||1 + z|| at alpha = 1: omega = (1, 1/3), so norm = sqrt(4/3)."""
     space = make_space(1.0, 8)
-    f = vector(space, [1.0, 1.0] + [0.0] * 6)
-    assert norm(f) == pytest.approx(1.1547005383792515, rel=1e-15)
+    f = np.array([1.0, 1.0] + [0.0] * 6)
+    assert math.sqrt(space.norm_sq(f)) == pytest.approx(1.1547005383792515, rel=1e-15)
     exact_space = make_space(Fraction(1), 8, EXACT)
-    g = vector(exact_space, [Fraction(1), Fraction(1)] + [Fraction(0)] * 6)
-    assert norm_sq(g) == Fraction(4, 3)
+    g = np.array([Fraction(1), Fraction(1)] + [Fraction(0)] * 6, dtype=object)
+    assert exact_space.norm_sq(g) == Fraction(4, 3)
 
 
 def test_inner_frozen():
     space = make_space(1.0, 6)
-    f = vector(space, [1.0, 1.0, 0, 0, 0, 0])
-    g = monomial(space, 0)
-    assert inner(f, g) == pytest.approx(1.0)
-    h = monomial(space, 1)
-    assert inner(f, h) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    f = np.array([1.0, 1.0, 0, 0, 0, 0])
+    assert polar_inner(space, f, monomial(space, 0)) == pytest.approx(1.0)
+    assert polar_inner(space, f, monomial(space, 1)) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("m,n", [(0, 0), (0, 3), (2, 2), (1, 4)])
 def test_monomial_orthogonality(m, n):
     """<z^m, z^n> = delta_{mn} omega_n."""
     space = make_space(0.5, 8)
-    val = inner(monomial(space, m), monomial(space, n))
+    val = polar_inner(space, monomial(space, m), monomial(space, n))
     if m == n:
         assert val == pytest.approx(space.metric[n], rel=1e-15)
     else:
@@ -63,85 +67,63 @@ def test_monomial_orthogonality(m, n):
 
 def test_inner_conjugate_symmetry():
     space = make_space(0.0, 12)
-    f = random_vector(space, 3)
-    g = random_vector(space, 4)
-    assert inner(f, g) == pytest.approx(np.conjugate(inner(g, f)), rel=1e-14)
+    f, g = random_columns(space, [3, 4]).T
+    assert polar_inner(space, f, g) == pytest.approx(
+        np.conjugate(polar_inner(space, g, f)), rel=1e-14)
 
 
 def test_inner_sesquilinear():
     space = make_space(2.5, 10)
-    f, g, h = (random_vector(space, s) for s in (1, 2, 3))
-    lhs = inner(f + (2.0 - 1.0j) * g, h)
-    rhs = inner(f, h) + (2.0 - 1.0j) * inner(g, h)
+    f, g, h = random_columns(space, [1, 2, 3]).T
+    lhs = polar_inner(space, f + (2.0 - 1.0j) * g, h)
+    rhs = polar_inner(space, f, h) + (2.0 - 1.0j) * polar_inner(space, g, h)
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_cauchy_schwarz():
     space = make_space(-0.5, 16)
     for seed in range(5):
-        f = random_vector(space, seed)
-        g = random_vector(space, seed + 100)
-        assert abs(inner(f, g)) <= norm(f) * norm(g) * (1 + 1e-12)
+        f, g = random_columns(space, [seed, seed + 100]).T
+        nf, ng = np.sqrt(space.column_norms_sq(columns(f, g)))
+        assert abs(polar_inner(space, f, g)) <= nf * ng * (1 + 1e-12)
 
 
 def test_parallelogram_float():
     space = make_space(1.0, 20)
-    f = random_vector(space, 11)
-    g = random_vector(space, 12)
-    lhs = norm_sq(f + g) + norm_sq(f - g)
-    rhs = 2.0 * (norm_sq(f) + norm_sq(g))
+    f, g = random_columns(space, [11, 12]).T
+    nsum, ndiff, nf, ng = space.column_norms_sq(columns(f + g, f - g, f, g))
+    lhs = nsum + ndiff
+    rhs = 2.0 * (nf + ng)
     assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
 def test_parallelogram_exact():
     space = make_space(Fraction(1, 2), 12, EXACT)
-    f = random_vector(space, 11)
-    g = random_vector(space, 12)
-    assert norm_sq(f + g) + norm_sq(f - g) == 2 * (norm_sq(f) + norm_sq(g))
+    f, g = random_columns(space, [11, 12]).T
+    nsum, ndiff, nf, ng = space.column_norms_sq(columns(f + g, f - g, f, g))
+    assert nsum + ndiff == 2 * (nf + ng)
 
 
 def test_norm_sq_exact_is_fraction():
     space = make_space(Fraction(0), 6, EXACT)
-    f = vector(space, [Fraction(1, 2)] * 6)
-    assert isinstance(norm_sq(f), Fraction)
-    assert norm_sq(f) == sum(Fraction(1, 4) * w for w in space.metric)
-
-
-def test_ambient_mismatch():
-    a = make_space(0.5, 8)
-    b = make_space(0.5, 10)
-    with pytest.raises(AmbientMismatch):
-        inner(random_vector(a, 0), random_vector(b, 0))
-    with pytest.raises(AmbientMismatch):
-        _ = random_vector(a, 0) + random_vector(b, 0)
+    f = np.array([Fraction(1, 2)] * 6, dtype=object)
+    assert isinstance(space.norm_sq(f), Fraction)
+    assert space.norm_sq(f) == sum(Fraction(1, 4) * w for w in space.metric)
 
 
 def test_random_vector_deterministic():
+    """The same seed draws the same column, a different seed another."""
     space = make_space(0.0, 24)
-    f1 = random_vector(space, 42)
-    f2 = random_vector(space, 42)
-    f3 = random_vector(space, 43)
-    assert np.array_equal(f1.coeffs, f2.coeffs)
-    assert not np.array_equal(f1.coeffs, f3.coeffs)
+    cols = random_columns(space, [42, 42, 43])
+    assert np.array_equal(cols[:, 0], cols[:, 1])
+    assert not np.array_equal(cols[:, 0], cols[:, 2])
 
 
 def test_random_vector_exact_mode_rational():
     space = make_space(Fraction(1), 10, EXACT)
-    f = random_vector(space, 7)
-    assert all(isinstance(c, Fraction) for c in f.coeffs)
-    assert norm_sq(f) > 0
-
-
-def test_vector_arithmetic():
-    space = make_space(1.0, 5)
-    f = vector(space, [1, 2, 3, 4, 5])
-    g = vector(space, [5, 4, 3, 2, 1])
-    s = f + g
-    assert np.allclose(s.coeffs, 6.0)
-    d = f - g
-    assert np.allclose(d.coeffs, [-4, -2, 0, 2, 4])
-    h = 2.0 * f
-    assert np.allclose(h.coeffs, [2, 4, 6, 8, 10])
+    f = random_columns(space, [7])[:, 0]
+    assert all(isinstance(c, Fraction) for c in f)
+    assert space.norm_sq(f) > 0
 
 
 def test_space_equality_by_value():
@@ -154,17 +136,17 @@ def test_space_equality_by_value():
 
 def test_zero_vector_and_norms():
     space = make_space(2.5, 7)
-    z = vector(space, space.zeros())
-    assert norm(z) == 0.0
-    assert norm_sq(z) == 0.0
-    assert math.isclose(norm(monomial(space, 0)), 1.0)
+    z = space.mode.zeros(space.dim)
+    assert math.sqrt(space.norm_sq(z)) == 0.0
+    assert space.norm_sq(z) == 0.0
+    assert math.isclose(math.sqrt(space.norm_sq(monomial(space, 0))), 1.0)
 
 
 def test_coordinate_space_with_explicit_metric():
     g = np.array([1.0, 0.25, 4.0])
     space = TruncatedSpace(metric=g, mode=FLOAT)
-    f = vector(space, [1.0, 2.0, 0.5])
-    assert norm_sq(f) == pytest.approx(1.0 + 0.25 * 4.0 + 4.0 * 0.25)
+    f = np.array([1.0, 2.0, 0.5])
+    assert space.norm_sq(f) == pytest.approx(1.0 + 0.25 * 4.0 + 4.0 * 0.25)
 
 
 def test_explicit_metric_fixes_dim():
@@ -176,14 +158,21 @@ def test_explicit_metric_fixes_dim():
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_random_columns_stack_random_vectors(mode):
-    """random_columns draws exactly random_vector(space, s) for each seed."""
+    """random_columns draws, entry for entry and in the same dtype, the
+    reference vector of each seed drawn on its own; no seed gives a
+    (dim, 0) block."""
     space = make_space(Fraction(1, 2) if mode.is_exact else 0.5, 9, mode)
     seeds = [5, 6, 2**40, 7]
     cols = random_columns(space, np.asarray(seeds))
     assert cols.shape == (9, 4)
     for j, s in enumerate(seeds):
-        assert np.array_equal(cols[:, j], random_vector(space, s).coeffs)
-    assert random_columns(space, []).shape == (9, 0)
+        ref = random_vector(space, s)
+        assert cols.dtype == ref.dtype
+        assert np.array_equal(cols[:, j], ref)
+        if mode.is_exact:
+            assert all(type(x) is Fraction for x in cols[:, j])
+    for empty in ([], np.asarray([], dtype=np.int64)):
+        assert random_columns(space, empty).shape == (9, 0)
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -194,7 +183,7 @@ def test_column_norms_sq_matches_norm_sq(mode):
     column and a zero-width block included."""
     space = make_space(Fraction(3, 2) if mode.is_exact else 1.5, 11, mode)
     block = random_columns(space, range(30, 36))
-    block[:, 2] = space.zeros()
+    block[:, 2] = space.mode.zeros(space.dim)
     blocks = [block, block[:, :0]]
     if not mode.is_exact:
         blocks += [block.real.copy(), block.real[:, :0]]
@@ -209,7 +198,7 @@ def test_column_norms_sq_matches_norm_sq(mode):
             else:
                 want = np.sum(space.metric * np.abs(col) ** 2)
                 assert float(g) == float(want)
-            assert norm_sq(vector(space, col)) == g
+            assert space.norm_sq(col) == g
 
 
 def _recording(op):

@@ -13,11 +13,11 @@ from bergman_lab import (
     WeightParams,
     WeightSequence,
     coerce_alpha,
-    iterated_coeff,
     lower_bound,
     shift_coeff,
     weight_sequence,
 )
+from oracles import iterated_coeff
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
