@@ -3,9 +3,11 @@
 Sizes here are small (truncation dimensions), so plain Gauss-Jordan with
 exact pivots is entirely adequate.
 
-Every matrix product of the package goes through :func:`mm`, and both metric
-adjoints through :func:`metric_adjoint`.  On float data they evaluate the
-plain numpy expression.  On object data they multiply only pairs of nonzero
+Every matrix product the package forms goes through :func:`mm`, and both
+metric adjoints through :func:`metric_adjoint`; applying a map to a residue
+ladder and projecting onto one are index gathers in ``subspaces``, not
+products.  On float data the two functions evaluate the plain numpy
+expression.  On object data they multiply only pairs of nonzero
 entries: shifts, residue ladders and lifts have one nonzero per column, so
 almost every dense ``Fraction`` product is a multiplication by zero.  Exact
 sums do not depend on term order or on zero terms, so the results are the

@@ -63,12 +63,21 @@ class LinearMap:
         self.codomain_sub = codomain_sub
 
     def apply(self, cols: np.ndarray) -> np.ndarray:
-        """Image of a coefficient array: one vector, or a block of columns."""
+        """Image of a coefficient array: one vector, or a block of columns.
+
+        A real float64 matrix maps complex columns as two real products, of
+        the real and of the imaginary parts, instead of being cast whole to
+        complex128.
+        """
         cols = np.asarray(cols)
         if cols.ndim not in (1, 2) or cols.shape[0] != self.domain.dim:
             raise DimensionMismatch(
                 f"expected {self.domain.dim} rows of coefficients, got shape {cols.shape}"
             )
+        if self.matrix.dtype == np.float64 and cols.dtype.kind == "c":
+            out = _exact.mm(self.matrix, cols.real).astype(np.complex128)
+            out.imag = _exact.mm(self.matrix, cols.imag)
+            return out
         return _exact.mm(self.matrix, cols)
 
     def adjoint(self) -> "LinearMap":

@@ -35,7 +35,15 @@ RANK_TOL = 1e-10
 
 
 class Subspace:
-    """Metric-orthogonal basis of a subspace of a truncated space."""
+    """Metric-orthogonal basis of a subspace of a truncated space.
+
+    The residue tag (``residues`` with ``multiplicity``) is set only by
+    :func:`residue_subspace`, and it guarantees the ladder's layout: the basis
+    is the monomials of ``residue_degrees(multiplicity, residues,
+    ambient.dim)`` in degree order, and ``norms_sq == ambient.metric[degrees]``.
+    Maps applied to a tagged basis and projections onto a tagged subspace
+    rely on it to gather entries by degree instead of multiplying.
+    """
 
     def __init__(
         self,
@@ -165,11 +173,34 @@ def coefficient_functionals(sub: Subspace) -> np.ndarray:
     return _exact.metric_adjoint(sub.basis, sub.ambient.metric, sub.norms_sq)
 
 
+def _ladder_degrees(sub: Subspace) -> Optional[list[int]]:
+    """Degrees of a residue-tagged subspace's monomial basis; None when untagged."""
+    if sub.residues is None:
+        return None
+    return residue_degrees(sub.multiplicity, sub.residues, sub.ambient.dim)
+
+
+def _projection(sub: Subspace, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates in the basis of ``sub`` of the projection of ``arr``, and the projection.
+
+    The dense route is ``coords = F @ arr`` and ``B @ coords`` with F the
+    coordinate functionals.  A ladder's functionals are rows with a single
+    1 at its degrees, so there it is the row gather ``arr[degrees]`` and a
+    scatter back, with the same values.
+    """
+    degrees = _ladder_degrees(sub)
+    if degrees is None:
+        coords = _exact.mm(coefficient_functionals(sub), arr)
+        return coords, _exact.mm(sub.basis, coords)
+    coords = arr[degrees]
+    recon = sub.ambient.mode.buffer(arr.shape, arr)
+    recon[degrees] = coords
+    return coords, recon
+
+
 def project_coefficients(sub: Subspace, arr: np.ndarray) -> np.ndarray:
     """Apply the metric-orthogonal projector onto ``sub`` to raw coefficients."""
-    if sub.dim == 0:
-        return arr * 0
-    return _exact.mm(sub.basis, _exact.mm(coefficient_functionals(sub), arr))
+    return _projection(sub, arr)[1]
 
 
 def projector(sub: Subspace) -> np.ndarray:
@@ -288,16 +319,17 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
     max_i ||(I - P) m b_i|| / ||b_i|| over basis vectors, P projecting onto
     the target.  Exact mode passes only when every leftover norm is exactly
     zero; float mode when the residual is at most ``tol``.
+
+    Residue ladders take no product: the images of a ladder basis are the
+    columns of m at its degrees, and the projection onto a ladder target
+    gathers the rows at its degrees (see :func:`_projection`).  Untagged
+    subspaces take the dense products, the reference for both gathers.
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
-    imgs = m.apply(sub.basis)
-    if target.dim == 0:
-        coords = imgs[:0, :]
-        recon = imgs * 0
-    else:
-        coords = _exact.mm(coefficient_functionals(target), imgs)
-        recon = _exact.mm(target.basis, coords)
+    degrees = _ladder_degrees(sub)
+    imgs = m.apply(sub.basis) if degrees is None else m.matrix[:, degrees]
+    coords, recon = _projection(target, imgs)
     rsq = m.codomain.column_norms_sq(imgs - recon)
     ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
@@ -429,16 +461,23 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
     """Metric operator norm of P_U - P_V (the sine of the largest principal angle).
 
     Equals 0 exactly when the subspaces coincide and 1 when one contains a
-    direction orthogonal to the whole of the other.
+    direction orthogonal to the whole of the other, as it always does when
+    the dimensions differ.  For equal dimensions ``||P_U - P_V||`` is
+    ``||(I - P_V) Q_U||`` with Q_U a metric-orthonormal basis of U (Golub and
+    Van Loan, *Matrix Computations*, 4th ed., section 2.5.3), so the norm is
+    taken of the metric-scaled D x k block ``(I - P_V) B_U diag(norms_sq)^(-1/2)``
+    instead of a D x D projector difference.
     """
     if u.ambient != v.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    if u.ambient.dim == 0:
+    if u.dim != v.dim:
+        return 1.0
+    if u.dim == 0:
         return 0.0
-    diff = to_float(projector(u) - projector(v))
+    leftover = to_float(u.basis - project_coefficients(v, u.basis))
     sw = np.sqrt(to_float(np.asarray(u.ambient.metric)))
-    m = (diff * sw[:, None]) / sw[None, :]
-    return float(np.linalg.norm(m, 2))
+    scale = np.sqrt(to_float(np.asarray(u.norms_sq)))
+    return float(np.linalg.norm(leftover * sw[:, None] / scale[None, :], 2))
 
 
 def projectors_equal(u: Subspace, v: Subspace) -> bool:

@@ -3,17 +3,18 @@
 None of these is used by the package itself.  Each is computed by a route
 other than the one the package takes: the shift adjoint entry by entry from
 the shift coefficients, the iterated lift coefficients as products of those
-coefficients, the inner product straight from its defining sum, and the
-random test columns one seed at a time.
+coefficients, the inner product straight from its defining sum, the
+random test columns one seed at a time, and the subspace distance from the
+full projector difference.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from bergman_lab import LinearMap, ScalarMode, TruncatedSpace, shift_coeff
+from bergman_lab import LinearMap, ScalarMode, TruncatedSpace, projector, shift_coeff
 from bergman_lab.errors import DimensionMismatch
-from bergman_lab.operators import _require_graded_pair
+from bergman_lab.operators import _require_graded_pair, to_float
 
 #: Denominator of the dyadic grid of the exact random draws.
 _EXACT_DENOM = 2**16
@@ -78,3 +79,17 @@ def iterated_coeff(
     for j in range(m):
         out = out / shift_coeff(N, alpha, n + j * N, mode)
     return out
+
+
+def projector_distance(u, v) -> float:
+    """Metric operator norm of P_U - P_V from the two D x D projector matrices.
+
+    The largest singular value of the metric-scaled projector difference
+    G^(1/2) (P_U - P_V) G^(-1/2); ``subspace_distance`` takes the norm of a
+    D x k block instead.
+    """
+    if u.ambient.dim == 0:
+        return 0.0
+    diff = to_float(projector(u) - projector(v))
+    sw = np.sqrt(to_float(np.asarray(u.ambient.metric)))
+    return float(np.linalg.norm(diff * sw[:, None] / sw[None, :], 2))

@@ -1,5 +1,6 @@
 """Residue ladders, projectors, truncation, wandering parts, and the census."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -37,14 +38,16 @@ from bergman_lab import (
 )
 import bergman_lab.subspaces as subspaces
 from bergman_lab.operators import LinearMap, to_float
+from bergman_lab.space import random_columns
 from bergman_lab.subspaces import (
     RANK_TOL,
+    ReducingResult,
     Subspace,
     coefficient_functionals,
     orthogonalize,
     project_coefficients,
 )
-from oracles import monomial, random_vector, shift_adjoint
+from oracles import monomial, projector_distance, random_vector, shift_adjoint
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -438,6 +441,62 @@ def test_untagged_ladder_copy_reduces_exactly():
         assert r.residual_adjoint == 0.0
 
 
+def _untagged(sub):
+    return Subspace(sub.ambient, sub.basis, sub.norms_sq)
+
+
+def _random_matrix(rows, cols, mode, seed):
+    """Random map matrix; in exact mode a quarter of the entries are nonzero,
+    which keeps the rational arithmetic short."""
+    rng = np.random.default_rng(seed)
+    if mode.is_exact:
+        ints = rng.integers(-16, 17, size=(rows, cols)) * (rng.random((rows, cols)) < 0.25)
+        return np.array([[Fraction(int(k), 16) for k in row] for row in ints], dtype=object)
+    return rng.uniform(-1.0, 1.0, size=(rows, cols))
+
+
+@pytest.mark.parametrize("D", [8, 17, 64])
+@pytest.mark.parametrize("alpha", [-0.9, 0.5, 200.0, Fraction(1, 2)])
+def test_ladder_gathers_match_dense_reference(alpha, D):
+    """A map applied to a ladder is a column gather and a projection onto a
+    ladder a row gather; coordinates and verdicts equal those of the dense
+    products on the untagged copy, entry for entry.  Both directions of the
+    reducing test, is_invariant and restrict are covered, with the shift and
+    with a dense random map whose leftover is nonzero."""
+    mode = EXACT if isinstance(alpha, Fraction) else FLOAT
+    tol = 1e-10
+    for N in (1, 2, 3):
+        dom, cod = graded_pair(alpha, N, D, mode)
+        dense = LinearMap(dom, cod, _random_matrix(D + N, D, mode, seed=D + N))
+        x = random_columns(cod, range(3))
+        for m in (shift(dom, cod, N), dense):
+            m_adj = m.adjoint()
+            for residues in itertools.chain.from_iterable(
+                    itertools.combinations(range(N), k) for k in range(N + 1)):
+                h = residue_subspace(dom, N, residues)
+                ext = extend(h, cod)
+                ref = {}
+                for name, f, sub, target in (("fwd", m, h, ext), ("adj", m_adj, ext, h)):
+                    coords, inv = subspaces._restriction_data(f, sub, target, tol)
+                    ref[name] = subspaces._restriction_data(
+                        f, _untagged(sub), _untagged(target), tol)
+                    assert np.array_equal(coords, ref[name][0])
+                    assert inv == ref[name][1]
+                (fwd_coords, fwd), (_, adj) = ref["fwd"], ref["adj"]
+                assert subspaces._reducing(m, m_adj, h, tol) == ReducingResult(
+                    fwd.passed and adj.passed, fwd.residual, adj.residual)
+                assert is_invariant(m, h, tol) == fwd
+                if fwd.passed:
+                    assert np.array_equal(restrict(m, h, tol).matrix, fwd_coords)
+                else:
+                    with pytest.raises(NotInvariant):
+                        restrict(m, h, tol)
+                if m is dense and 0 < h.dim < D:
+                    assert fwd.residual > 1e-6 and adj.residual > 1e-6
+                assert np.array_equal(project_coefficients(ext, x),
+                                      project_coefficients(_untagged(ext), x))
+
+
 def test_wandering_of_full_space_is_low_degrees():
     dom, cod = graded_pair(1.0, 3, 12)
     s = shift(dom, cod, 3)
@@ -576,6 +635,56 @@ def test_subspace_distance_matches_principal_angles():
     w = np.sqrt(np.asarray(sp.metric, dtype=np.float64))
     angles = linalg.subspace_angles(u.basis * w[:, None], v.basis * w[:, None])
     assert d == pytest.approx(float(np.sin(angles).max()), rel=0, abs=1e-12)
+
+
+def test_subspace_distance_matches_projector_difference():
+    """The D x k block norm agrees with the 2-norm of the metric-scaled
+    projector difference (tests/oracles.py) to 1e-12, on real and complex
+    subspaces of equal dimension, with and without a ladder on either side."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.floats(-0.9, 4.0), st.integers(1, 3), st.integers(4, 16),
+                      st.integers(1, 4), st.booleans(), st.floats(0.0, 1.0),
+                      st.integers(0, 2**32 - 1))
+    def check(alpha, N, D, k, complex_cols, eps, seed):
+        sp = make_space(alpha, N, D)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (D, k))
+        if complex_cols:
+            x = x + 1j * rng.uniform(-1, 1, (D, k))
+        h = residue_subspace(sp, N, [0])
+        pairs = [(from_vectors(sp, x), from_vectors(sp, x + eps * rng.uniform(-1, 1, (D, k)))),
+                 (from_vectors(sp, h.basis + eps * rng.uniform(-1, 1, h.basis.shape)), h)]
+        for u, v in pairs:
+            assert u.dim == v.dim
+            for a, b in ((u, v), (v, u)):
+                assert abs(subspace_distance(a, b) - projector_distance(a, b)) <= 1e-12
+
+    check()
+
+
+def test_subspace_distance_exact_and_degenerate():
+    """Exact subspaces agree with the projector difference to 1e-12; unequal
+    dimensions give exactly 1.0 and two zero subspaces exactly 0.0."""
+    for mode, alpha in ((EXACT, Fraction(1, 2)), (FLOAT, 0.5)):
+        sp = make_space(alpha, 2, 8, mode)
+        h = residue_subspace(sp, 2, [0])
+        bent = h.basis.copy()
+        bent[1, 0] = bent[7, 2] = Fraction(1, 3) if mode.is_exact else 1 / 3
+        pairs = [(from_vectors(sp, bent), h), (h, from_vectors(sp, bent)),
+                 (random_subspace(sp, 3, seed=1), random_subspace(sp, 3, seed=2)),
+                 (h, _untagged(h)), (h, residue_subspace(sp, 2, [1]))]
+        for u, v in pairs:
+            assert abs(subspace_distance(u, v) - projector_distance(u, v)) <= 1e-12
+        assert subspace_distance(h, _untagged(h)) == 0.0
+        full, empty, zero = (residue_subspace(sp, 2, [0, 1]), residue_subspace(sp, 2, []),
+                             zero_subspace(sp))
+        for u, v in ((h, full), (full, h), (zero, h), (h, empty),
+                     (random_subspace(sp, 2, seed=3), h)):
+            assert subspace_distance(u, v) == 1.0
+        assert subspace_distance(zero, empty) == subspace_distance(zero, zero) == 0.0
 
 
 def test_projectors_equal_exact():
