@@ -160,10 +160,44 @@ def weighted_matrix(m: LinearMap) -> np.ndarray:
     return (mat * sw_out[:, None]) / sw_in[None, :]
 
 
+def _isolated_nonzeros(mat: np.ndarray):
+    """``(rows, cols)`` of the nonzeros of a float matrix in which no two
+    nonzeros share a row or a column; None otherwise, and always on object data.
+
+    In float mode every map of a residue-ladder tower has this shape: the
+    restricted shift is a weighted shift, and so are its adjoint, its
+    diagonal Gram operator, its pseudoinverse factors and their products.
+    Such a matrix needs no factorization: its metric singular values are the
+    absolute values of its weighted entries, with the coordinate vectors at
+    their positions as singular vectors.
+    """
+    if mat.dtype == object or np.count_nonzero(mat) > min(mat.shape):
+        return None
+    rows, cols = np.nonzero(mat != 0)  # a boolean mask is scanned faster
+    if len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols):
+        return None
+    return rows, cols
+
+
 def singular_values(m: LinearMap) -> np.ndarray:
+    """Metric singular values of the map, largest first.
+
+    When no two nonzeros share a row or a column (see
+    :func:`_isolated_nonzeros`) they are the sorted absolute values of the
+    weighted entries, padded with zeros to ``min(shape)``, and LAPACK is not
+    called.  Every other matrix, and every exact one, takes the dense SVD of
+    :func:`weighted_matrix`, the reference the shortcut is tested against.
+    """
     if 0 in m.matrix.shape:
         return np.zeros(0)
-    return np.linalg.svd(weighted_matrix(m), compute_uv=False)
+    w = weighted_matrix(m)
+    nz = _isolated_nonzeros(m.matrix)
+    if nz is None:
+        return np.linalg.svd(w, compute_uv=False)
+    s = np.zeros(min(w.shape))
+    vals = np.sort(np.abs(w[nz]))[::-1]
+    s[: len(vals)] = vals
+    return s
 
 
 def operator_norm(m: LinearMap) -> float:
@@ -177,6 +211,16 @@ def smallest_singular_value(m: LinearMap) -> float:
 
 
 def _gram_inverse(t: LinearMap) -> LinearMap:
+    """Inverse of the Gram operator T*T; raises SingularGram when it has none.
+
+    Exact mode inverts by elimination.  Float mode refuses a Gram operator
+    whose metric condition number ``s[0] / s[-1]`` (the formula of
+    ``np.linalg.cond``, on :func:`singular_values`) exceeds
+    ``GRAM_CONDITION_LIMIT``.  A Gram matrix whose nonzeros share no row or
+    column, as on a residue ladder where it is diagonal, is inverted by
+    writing the reciprocals at the transposed positions; any other takes
+    ``np.linalg.inv``.
+    """
     gram = t.adjoint().compose(t)
     n = gram.domain.dim
     if n == 0:
@@ -187,14 +231,20 @@ def _gram_inverse(t: LinearMap) -> LinearMap:
         except ZeroDivisionError:
             raise SingularGram("Gram operator is singular") from None
     else:
-        w = weighted_matrix(gram)
-        cond = np.linalg.cond(w)
+        s = singular_values(gram)
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
         if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
             raise SingularGram(
                 f"Gram operator condition number {cond:.3e} exceeds "
                 f"{GRAM_CONDITION_LIMIT:.0e}"
             )
-        inv = np.linalg.inv(gram.matrix)
+        nz = _isolated_nonzeros(gram.matrix)
+        if nz is None:
+            inv = np.linalg.inv(gram.matrix)
+        else:
+            rows, cols = nz
+            inv = np.zeros_like(gram.matrix)
+            inv[cols, rows] = 1 / gram.matrix[rows, cols]
     return LinearMap(gram.domain, gram.codomain, inv,
                      domain_sub=gram.domain_sub, codomain_sub=gram.codomain_sub)
 

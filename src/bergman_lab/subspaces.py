@@ -26,7 +26,7 @@ from .errors import (
     DimensionMismatch,
     NotInvariant,
 )
-from .operators import LinearMap, to_float, weighted_matrix
+from .operators import LinearMap, _isolated_nonzeros, to_float, weighted_matrix
 from .space import TruncatedSpace, random_columns
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
@@ -181,26 +181,27 @@ def _ladder_degrees(sub: Subspace) -> Optional[list[int]]:
 
 
 def _projection(sub: Subspace, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates in the basis of ``sub`` of the projection of ``arr``, and the projection.
+    """Coordinates in the basis of ``sub`` of the projection of ``arr``, and
+    the leftover ``arr - P arr``.
 
-    The dense route is ``coords = F @ arr`` and ``B @ coords`` with F the
-    coordinate functionals.  A ladder's functionals are rows with a single
-    1 at its degrees, so there it is the row gather ``arr[degrees]`` and a
-    scatter back, with the same values.
+    The dense route is ``coords = F @ arr`` with F the coordinate
+    functionals, and ``arr - B @ coords``.  A ladder's functionals are rows
+    with a single 1 at its degrees, so there the coordinates are the row
+    gather ``arr[degrees]`` and the leftover is a copy of ``arr`` with those
+    rows zeroed: the same values, with no product and no subtraction.
     """
     degrees = _ladder_degrees(sub)
     if degrees is None:
         coords = _exact.mm(coefficient_functionals(sub), arr)
-        return coords, _exact.mm(sub.basis, coords)
-    coords = arr[degrees]
-    recon = sub.ambient.mode.buffer(arr.shape, arr)
-    recon[degrees] = coords
-    return coords, recon
+        return coords, arr - _exact.mm(sub.basis, coords)
+    leftover = arr.copy()
+    leftover[degrees] = sub.ambient.mode.zeros(())
+    return arr[degrees], leftover
 
 
 def project_coefficients(sub: Subspace, arr: np.ndarray) -> np.ndarray:
     """Apply the metric-orthogonal projector onto ``sub`` to raw coefficients."""
-    return _projection(sub, arr)[1]
+    return _exact.mm(sub.basis, _exact.mm(coefficient_functionals(sub), arr))
 
 
 def projector(sub: Subspace) -> np.ndarray:
@@ -229,12 +230,31 @@ def _null_coords(m: LinearMap, tol: float) -> np.ndarray:
     singular vectors back to coordinates by the inverse square root of the
     domain metric.  :func:`kernel`, :func:`wandering` and :func:`truncate`
     all decide their null directions here.
+
+    When no two nonzeros of m share a row or a column (see
+    :func:`_isolated_nonzeros`), the weighted entries are the singular values
+    and the coordinate vectors their right singular vectors.  The kernel is
+    then spanned by ``e_c / sqrt(metric[c])``, in increasing c, for every
+    column c that holds no weighted entry above ``tol``: the same rank rule,
+    read off the structural zeros without an SVD.  Any other matrix takes the
+    SVD, the reference the shortcut is tested against.
     """
     if m.mode.is_exact:
         return _exact.nullspace(m.matrix)
-    _u, s, vt = np.linalg.svd(weighted_matrix(m), full_matrices=True)
-    rank = int(np.sum(s > tol))
-    return vt[rank:].conj().T / np.sqrt(np.asarray(m.domain.metric))[:, None]
+    w = weighted_matrix(m)
+    sw_in = np.sqrt(np.asarray(m.domain.metric))
+    nz = _isolated_nonzeros(m.matrix)
+    if nz is None:
+        _u, s, vt = np.linalg.svd(w, full_matrices=True)
+        rank = int(np.sum(s > tol))
+        return vt[rank:].conj().T / sw_in[:, None]
+    rows, cols = nz
+    live = np.zeros(w.shape[1], dtype=bool)
+    live[cols[np.abs(w[rows, cols]) > tol]] = True
+    null = np.flatnonzero(~live)
+    coords = np.zeros((w.shape[1], len(null)), dtype=w.dtype)
+    coords[null, np.arange(len(null))] = 1 / sw_in[null]
+    return coords
 
 
 def truncate(sub: Subspace, dim: int) -> Subspace:
@@ -322,15 +342,16 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
 
     Residue ladders take no product: the images of a ladder basis are the
     columns of m at its degrees, and the projection onto a ladder target
-    gathers the rows at its degrees (see :func:`_projection`).  Untagged
-    subspaces take the dense products, the reference for both gathers.
+    gathers the rows at its degrees and zeroes them in a copy of the images
+    to leave the leftover (see :func:`_projection`).  Untagged subspaces
+    take the dense products, the reference for both gathers.
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
     degrees = _ladder_degrees(sub)
     imgs = m.apply(sub.basis) if degrees is None else m.matrix[:, degrees]
-    coords, recon = _projection(target, imgs)
-    rsq = m.codomain.column_norms_sq(imgs - recon)
+    coords, leftover = _projection(target, imgs)
+    rsq = m.codomain.column_norms_sq(leftover)
     ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
     if m.mode.is_exact:
@@ -474,7 +495,7 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
         return 1.0
     if u.dim == 0:
         return 0.0
-    leftover = to_float(u.basis - project_coefficients(v, u.basis))
+    leftover = to_float(_projection(v, u.basis)[1])
     sw = np.sqrt(to_float(np.asarray(u.ambient.metric)))
     scale = np.sqrt(to_float(np.asarray(u.norms_sq)))
     return float(np.linalg.norm(leftover * sw[:, None] / scale[None, :], 2))

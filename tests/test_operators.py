@@ -23,10 +23,18 @@ from bergman_lab import (
     shift_coeff,
     singular_values,
     smallest_singular_value,
+    subspace_distance,
     weight_sequence,
 )
-from bergman_lab import _exact
-from bergman_lab.operators import LinearMap, _gram_inverse, to_float, weighted_matrix
+from bergman_lab import _exact, subspaces
+from bergman_lab.operators import (
+    GRAM_CONDITION_LIMIT,
+    LinearMap,
+    _gram_inverse,
+    _isolated_nonzeros,
+    to_float,
+    weighted_matrix,
+)
 from bergman_lab.space import random_columns
 from oracles import inner, iterated_coeff, monomial, shift_adjoint
 
@@ -317,3 +325,108 @@ def test_weighted_matrix_norm_agrees_with_sampling():
     wm = weighted_matrix(s)
     assert wm.shape == s.matrix.shape
     assert np.linalg.norm(wm, 2) == pytest.approx(op, rel=1e-14)
+
+
+def _isolated_map(rows, cols, is_complex, spread, seed):
+    """Random map with 0 to 2 fewer nonzeros than min(rows, cols), no two of
+    them in one row or column, between float spaces whose metrics lie in
+    [10^-spread, 1]."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(max(min(rows, cols) - 2, 0), min(rows, cols) + 1))
+    vals = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
+    if is_complex:
+        vals = vals * np.exp(1j * rng.uniform(0.0, 2 * np.pi, k))
+    mat = np.zeros((rows, cols), dtype=vals.dtype)
+    mat[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = vals
+    dom, cod = (TruncatedSpace(metric=10.0 ** rng.uniform(-spread, 0.0, n), mode=FLOAT)
+                for n in (cols, rows))
+    return LinearMap(dom, cod, mat)
+
+
+ISOLATED_CASES = [(shape, is_complex, spread, seed)
+                  for shape in ((9, 5), (5, 9), (7, 7), (1, 4), (4, 1))
+                  for is_complex in (False, True)
+                  for spread in (0, 4, 30)
+                  for seed in range(4)]
+
+
+def _svd_calls(monkeypatch) -> list:
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    return calls
+
+
+def test_isolated_singular_values_match_the_dense_svd(monkeypatch):
+    """Without an SVD, the singular values of a map whose nonzeros share no
+    row or column are those LAPACK gives for its weighted matrix."""
+    calls = _svd_calls(monkeypatch)
+    for shape, is_complex, spread, seed in ISOLATED_CASES:
+        m = _isolated_map(*shape, is_complex, spread, seed)
+        got = singular_values(m)
+        assert not calls
+        ref = np.linalg.svd(weighted_matrix(m), compute_uv=False)
+        calls.clear()
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+        assert operator_norm(m) == got[0] and smallest_singular_value(m) == got[-1]
+
+
+def test_isolated_null_coords_match_the_svd_route(monkeypatch):
+    """The kernel read off the structural zeros has the dimension of the SVD
+    route's kernel and lies within metric distance 1e-12 of it."""
+    calls = _svd_calls(monkeypatch)
+    for shape, is_complex, spread, seed in ISOLATED_CASES:
+        m = _isolated_map(*shape, is_complex, spread, seed)
+        got = subspaces._null_coords(m, 1e-10)
+        assert not calls
+        with monkeypatch.context() as dense:
+            dense.setattr(subspaces, "_isolated_nonzeros", lambda mat: None)
+            ref = subspaces._null_coords(m, 1e-10)
+        assert calls
+        calls.clear()
+        assert got.shape == ref.shape
+        assert subspace_distance(from_vectors(m.domain, got),
+                                 from_vectors(m.domain, ref)) <= 1e-12
+
+
+def test_diagonal_gram_inverse_matches_numpy():
+    """A diagonal Gram operator is inverted entry for entry as np.linalg.inv
+    does, and refused exactly where np.linalg.cond exceeds the limit."""
+    refused = inverted = 0
+    for shape, is_complex, spread, seed in ISOLATED_CASES:
+        t = _isolated_map(*shape, is_complex, spread, seed)
+        gram = t.adjoint().compose(t)
+        assert _isolated_nonzeros(gram.matrix) is not None
+        cond = np.linalg.cond(weighted_matrix(gram))
+        if not cond <= GRAM_CONDITION_LIMIT:
+            with pytest.raises(SingularGram):
+                _gram_inverse(t)
+            refused += 1
+        else:
+            assert np.array_equal(_gram_inverse(t).matrix, np.linalg.inv(gram.matrix))
+            inverted += 1
+    assert refused > 20 and inverted > 20
+
+
+def test_shared_row_or_column_takes_the_dense_path(monkeypatch):
+    """Two nonzeros in one row or in one column, or exact data, make the
+    helper decline, and singular values and kernels fall back to the SVD."""
+    calls = _svd_calls(monkeypatch)
+    dom = TruncatedSpace(metric=np.array([1.0, 0.5, 0.25, 0.125]), mode=FLOAT)
+    cod = TruncatedSpace(metric=np.linspace(1.0, 0.2, 5), mode=FLOAT)
+    base = np.zeros((5, 4))
+    base[[1, 3, 0], [0, 1, 3]] = [2.0, -1.0, 0.75]
+    assert _isolated_nonzeros(base) is not None
+    # row 1 gains a second nonzero, then column 0 does
+    for r, c in ((1, 2), (2, 0)):
+        mat = base.copy()
+        mat[r, c] = 0.5
+        m = LinearMap(dom, cod, mat)
+        assert _isolated_nonzeros(m.matrix) is None
+        singular_values(m)
+        subspaces._null_coords(m, 1e-10)
+        assert len(calls) == 2
+        calls.clear()
+    dom, cod = spaces(Fraction(1, 2), 2, 6, EXACT)
+    assert _isolated_nonzeros(shift(dom, cod, 2).matrix) is None
