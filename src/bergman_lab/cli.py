@@ -23,6 +23,7 @@ from .verify import (
     CheckSpec,
     DEFAULT_TOLS,
     VerificationReport,
+    _scalar_json,
     default_grid,
     run_check,
     run_suite,
@@ -87,10 +88,6 @@ def _parse_residues(parser: argparse.ArgumentParser, text: Optional[str], N: int
 
 def _alpha_str(alpha) -> str:
     return str(alpha) if isinstance(alpha, Fraction) else repr(float(alpha))
-
-
-def _scalar_json(x):
-    return str(x) if isinstance(x, Fraction) else float(x)
 
 
 def _emit(text: str, out_path: Optional[str]) -> int:

@@ -153,12 +153,12 @@ def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> 
     """
     if space.weights is None:
         raise AmbientMismatch("residue subspaces need a weight-backed ambient space")
+    residues = frozenset(residues)
     degrees = residue_degrees(N, residues, space.dim)
     basis = space.mode.zeros((space.dim, len(degrees)))
-    for j, d in enumerate(degrees):
-        basis[d, j] = space.mode.one
+    basis[degrees, np.arange(len(degrees))] = space.mode.one
     return Subspace(space, basis, np.asarray(space.metric)[degrees],
-                    residues=frozenset(residues), multiplicity=N)
+                    residues=residues, multiplicity=N)
 
 
 def coefficient_functionals(sub: Subspace) -> np.ndarray:
@@ -180,15 +180,16 @@ def _ladder_degrees(sub: Subspace) -> Optional[list[int]]:
     return residue_degrees(sub.multiplicity, sub.residues, sub.ambient.dim)
 
 
-def _projection(sub: Subspace, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates in the basis of ``sub`` of the projection of ``arr``, and
-    the leftover ``arr - P arr``.
+def project(sub: Subspace, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Metric-orthogonal projection of the columns of ``arr`` onto ``sub``:
+    their coordinates in the basis of ``sub``, and the leftover ``arr - P arr``.
 
-    The dense route is ``coords = F @ arr`` with F the coordinate
-    functionals, and ``arr - B @ coords``.  A ladder's functionals are rows
-    with a single 1 at its degrees, so there the coordinates are the row
-    gather ``arr[degrees]`` and the leftover is a copy of ``arr`` with those
-    rows zeroed: the same values, with no product and no subtraction.
+    The package's one projection routine.  The dense route, the reference,
+    is ``coords = F @ arr`` with F the coordinate functionals, and
+    ``arr - B @ coords``.  A ladder's functionals are rows with a single 1 at
+    its degrees, so there the coordinates are the row gather ``arr[degrees]``
+    and the leftover is a copy of ``arr`` with those rows zeroed: the same
+    values, with no product and no subtraction.
     """
     degrees = _ladder_degrees(sub)
     if degrees is None:
@@ -197,11 +198,6 @@ def _projection(sub: Subspace, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     leftover = arr.copy()
     leftover[degrees] = sub.ambient.mode.zeros(())
     return arr[degrees], leftover
-
-
-def project_coefficients(sub: Subspace, arr: np.ndarray) -> np.ndarray:
-    """Apply the metric-orthogonal projector onto ``sub`` to raw coefficients."""
-    return _exact.mm(sub.basis, _exact.mm(coefficient_functionals(sub), arr))
 
 
 def projector(sub: Subspace) -> np.ndarray:
@@ -343,14 +339,14 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
     Residue ladders take no product: the images of a ladder basis are the
     columns of m at its degrees, and the projection onto a ladder target
     gathers the rows at its degrees and zeroes them in a copy of the images
-    to leave the leftover (see :func:`_projection`).  Untagged subspaces
+    to leave the leftover (see :func:`project`).  Untagged subspaces
     take the dense products, the reference for both gathers.
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
     degrees = _ladder_degrees(sub)
     imgs = m.apply(sub.basis) if degrees is None else m.matrix[:, degrees]
-    coords, leftover = _projection(target, imgs)
+    coords, leftover = project(target, imgs)
     rsq = m.codomain.column_norms_sq(leftover)
     ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
@@ -426,38 +422,34 @@ def wandering(t: LinearMap) -> Subspace:
     return kernel(t.adjoint())
 
 
-def invariant_closure(e: Subspace, t: LinearMap, h: Subspace, depth: int) -> Subspace:
-    """Span of the iterated shift orbit {T^j e : e in E, 0 <= j <= depth}.
+def invariant_closure(e: Subspace, N: int, depth: int) -> Subspace:
+    """Span of the orbit {z^(jN) f : f in E, 0 <= j <= depth} in E's ambient space.
 
-    Degrees only move up in steps of N, so applying T^j displaces the
-    coefficient array of e by j*N rows.  The whole orbit must fit inside the
+    The package's one orbit routine.  Multiplying by z^(jN) displaces the
+    coefficient array of f by j*N rows, so the orbit is E's basis stacked at
+    row offsets 0, N, ..., depth*N.  The whole orbit must fit inside the
     ambient truncation; otherwise DepthOverflow signals that the truncation
     dimension should be raised.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if e.ambient != h.ambient:
-        raise AmbientMismatch("wandering part must be expressed in the base truncation")
-    if t.domain_sub is None or t.codomain_sub is None:
-        raise DimensionMismatch("invariant_closure needs a restricted map")
-    step = t.codomain_sub.ambient.dim - t.domain_sub.ambient.dim
-    if step < 1:
-        raise DimensionMismatch("the restricted map does not raise the truncation level")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if e.dim == 0:
-        return zero_subspace(h.ambient)
-    d = h.ambient.dim
+        return zero_subspace(e.ambient)
+    d = e.ambient.dim
     k = max_degree(e)
-    if k + depth * step > d - 1:
+    if k + depth * N > d - 1:
         raise DepthOverflow(
-            f"orbit of depth {depth} reaches degree {k + depth * step}, "
+            f"orbit of depth {depth} reaches degree {k + depth * N}, "
             f"beyond truncation {d}; raise the dimension"
         )
-    cols = h.ambient.mode.buffer((d, e.dim * (depth + 1)), e.basis)
+    cols = e.ambient.mode.buffer((d, e.dim * (depth + 1)), e.basis)
     for j in range(depth + 1):
-        lo = j * step
+        lo = j * N
         block = e.basis[: d - lo, :] if lo else e.basis
         cols[lo:, j * e.dim : (j + 1) * e.dim] = block
-    return from_vectors(h.ambient, cols)
+    return from_vectors(e.ambient, cols)
 
 
 def kernel(m: LinearMap, tol: float = 1e-10) -> Subspace:
@@ -495,17 +487,22 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
         return 1.0
     if u.dim == 0:
         return 0.0
-    leftover = to_float(_projection(v, u.basis)[1])
+    leftover = to_float(project(v, u.basis)[1])
     sw = np.sqrt(to_float(np.asarray(u.ambient.metric)))
     scale = np.sqrt(to_float(np.asarray(u.norms_sq)))
     return float(np.linalg.norm(leftover * sw[:, None] / scale[None, :], 2))
 
 
 def projectors_equal(u: Subspace, v: Subspace) -> bool:
-    """Exact equality of the two subspaces via their projector matrices."""
+    """Exact-mode equality of two subspaces, decided from a leftover.
+
+    Equal dimensions and U inside V mean U = V, so the subspaces are equal
+    exactly when their dimensions agree and ``project(v, u.basis)`` leaves an
+    exactly zero leftover.  No projector matrix is formed.
+    """
     if u.ambient != v.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    return bool((projector(u) == projector(v)).all())
+    return u.dim == v.dim and not bool((project(v, u.basis)[1] != 0).any())
 
 
 def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:

@@ -41,14 +41,12 @@ from .operators import (
 from .space import TruncatedSpace, random_columns
 from .subspaces import (
     Subspace,
-    coefficient_functionals,
     extend,
-    from_vectors,
     invariant_closure,
     is_reducing,
     kernel,
     max_degree,
-    project_coefficients,
+    project,
     projector,
     projectors_equal,
     reducing_census,
@@ -147,7 +145,7 @@ class VerificationReport:
                 "name": s.name,
                 "params": {
                     "N": s.N,
-                    "alpha": _alpha_repr(s.alpha),
+                    "alpha": _scalar_json(s.alpha),
                     "D": s.D,
                     "residues": None if s.residues is None else sorted(s.residues),
                     "depth": s.depth,
@@ -170,10 +168,9 @@ class VerificationReport:
         }
 
 
-def _alpha_repr(alpha: Scalar):
-    if isinstance(alpha, Fraction):
-        return str(alpha)
-    return float(alpha)
+def _scalar_json(x: Scalar):
+    """A scalar as JSON: a Fraction as its string, anything else as a float."""
+    return str(x) if isinstance(x, Fraction) else float(x)
 
 
 def _residues_of(spec: CheckSpec) -> tuple[int, ...]:
@@ -365,7 +362,7 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
         defects += _column_defects(cod, p.apply(tg) - tg, cod.column_norms_sq(tg))
     e = wandering(t)
     if e.dim > 0:
-        e_coords = _exact.mm(coefficient_functionals(t.codomain_sub), e.basis)
+        e_coords = project(t.codomain_sub, e.basis)[0]
         defects += _column_defects(cod, p.apply(e_coords), e.norms_sq)
         e_in_coords = Subspace(t.codomain, e_coords, e.norms_sq)
         comp = (identity_map(cod) - p).matrix - projector(e_in_coords)
@@ -421,14 +418,10 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
         top = level.t.codomain_sub
         dims_ok = dims_ok and ker.dim == expected == top.dim - base.dim
         kdims.append(ker.dim)
-        top_space = top.ambient
-        cols = spec.mode.buffer((top_space.dim, e.dim * n), e.basis)
-        for k in range(n):
-            lo = k * spec.N
-            cols[lo : lo + e.ambient.dim, k * e.dim : (k + 1) * e.dim] = e.basis
-        w_span = from_vectors(top_space, cols)
-        leftover = ker.basis - project_coefficients(w_span, ker.basis)
-        defects += _column_defects(top_space, leftover, ker.norms_sq)
+        # W_n = E + TE + ... + T^(n-1)E inside level n's ambient truncation
+        w_span = invariant_closure(extend(e, top.ambient), spec.N, n - 1)
+        leftover = project(w_span, ker.basis)[1]
+        defects += _column_defects(top.ambient, leftover, ker.norms_sq)
     note = f"n=1..{len(levels)}, dim ker={kdims}, step={len(_residues_of(spec))}"
     return _entry(spec, defects, dims_ok, note=note)
 
@@ -508,7 +501,7 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
     # noise there is not amplified along the orbit
     e_base = extend(truncate(e_base, k + 1), h.ambient)
     depth = (spec.D - 1 - k) // spec.N
-    closure = invariant_closure(e_base, t, h, depth)
+    closure = invariant_closure(e_base, spec.N, depth)
     safe = spec.D - spec.N
     c_safe = truncate(closure, safe)
     h_safe = truncate(h, safe)

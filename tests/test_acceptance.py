@@ -44,7 +44,7 @@ from bergman_lab import (
 from bergman_lab import cli, verify
 from bergman_lab.operators import LinearMap
 from bergman_lab.space import random_columns
-from bergman_lab.subspaces import Subspace, coefficient_functionals, project_coefficients
+from bergman_lab.subspaces import Subspace, coefficient_functionals, project
 from bergman_lab.verify import Level, run_suite, smoke_grid
 from oracles import iterated_coeff
 
@@ -261,7 +261,7 @@ def test_criterion_05_kernel_containment():
                             cols[lo:lo + D_KERNEL,
                                  k * e.dim:(k + 1) * e.dim] = e.basis
                         w_span = from_vectors(top.ambient, cols)
-                        left = ker.basis - project_coefficients(w_span, ker.basis)
+                        left = project(w_span, ker.basis)[1]
                         space = ker.ambient
                         ratios = space.column_norms_sq(left) / space.column_norms_sq(ker.basis)
                         assert (np.sqrt(ratios) <= 1e-9).all()
@@ -305,7 +305,7 @@ def test_criterion_07_ladder_reconstruction():
                     assert e.dim == len(lam)
                     e_base = truncate(e, D_BEURLING)
                     depth = (D_BEURLING - 1 - max_degree(e_base)) // N
-                    closure = invariant_closure(e_base, t, h, depth)
+                    closure = invariant_closure(e_base, N, depth)
                     safe = D_BEURLING - N
                     dist = subspace_distance(truncate(closure, safe),
                                              truncate(h, safe))

@@ -45,7 +45,7 @@ from bergman_lab.subspaces import (
     Subspace,
     coefficient_functionals,
     orthogonalize,
-    project_coefficients,
+    project,
 )
 from oracles import monomial, projector_distance, random_vector, shift_adjoint
 
@@ -91,6 +91,26 @@ def test_residue_degrees_and_bad_residue():
         residue_degrees(2, [2], 10)
     with pytest.raises(BadResidue):
         residue_subspace(make_space(0.0, 2, 6), 2, [-1])
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_residue_subspace_reads_a_one_shot_iterable_once(mode):
+    """An iterator of residues builds the same ladder as a list: same tag,
+    basis and reducing verdict (it used to be consumed before the tag was
+    read, leaving an empty tag on a nonempty ladder)."""
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    dom, cod = graded_pair(alpha, 2, 10, mode)
+    s = shift(dom, cod, 2)
+    for residues in ([0], [1], [0, 1], []):
+        want = residue_subspace(dom, 2, list(residues))
+        got = residue_subspace(dom, 2, (r for r in residues))
+        assert got.residues == want.residues == frozenset(residues)
+        assert got.multiplicity == want.multiplicity == 2
+        assert got.basis.dtype == want.basis.dtype
+        assert (got.basis == want.basis).all()
+        assert (np.asarray(got.norms_sq) == np.asarray(want.norms_sq)).all()
+        assert is_reducing(s, got) == is_reducing(s, want)
+        assert is_reducing(s, got).passed
 
 
 def test_full_and_empty_residue_sets():
@@ -274,11 +294,17 @@ def test_coefficient_functionals_one_hot_exact_in_float():
 
 def test_project_lattice_vectors_exactly():
     sp = make_space(0.5, 2, 8)
-    sub = residue_subspace(sp, 2, [0])
+    ladder = residue_subspace(sp, 2, [0])
     inside = monomial(sp, 4)
     outside = monomial(sp, 3)
-    assert (project_coefficients(sub, inside) == inside).all()
-    assert (project_coefficients(sub, outside) == 0).all()
+    # the ladder takes the row gather, its untagged copy the dense products
+    for sub in (ladder, Subspace(sp, ladder.basis, ladder.norms_sq)):
+        coords, leftover = project(sub, inside)
+        assert (sub.basis @ coords == inside).all()
+        assert (leftover == 0).all()
+        coords, leftover = project(sub, outside)
+        assert (coords == 0).all()
+        assert (leftover == outside).all()
 
 
 def test_truncate_tagged_ladder_regrows_pattern():
@@ -493,8 +519,9 @@ def test_ladder_gathers_match_dense_reference(alpha, D):
                         restrict(m, h, tol)
                 if m is dense and 0 < h.dim < D:
                     assert fwd.residual > 1e-6 and adj.residual > 1e-6
-                assert np.array_equal(project_coefficients(ext, x),
-                                      project_coefficients(_untagged(ext), x))
+                got, want = project(ext, x), project(_untagged(ext), x)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
 
 
 def test_wandering_of_full_space_is_low_degrees():
@@ -572,7 +599,7 @@ def test_invariant_closure_recovers_ladder(mode):
     e = truncate(wandering(t), 12)
     assert e.dim == 1
     depth = (12 - 1 - max_degree(e)) // 2
-    closure = invariant_closure(e, t, h, depth)
+    closure = invariant_closure(e, 2, depth)
     safe = 12 - 2
     got = truncate(closure, safe)
     want = truncate(h, safe)
@@ -581,7 +608,10 @@ def test_invariant_closure_recovers_ladder(mode):
     else:
         assert subspace_distance(got, want) <= 1e-12
     with pytest.raises(DepthOverflow):
-        invariant_closure(e, t, h, depth + 1)
+        invariant_closure(e, 2, depth + 1)
+    for n, d in ((0, depth), (2, -1)):
+        with pytest.raises(ValueError):
+            invariant_closure(e, n, d)
 
 
 def test_kernel_of_iterated_adjoint():
@@ -687,12 +717,28 @@ def test_subspace_distance_exact_and_degenerate():
         assert subspace_distance(zero, empty) == subspace_distance(zero, zero) == 0.0
 
 
-def test_projectors_equal_exact():
+def test_projectors_equal_exact(monkeypatch):
+    """projectors_equal forms no projector matrix and agrees with comparing
+    them, the former definition kept here as the reference."""
     sp = make_space(Fraction(1, 2), 2, 8, EXACT)
-    h = residue_subspace(sp, 2, [0])
-    rebuilt = from_vectors(sp, h.basis.copy())
-    assert projectors_equal(h, rebuilt)
-    assert not projectors_equal(h, residue_subspace(sp, 2, [1]))
+    h0, h1 = residue_subspace(sp, 2, [0]), residue_subspace(sp, 2, [1])
+    assert h0.dim == h1.dim
+    cases = [
+        (h0, from_vectors(sp, h0.basis.copy()), True),
+        (h0, h1, False),
+        (h0, residue_subspace(sp, 2, [0, 1]), False),
+        (zero_subspace(sp), residue_subspace(sp, 2, []), True),
+    ]
+    refs = [bool((projector(u) == projector(v)).all()) for u, v, _ in cases]
+
+    def refuse(sub):
+        raise AssertionError("projectors_equal formed a projector matrix")
+
+    monkeypatch.setattr(subspaces, "projector", refuse)
+    for (u, v, want), ref in zip(cases, refs):
+        assert ref == want
+        assert projectors_equal(u, v) == want
+        assert projectors_equal(v, u) == want
 
 
 def test_random_subspace_deterministic():
@@ -759,11 +805,9 @@ def test_complex_columns_keep_their_imaginary_parts():
         # E on degrees < N, so its orbit under z^N has disjoint supports
         y = x[:, : min(k, N)].copy()
         y[N:] = 0
-        h = residue_subspace(small, N, range(N))
-        t = restrict(shift(small, big, N), h)
         e = from_vectors(small, y)
         depth = (D - 1 - max_degree(e)) // N
-        closure = invariant_closure(e, t, h, depth)
+        closure = invariant_closure(e, N, depth)
         m = y.shape[1]
         orbit = np.zeros((D, m * (depth + 1)), dtype=np.complex128)
         for j in range(depth + 1):
