@@ -89,45 +89,77 @@ def zero_subspace(ambient: TruncatedSpace) -> Subspace:
 
 
 def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt in the weighted metric, one block projection per column.
+    """Gram-Schmidt in the weighted metric: the kept vectors and their squared norms.
 
-    Each column loses its projection onto the vectors kept so far in one
-    product ``v - B[:, :k] @ (F[:k] @ v)``, where row i of F is the coordinate
-    functional of kept vector i (see :func:`coefficient_functionals`).  Float
-    mode projects twice (CGS2; Giraud, Langou and Rozloznik, 2005, show two
-    passes suffice), drops a column whose residual norm falls below
-    ``RANK_TOL`` times its original norm and normalizes the rest.  Exact mode
-    projects once, which in rational arithmetic gives exactly the modified
-    Gram-Schmidt vectors, keeps every nonzero residual unnormalized (square
-    roots leave the rationals) and carries its squared norm.
+    Column j is kept when its residual after projection onto the vectors kept
+    before it is nonzero (exact mode) or greater than ``RANK_TOL`` times the
+    column's own metric norm (float mode).  Float mode returns the residuals
+    normalized; exact mode keeps them unnormalized (square roots leave the
+    rationals) and carries their squared norms.
+
+    Float mode takes the Householder QR factorization (Golub and Van Loan,
+    *Matrix Computations*, 4th ed., section 5.2) of the columns scaled by
+    ``sqrt(metric)``, in which the metric is Euclidean.  Each Q column is
+    multiplied by the phase of its ``r_jj``, so that diag(R) is positive and
+    Q is the normalized Gram-Schmidt basis up to rounding, and divided by
+    ``sqrt(metric)`` on the way back.  ``|r_jj|`` is the residual the rank
+    rule reads only while every column before j was kept, so the leading run
+    of passing columns is accepted and the first failing column dropped.
+    The columns after it are projected off the accepted vectors twice (CGS2;
+    Giraud, Langou and Rozloznik, 2005), every one whose residual is at or
+    below its cut is dropped (zero columns, and all columns once the basis is
+    full), and the rest are factored again behind the accepted vectors.
+    Factored alone, they would take the rounding left along the accepted
+    vectors, amplified by a small ``r_jj``, for a residual; behind them,
+    every new ``r_jj`` is a residual against an orthonormal basis.  A block
+    without a dependent column is one factorization.
+
+    Exact mode projects each column once, in one product
+    ``v - B[:, :k] @ (F[:k] @ v)`` with row i of F the coordinate functional
+    of kept vector i (see :func:`coefficient_functionals`); in rational
+    arithmetic that gives exactly the modified Gram-Schmidt vectors.
     """
-    mode = ambient.mode
-    w = np.asarray(ambient.metric)
-    count = columns.shape[1]
-    basis = mode.buffer((ambient.dim, count), columns)
-    functionals = mode.buffer((count, ambient.dim), columns)
-    norms = np.empty(count, dtype=w.dtype)
-    if not mode.is_exact:
-        cuts = RANK_TOL * np.sqrt(ambient.column_norms_sq(columns))
-    k = 0
-    for j in range(count):
-        v = columns[:, j]
-        for _ in range(1 if mode.is_exact else 2):
+    if ambient.mode.is_exact:
+        w = np.asarray(ambient.metric)
+        count = columns.shape[1]
+        basis = _exact.zeros((ambient.dim, count))
+        functionals = _exact.zeros((count, ambient.dim))
+        norms = np.empty(count, dtype=object)
+        k = 0
+        for j in range(count):
+            v = columns[:, j]
             v = v - _exact.mm(basis[:, :k], _exact.mm(functionals[:k], v))
-        g = ambient.norm_sq(v)
-        if mode.is_exact:
+            g = ambient.norm_sq(v)
             if g == 0:
                 continue
-        else:
-            n = np.sqrt(g)
-            if not n > cuts[j]:
-                continue
-            v, g = v / n, 1.0
-        basis[:, k] = v
-        norms[k] = g
-        functionals[k] = np.conjugate(v) * (w / g)
-        k += 1
-    return basis[:, :k], norms[:k]
+            basis[:, k] = v
+            norms[k] = g
+            functionals[k] = np.conjugate(v) * (w / g)
+            k += 1
+        return basis[:, :k], norms[:k]
+    sw = np.sqrt(np.asarray(ambient.metric))[:, None]
+    x = columns * sw
+    cuts = RANK_TOL * np.sqrt(ambient.column_norms_sq(columns))
+    kept = x[:, :0]
+    live = cuts > 0
+    while True:
+        x, cuts = x[:, live], cuts[live]
+        if not x.shape[1]:
+            break
+        k = kept.shape[1]
+        q, r = np.linalg.qr(np.concatenate([kept, x], axis=1) if k else x)
+        d = np.diagonal(r)
+        passed = np.abs(d[k:]) > cuts[: len(d) - k]
+        f = len(passed) if passed.all() else int(np.argmin(passed))
+        kept = q[:, : k + f] * (d[: k + f] / np.abs(d[: k + f]))
+        # column f failed; past the last diagonal entry the kept vectors span everything
+        x, cuts = x[:, f + 1:], cuts[f + 1:]
+        if not x.shape[1]:
+            break
+        for _ in range(2):
+            x = x - _exact.mm(kept, _exact.mm(np.conjugate(kept).T, x))
+        live = np.linalg.norm(x, axis=0) > cuts
+    return kept / sw, np.ones(kept.shape[1])
 
 
 def from_vectors(ambient: TruncatedSpace, columns: np.ndarray) -> Subspace:
@@ -479,7 +511,9 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
     ``||(I - P_V) Q_U||`` with Q_U a metric-orthonormal basis of U (Golub and
     Van Loan, *Matrix Computations*, 4th ed., section 2.5.3), so the norm is
     taken of the metric-scaled D x k block ``(I - P_V) B_U diag(norms_sq)^(-1/2)``
-    instead of a D x D projector difference.
+    instead of a D x D projector difference.  An exactly zero leftover
+    (U inside V, as for a ladder and its untagged copy) gives 0.0 without
+    the SVD of the 2-norm.
     """
     if u.ambient != v.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
@@ -488,6 +522,8 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
     if u.dim == 0:
         return 0.0
     leftover = to_float(project(v, u.basis)[1])
+    if not leftover.any():
+        return 0.0
     sw = np.sqrt(to_float(np.asarray(u.ambient.metric)))
     scale = np.sqrt(to_float(np.asarray(u.norms_sq)))
     return float(np.linalg.norm(leftover * sw[:, None] / scale[None, :], 2))

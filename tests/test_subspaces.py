@@ -247,6 +247,161 @@ def test_orthogonalize_matches_modified_gram_schmidt():
     check()
 
 
+def assert_matches_reference(sp, cols, tol):
+    """orthogonalize keeps as many vectors as reference_gram_schmidt; exact
+    output equals it entry for entry, float output is orthonormal and spans
+    the same subspace to ``tol``."""
+    basis, norms = orthogonalize(sp, cols)
+    kept, ref_norms = reference_gram_schmidt(sp, cols)
+    assert basis.shape == (sp.dim, len(kept))
+    assert len(norms) == len(kept)
+    if not kept:
+        return
+    if sp.mode.is_exact:
+        assert (basis == np.column_stack(kept)).all()
+        assert list(norms) == ref_norms
+    else:
+        assert (np.asarray(norms) == 1.0).all()
+        assert_orthonormal(sp, basis, norms, 1e-13)
+        ref = Subspace(sp, np.column_stack(kept), np.asarray(ref_norms))
+        assert subspace_distance(Subspace(sp, basis, norms), ref) <= tol
+
+
+def test_orthogonalize_matches_gram_schmidt_on_wide_blocks():
+    """The reference comparison at D up to 16 with up to 2D + 2 columns.
+
+    Combinations are taken of the random columns only, and a close column is
+    a nonzero combination moved off the span by 1e-6 of its own metric norm.
+    Combinations of close columns or of combinations can cancel down to the
+    1e-6 perturbation itself or grow until 1e-6 is near ``RANK_TOL`` of the
+    column; there the float rank is not determined by either method, and
+    the per-column CGS2 loop that the reference mirrors also fails the
+    comparison on such blocks.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def problems(draw):
+        mode = draw(st.sampled_from([FLOAT, EXACT]))
+        alpha = draw(st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 2),
+                                      Fraction(2), Fraction(7, 2)]))
+        D = draw(st.integers(2, 16))
+        sp = make_space(alpha if mode.is_exact else float(alpha), 1, D, mode)
+        w = to_float(np.asarray(sp.metric))
+        entries = st.integers(-3, 3)
+        randoms, cols, close = [], [], False
+        for _ in range(draw(st.integers(1, 2 * D + 2))):
+            kind = draw(st.sampled_from(["random", "zero", "combination", "close"]))
+            if kind == "random" or not randoms:
+                col = [Fraction(draw(entries), draw(st.integers(1, 4))) for _ in range(D)]
+                randoms.append(col)
+            elif kind == "zero":
+                col = [Fraction(0)] * D
+            else:
+                coeffs = [draw(entries) for _ in randoms]
+                if kind == "close" and not any(coeffs):
+                    coeffs[-1] = 1
+                col = [sum(c * v[i] for c, v in zip(coeffs, randoms)) for i in range(D)]
+                if kind == "close":
+                    i = draw(st.integers(0, D - 1))
+                    size = np.sqrt(np.sum(w * np.array(col, dtype=float) ** 2) / w[i])
+                    col[i] += Fraction(float(size)).limit_denominator(10**4) / 10**6
+                    close = True
+            cols.append(col)
+        mat = sp.mode.zeros((D, len(cols)))
+        for j, col in enumerate(cols):
+            mat[:, j] = col if mode.is_exact else [float(x) for x in col]
+        return sp, mat, close
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(problems())
+    def check(problem):
+        sp, cols, close = problem
+        assert_matches_reference(sp, cols, 1e-8 if close else 1e-12)
+
+    check()
+
+
+def _rank_rule_cases(mode):
+    """Blocks whose kept count depends on the sequential rank rule."""
+    rng = np.random.default_rng(3)
+
+    def draw(rows, count):
+        raw = rng.integers(-8, 9, size=(rows, count))
+        return np.vectorize(lambda k: Fraction(int(k), 4))(raw) if mode.is_exact else raw / 4
+
+    x, y, z = draw(6, 3).T
+    wide = draw(4, 9)
+    zero_then_e0 = mode.zeros((2, 2))
+    zero_then_e0[0, 1] = mode.one
+    return {
+        # |r_11| of [0, e_0] is 0, yet Gram-Schmidt keeps e_0
+        "zero then e_0": (2, zero_then_e0),
+        "interleaved": (6, np.column_stack([x, x, y, x + y, 0 * x, z])),
+        "more columns than D": (4, np.column_stack([wide, wide[:, :2], 0 * wide[:, 0]])),
+        "zero width": (5, mode.zeros((5, 0))),
+    }
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_orthogonalize_rank_rule_regressions(mode):
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    want = {"zero then e_0": 1, "interleaved": 3, "more columns than D": 4, "zero width": 0}
+    for name, (D, cols) in _rank_rule_cases(mode).items():
+        sp = make_space(alpha, 1, D, mode)
+        assert orthogonalize(sp, cols)[0].shape == (D, want[name]), name
+        assert_matches_reference(sp, cols, 1e-12)
+
+
+def test_orthogonalize_rank_rule_complex_columns():
+    """Complex dependent columns, a complex multiple included, are dropped as
+    Gram-Schmidt drops them."""
+    sp = make_space(1.5, 2, 7)
+    rng = np.random.default_rng(5)
+    x, y, z = (rng.uniform(-1, 1, (7, 3)) + 1j * rng.uniform(-1, 1, (7, 3))).T
+    cols = np.column_stack([x, 1j * x, y, x + (1 - 2j) * y, 0 * x, z, z - 3j * y])
+    assert orthogonalize(sp, cols)[0].shape == (7, 3)
+    assert_matches_reference(sp, cols, 1e-12)
+
+
+@pytest.mark.parametrize("count", [4, 64, 256])
+def test_orthogonalize_is_one_factorization(monkeypatch, count):
+    """A full-rank float block is one Householder QR and no per-column
+    products; one-hot columns come out as e_n / sqrt(w_n) with their zeros
+    exact, so truncate and kernel can read them by index."""
+    from bergman_lab.operators import _isolated_nonzeros
+
+    calls = {"qr": 0, "mm": 0}
+    qr, mm = np.linalg.qr, subspaces._exact.mm
+
+    def counting_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counting_mm(*args):
+        calls["mm"] += 1
+        return mm(*args)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(subspaces._exact, "mm", counting_mm)
+    sp = make_space(1.0, 2, count + 8)
+    rng = np.random.default_rng(count)
+    one_hot = np.eye(sp.dim)[:, sorted(rng.choice(sp.dim, count, replace=False))]
+    blocks = {"random": rng.uniform(-1, 1, (sp.dim, count)),
+              "complex": rng.uniform(-1, 1, (sp.dim, count)) * (1 + 2j),
+              "one-hot": one_hot}
+    for name, cols in blocks.items():
+        calls.update(qr=0, mm=0)
+        basis, norms = orthogonalize(sp, cols)
+        assert calls == {"qr": 1, "mm": 0}, name
+        assert basis.shape == (sp.dim, count) and (norms == 1.0).all(), name
+    basis = orthogonalize(sp, one_hot)[0]
+    sw = np.sqrt(np.asarray(sp.metric))
+    assert _isolated_nonzeros(basis) is not None
+    assert np.abs(basis * sw[:, None] - one_hot).max() <= 1e-15
+
+
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_from_vectors_drops_dependent_columns(mode):
     """Zero and dependent columns are dropped; a column off the span by 1e-12
@@ -715,6 +870,39 @@ def test_subspace_distance_exact_and_degenerate():
                      (random_subspace(sp, 2, seed=3), h)):
             assert subspace_distance(u, v) == 1.0
         assert subspace_distance(zero, empty) == subspace_distance(zero, zero) == 0.0
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_subspace_distance_skips_the_svd_on_a_zero_leftover(monkeypatch, mode):
+    """A ladder against its untagged copy leaves an exactly zero block, so
+    the distance is 0.0 with no 2-norm taken; nonzero leftovers still take
+    it and agree with the projector difference (tests/oracles.py)."""
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    sp = make_space(alpha, 3, 12, mode)
+    norm = np.linalg.norm
+    taken = []
+
+    def counting_norm(*args, **kwargs):
+        taken.append(kwargs.get("ord", args[1] if len(args) > 1 else None))
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    for residues in ([0], [1, 2], [0, 1, 2]):
+        h = residue_subspace(sp, 3, residues)
+        for u, v in ((h, _untagged(h)), (_untagged(h), h)):
+            taken.clear()
+            assert subspace_distance(u, v) == 0.0
+            assert 2 not in taken
+    h = residue_subspace(sp, 3, [0])
+    bent = h.basis.copy()
+    bent[1, 0] = bent[10, 3] = Fraction(1, 5) if mode.is_exact else 0.2
+    pairs = [(from_vectors(sp, bent), h), (h, from_vectors(sp, bent)),
+             (random_subspace(sp, 4, seed=4), h)]
+    for u, v in pairs:
+        taken.clear()
+        d = subspace_distance(u, v)
+        assert 2 in taken and d > 0.0
+        assert abs(d - projector_distance(u, v)) <= 1e-12
 
 
 def test_projectors_equal_exact(monkeypatch):
