@@ -161,17 +161,17 @@ def weighted_matrix(m: LinearMap) -> np.ndarray:
 
 
 def _isolated_nonzeros(mat: np.ndarray):
-    """``(rows, cols)`` of the nonzeros of a float matrix in which no two
-    nonzeros share a row or a column; None otherwise, and always on object data.
+    """``(rows, cols)`` of the nonzeros of a matrix in which no two nonzeros
+    share a row or a column; None otherwise.
 
-    In float mode every map of a residue-ladder tower has this shape: the
+    In both modes every map of a residue-ladder tower has this shape: the
     restricted shift is a weighted shift, and so are its adjoint, its
     diagonal Gram operator, its pseudoinverse factors and their products.
     Such a matrix needs no factorization: its metric singular values are the
     absolute values of its weighted entries, with the coordinate vectors at
     their positions as singular vectors.
     """
-    if mat.dtype == object or np.count_nonzero(mat) > min(mat.shape):
+    if np.count_nonzero(mat) > min(mat.shape):
         return None
     rows, cols = np.nonzero(mat != 0)  # a boolean mask is scanned faster
     if len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols):
@@ -185,8 +185,9 @@ def singular_values(m: LinearMap) -> np.ndarray:
     When no two nonzeros share a row or a column (see
     :func:`_isolated_nonzeros`) they are the sorted absolute values of the
     weighted entries, padded with zeros to ``min(shape)``, and LAPACK is not
-    called.  Every other matrix, and every exact one, takes the dense SVD of
-    :func:`weighted_matrix`, the reference the shortcut is tested against.
+    called; exact data is weighted in float64 as :func:`weighted_matrix`
+    does.  Every other matrix takes the dense SVD of :func:`weighted_matrix`,
+    the reference the shortcut is tested against.
     """
     if 0 in m.matrix.shape:
         return np.zeros(0)
@@ -213,38 +214,40 @@ def smallest_singular_value(m: LinearMap) -> float:
 def _gram_inverse(t: LinearMap) -> LinearMap:
     """Inverse of the Gram operator T*T; raises SingularGram when it has none.
 
-    Exact mode inverts by elimination.  Float mode refuses a Gram operator
+    Exact mode refuses a singular Gram operator.  Float mode refuses one
     whose metric condition number ``s[0] / s[-1]`` (the formula of
     ``np.linalg.cond``, on :func:`singular_values`) exceeds
     ``GRAM_CONDITION_LIMIT``.  A Gram matrix whose nonzeros share no row or
-    column, as on a residue ladder where it is diagonal, is inverted by
-    writing the reciprocals at the transposed positions; any other takes
-    ``np.linalg.inv``.
+    column, as on a residue ladder where it is diagonal, is inverted in
+    either mode by writing the reciprocals at the transposed positions; it
+    is singular when it has fewer nonzeros than rows.  Any other takes
+    ``_exact.invert`` or ``np.linalg.inv``, the references the shortcut is
+    tested against.
     """
     gram = t.adjoint().compose(t)
     n = gram.domain.dim
     if n == 0:
         return gram
-    if t.mode.is_exact:
+    nz = _isolated_nonzeros(gram.matrix)
+    if not t.mode.is_exact:
+        s = singular_values(gram)
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+        if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
+            raise SingularGram(f"Gram operator condition number {cond:.3e} exceeds "
+                               f"{GRAM_CONDITION_LIMIT:.0e}")
+    if nz is None and t.mode.is_exact:
         try:
             inv = _exact.invert(gram.matrix)
         except ZeroDivisionError:
             raise SingularGram("Gram operator is singular") from None
+    elif nz is None:
+        inv = np.linalg.inv(gram.matrix)
+    elif len(nz[0]) < n:  # exact mode: float mode refused it by its condition number
+        raise SingularGram("Gram operator is singular")
     else:
-        s = singular_values(gram)
-        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
-        if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
-            raise SingularGram(
-                f"Gram operator condition number {cond:.3e} exceeds "
-                f"{GRAM_CONDITION_LIMIT:.0e}"
-            )
-        nz = _isolated_nonzeros(gram.matrix)
-        if nz is None:
-            inv = np.linalg.inv(gram.matrix)
-        else:
-            rows, cols = nz
-            inv = np.zeros_like(gram.matrix)
-            inv[cols, rows] = 1 / gram.matrix[rows, cols]
+        rows, cols = nz
+        inv = t.mode.buffer(gram.matrix.shape, gram.matrix)
+        inv[cols, rows] = 1 / gram.matrix[rows, cols]
     return LinearMap(gram.domain, gram.codomain, inv,
                      domain_sub=gram.domain_sub, codomain_sub=gram.codomain_sub)
 

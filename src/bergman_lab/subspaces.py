@@ -91,75 +91,65 @@ def zero_subspace(ambient: TruncatedSpace) -> Subspace:
 def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt in the weighted metric: the kept vectors and their squared norms.
 
-    Column j is kept when its residual after projection onto the vectors kept
-    before it is nonzero (exact mode) or greater than ``RANK_TOL`` times the
-    column's own metric norm (float mode).  Float mode returns the residuals
-    normalized; exact mode keeps them unnormalized (square roots leave the
-    rationals) and carries their squared norms.
+    One loop serves both modes.  Each column is projected off the vectors
+    kept before it, in one product ``v - B[:, :k] @ (F[:k] @ v)`` with row i
+    of F the coordinate functional of kept vector i (see
+    :func:`coefficient_functionals`): once in exact mode, which in rational
+    arithmetic gives exactly the modified Gram-Schmidt vectors, and twice in
+    float mode (CGS2; Giraud, Langou and Rozloznik, 2005).  The column is
+    kept when its residual's metric norm is nonzero (exact mode) or greater
+    than ``RANK_TOL`` times the column's own metric norm (float mode).  Float
+    mode normalizes the kept vectors; exact mode keeps them unnormalized
+    (square roots leave the rationals) and carries their squared norms.  The
+    loop stops once the basis spans the ambient space.
 
-    Float mode takes the Householder QR factorization (Golub and Van Loan,
-    *Matrix Computations*, 4th ed., section 5.2) of the columns scaled by
-    ``sqrt(metric)``, in which the metric is Euclidean.  Each Q column is
+    Float mode first takes the Householder QR factorization (Golub and Van
+    Loan, *Matrix Computations*, 4th ed., section 5.2) of the columns scaled
+    by ``sqrt(metric)``, in which the metric is Euclidean.  Each Q column is
     multiplied by the phase of its ``r_jj``, so that diag(R) is positive and
     Q is the normalized Gram-Schmidt basis up to rounding, and divided by
     ``sqrt(metric)`` on the way back.  ``|r_jj|`` is the residual the rank
     rule reads only while every column before j was kept, so the leading run
-    of passing columns is accepted and the first failing column dropped.
-    The columns after it are projected off the accepted vectors twice (CGS2;
-    Giraud, Langou and Rozloznik, 2005), every one whose residual is at or
-    below its cut is dropped (zero columns, and all columns once the basis is
-    full), and the rest are factored again behind the accepted vectors.
-    Factored alone, they would take the rounding left along the accepted
-    vectors, amplified by a small ``r_jj``, for a residual; behind them,
-    every new ``r_jj`` is a residual against an orthonormal basis.  A block
-    without a dependent column is one factorization.
-
-    Exact mode projects each column once, in one product
-    ``v - B[:, :k] @ (F[:k] @ v)`` with row i of F the coordinate functional
-    of kept vector i (see :func:`coefficient_functionals`); in rational
-    arithmetic that gives exactly the modified Gram-Schmidt vectors.
+    of passing columns is accepted.  When that run covers the diagonal of R
+    (every column kept, or the basis full) the factorization is the result;
+    otherwise the first failing column is dropped and the loop takes the
+    columns after it.
     """
-    if ambient.mode.is_exact:
-        w = np.asarray(ambient.metric)
-        count = columns.shape[1]
-        basis = _exact.zeros((ambient.dim, count))
-        functionals = _exact.zeros((count, ambient.dim))
-        norms = np.empty(count, dtype=object)
-        k = 0
-        for j in range(count):
-            v = columns[:, j]
-            v = v - _exact.mm(basis[:, :k], _exact.mm(functionals[:k], v))
-            g = ambient.norm_sq(v)
-            if g == 0:
-                continue
-            basis[:, k] = v
-            norms[k] = g
-            functionals[k] = np.conjugate(v) * (w / g)
-            k += 1
-        return basis[:, :k], norms[:k]
-    sw = np.sqrt(np.asarray(ambient.metric))[:, None]
-    x = columns * sw
-    cuts = RANK_TOL * np.sqrt(ambient.column_norms_sq(columns))
-    kept = x[:, :0]
-    live = cuts > 0
-    while True:
-        x, cuts = x[:, live], cuts[live]
-        if not x.shape[1]:
-            break
-        k = kept.shape[1]
-        q, r = np.linalg.qr(np.concatenate([kept, x], axis=1) if k else x)
+    w = np.asarray(ambient.metric)
+    exact = ambient.mode.is_exact
+    k = start = 0
+    if not exact:
+        sw = np.sqrt(w)[:, None]
+        cuts = RANK_TOL * np.sqrt(ambient.column_norms_sq(columns))
+        q, r = np.linalg.qr(columns * sw)
         d = np.diagonal(r)
-        passed = np.abs(d[k:]) > cuts[: len(d) - k]
-        f = len(passed) if passed.all() else int(np.argmin(passed))
-        kept = q[:, : k + f] * (d[: k + f] / np.abs(d[: k + f]))
-        # column f failed; past the last diagonal entry the kept vectors span everything
-        x, cuts = x[:, f + 1:], cuts[f + 1:]
-        if not x.shape[1]:
+        passed = np.abs(d) > cuts[: len(d)]
+        k = len(d) if passed.all() else int(np.argmin(passed))
+        q = q[:, :k] * (d[:k] / np.abs(d[:k])) / sw
+        if k == len(d):
+            return q, np.ones(k)
+        start = k + 1
+    size = min(columns.shape[1], ambient.dim)
+    basis = ambient.mode.buffer((ambient.dim, size), columns)
+    functionals = ambient.mode.buffer((size, ambient.dim), columns)
+    norms = ambient.mode.zeros(size)
+    if k:
+        basis[:, :k], functionals[:k], norms[:k] = q, np.conjugate(q).T * w, 1.0
+    for j in range(start, columns.shape[1]):
+        if k == ambient.dim:
             break
-        for _ in range(2):
-            x = x - _exact.mm(kept, _exact.mm(np.conjugate(kept).T, x))
-        live = np.linalg.norm(x, axis=0) > cuts
-    return kept / sw, np.ones(kept.shape[1])
+        v = columns[:, j]
+        for _ in range(1 if exact else 2):
+            v = v - _exact.mm(basis[:, :k], _exact.mm(functionals[:k], v))
+        g = ambient.norm_sq(v)
+        if not (g != 0 if exact else np.sqrt(g) > cuts[j]):
+            continue
+        if not exact:
+            v, g = v / np.sqrt(g), 1.0
+        basis[:, k], norms[k] = v, g
+        functionals[k] = np.conjugate(v) * (w / g)
+        k += 1
+    return basis[:, :k], norms[:k]
 
 
 def from_vectors(ambient: TruncatedSpace, columns: np.ndarray) -> Subspace:
@@ -260,28 +250,28 @@ def _null_coords(m: LinearMap, tol: float) -> np.ndarray:
     all decide their null directions here.
 
     When no two nonzeros of m share a row or a column (see
-    :func:`_isolated_nonzeros`), the weighted entries are the singular values
-    and the coordinate vectors their right singular vectors.  The kernel is
-    then spanned by ``e_c / sqrt(metric[c])``, in increasing c, for every
-    column c that holds no weighted entry above ``tol``: the same rank rule,
-    read off the structural zeros without an SVD.  Any other matrix takes the
-    SVD, the reference the shortcut is tested against.
+    :func:`_isolated_nonzeros`), in either mode, the kernel is read off the
+    structural zeros without an elimination or an SVD.  It is spanned by the
+    coordinate vectors of the columns that hold no nonzero (exact mode,
+    entries ``Fraction(1)``) or no weighted entry above ``tol`` (float mode,
+    entries ``1 / sqrt(metric[c])``), in increasing column order.  Any other
+    matrix takes ``_exact.nullspace`` or the SVD, the references the
+    shortcut is tested against.
     """
-    if m.mode.is_exact:
-        return _exact.nullspace(m.matrix)
-    w = weighted_matrix(m)
-    sw_in = np.sqrt(np.asarray(m.domain.metric))
     nz = _isolated_nonzeros(m.matrix)
     if nz is None:
-        _u, s, vt = np.linalg.svd(w, full_matrices=True)
+        if m.mode.is_exact:
+            return _exact.nullspace(m.matrix)
+        _u, s, vt = np.linalg.svd(weighted_matrix(m), full_matrices=True)
         rank = int(np.sum(s > tol))
-        return vt[rank:].conj().T / sw_in[:, None]
+        return vt[rank:].conj().T / np.sqrt(np.asarray(m.domain.metric))[:, None]
     rows, cols = nz
-    live = np.zeros(w.shape[1], dtype=bool)
-    live[cols[np.abs(w[rows, cols]) > tol]] = True
-    null = np.flatnonzero(~live)
-    coords = np.zeros((w.shape[1], len(null)), dtype=w.dtype)
-    coords[null, np.arange(len(null))] = 1 / sw_in[null]
+    if not m.mode.is_exact:
+        cols = cols[np.abs(weighted_matrix(m)[rows, cols]) > tol]
+    null = np.flatnonzero(np.bincount(cols, minlength=m.domain.dim) == 0)
+    coords = m.mode.buffer((m.domain.dim, len(null)), m.matrix)
+    coords[null, np.arange(len(null))] = (
+        m.mode.one if m.mode.is_exact else 1 / np.sqrt(np.asarray(m.domain.metric))[null])
     return coords
 
 
@@ -328,17 +318,19 @@ def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
 def max_degree(sub: Subspace) -> int:
     """Largest degree carrying a nonnegligible coefficient; -1 for the zero subspace.
 
-    Exact mode takes the last nonzero row.  Float mode measures each degree's
-    largest coefficient in metric units, |b_n| sqrt(omega_n), and cuts at
-    1e-12 times the largest of them, so the decision is scale-free.
+    Both modes take each degree's largest coefficient |b_n|.  Exact mode
+    keeps every nonzero one.  Float mode measures them in metric units,
+    |b_n| sqrt(omega_n), and cuts at 1e-12 times the largest, so the
+    decision is scale-free.
     """
     if sub.dim == 0:
         return -1
-    if sub.ambient.mode.is_exact:
-        rows = [i for i in range(sub.ambient.dim) if bool((sub.basis[i, :] != 0).any())]
-        return max(rows) if rows else -1
-    amax = np.abs(sub.basis).max(axis=1) * np.sqrt(np.asarray(sub.ambient.metric))
-    rows = np.nonzero(amax > 1e-12 * amax.max())[0]
+    amax = np.abs(sub.basis).max(axis=1)
+    cut = 0
+    if not sub.ambient.mode.is_exact:
+        amax = amax * np.sqrt(np.asarray(sub.ambient.metric))
+        cut = 1e-12 * amax.max()
+    rows = np.flatnonzero(amax > cut)
     return int(rows.max()) if len(rows) else -1
 
 

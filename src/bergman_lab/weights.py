@@ -147,12 +147,14 @@ def weight_sequence(params: WeightParams, mode: ScalarMode = ScalarMode.FLOAT64)
     for n in range(params.D):
         values.append(w)
         w = w * (n + 1) / (n + 2 + alpha)
-    # the weights decrease, so a zero anywhere leaves the last one zero
-    if values[-1] == 0:
-        raise InvalidAlpha(f"weight omega_{values.index(0)} underflows to 0.0 "
-                           f"in float64 at alpha={alpha!r}")
     # Fractions stack into an object array, floats into a float64 one
-    return WeightSequence(params, mode, np.asarray(values))
+    values = np.asarray(values)
+    # below 1 / max, a float64 metric ratio omega_m / omega_n overflows
+    small = [] if mode.is_exact else np.flatnonzero(values * np.finfo(np.float64).max < 1)
+    if len(small):
+        raise InvalidAlpha(f"weight omega_{small[0]} = {values[small[0]]:.3g} is too small "
+                           f"for float64 metric ratios at alpha={alpha!r}")
+    return WeightSequence(params, mode, values)
 
 
 def shift_coeff(N: int, alpha: Scalar, n: int, mode: ScalarMode = ScalarMode.FLOAT64) -> Scalar:

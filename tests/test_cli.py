@@ -146,11 +146,14 @@ def test_exact_mode_accepts_decimal_alpha(capsys):
     # omega_6 underflows: read by the levels of a tower check, not by D + N
     (("verify", "--check", "expansive", "--N", "1", "--alpha", "1e60",
       "--dim", "3"), "--alpha"),
+    # omega_257 of the tower is nonzero but below 1 / max float64
+    (("verify", "--check", "telescoping", "--N", "3", "--alpha", "1390",
+      "--dim", "256", "--residues", "0,1"), "--alpha"),
 ], ids=["alpha-text", "alpha-range", "alpha-inf", "alpha-underflow", "coeffs-alpha-inf",
         "weights-dim", "coeffs-N", "residue-range",
         "residue-text", "verify-dim", "tol-negative", "depth-zero",
         "verify-alpha-underflow", "beurling-alpha-underflow", "census-alpha-underflow",
-        "verify-alpha-underflow-tower"])
+        "verify-alpha-underflow-tower", "verify-alpha-subnormal-tower"])
 def test_usage_errors_name_the_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

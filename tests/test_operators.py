@@ -1,5 +1,6 @@
 """Shift, metric adjoint, restriction, and pseudoinverse factor tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from bergman_lab.operators import (
     weighted_matrix,
 )
 from bergman_lab.space import random_columns
+from bergman_lab.verify import _tower_cached
 from oracles import inner, iterated_coeff, monomial, shift_adjoint
 
 FLOAT = ScalarMode.FLOAT64
@@ -410,8 +412,9 @@ def test_diagonal_gram_inverse_matches_numpy():
 
 
 def test_shared_row_or_column_takes_the_dense_path(monkeypatch):
-    """Two nonzeros in one row or in one column, or exact data, make the
-    helper decline, and singular values and kernels fall back to the SVD."""
+    """Two nonzeros in one row or in one column make the helper decline, and
+    singular values and kernels fall back to the SVD, or in exact mode to
+    elimination; an exact shift takes the index route."""
     calls = _svd_calls(monkeypatch)
     dom = TruncatedSpace(metric=np.array([1.0, 0.5, 0.25, 0.125]), mode=FLOAT)
     cod = TruncatedSpace(metric=np.linspace(1.0, 0.2, 5), mode=FLOAT)
@@ -429,4 +432,67 @@ def test_shared_row_or_column_takes_the_dense_path(monkeypatch):
         assert len(calls) == 2
         calls.clear()
     dom, cod = spaces(Fraction(1, 2), 2, 6, EXACT)
-    assert _isolated_nonzeros(shift(dom, cod, 2).matrix) is None
+    assert _isolated_nonzeros(shift(dom, cod, 2).matrix) is not None
+    rrefs = []
+    rref = _exact.rref
+    monkeypatch.setattr(_exact, "rref", lambda mat: rrefs.append(1) or rref(mat))
+    shared = shift(dom, cod, 2).matrix.copy()
+    shared[2, 1] = Fraction(3, 4)  # row 2 holds the images of z^0 and z^1
+    m = LinearMap(dom, cod, shared)
+    assert _isolated_nonzeros(m.matrix) is None
+    assert (subspaces._null_coords(m, 1e-10) == _exact.nullspace(shared)).all()
+    assert len(rrefs) == 2
+    assert (_gram_inverse(m).compose(m.adjoint().compose(m)).matrix == _exact.eye(6)).all()
+    assert len(rrefs) == 3
+
+
+def _exact_tower_maps():
+    """Every map of the exact residue towers of levels 0-3, for N = 1..3,
+    every residue set, D = 8 and 12, and alpha 0 and 1/2."""
+    for N in (1, 2, 3):
+        for size in range(N + 1):
+            for residues in itertools.combinations(range(N), size):
+                for D, alpha in itertools.product((8, 12), (Fraction(0), Fraction(1, 2))):
+                    for j in range(4):
+                        level = _tower_cached.__wrapped__(N, alpha, D, residues, EXACT, j)
+                        yield from level._asdict().items()
+
+
+def test_exact_tower_maps_take_the_index_route():
+    """On every exact tower map the index route gives the Gram inverse that
+    _exact.invert gives, or refuses it where that raises, and the kernel
+    that _exact.nullspace gives, entry for entry; the singular values are
+    those of the dense SVD of the weighted matrix."""
+    count = 0
+    for name, m in _exact_tower_maps():
+        assert _isolated_nonzeros(m.matrix) is not None, name
+        gram = m.adjoint().compose(m).matrix
+        try:
+            ref = _exact.invert(gram)
+        except ZeroDivisionError:
+            with pytest.raises(SingularGram):
+                _gram_inverse(m)
+        else:
+            got = _gram_inverse(m).matrix
+            assert got.dtype == object and (got == ref).all(), name
+        got = subspaces._null_coords(m, 1e-10)
+        ref = _exact.nullspace(m.matrix)
+        assert got.dtype == object and got.shape == ref.shape, name
+        assert (got == ref).all(), name
+        if 0 not in m.matrix.shape:
+            np.testing.assert_allclose(
+                singular_values(m), np.linalg.svd(weighted_matrix(m), compute_uv=False),
+                rtol=1e-14, atol=0)
+        count += 1
+    assert count == 2 * 2 * 4 * 4 * (2 + 4 + 8)
+
+
+def test_exact_gram_with_a_zero_on_its_diagonal_is_singular():
+    dom = TruncatedSpace(metric=np.array([Fraction(1), Fraction(1, 2)], dtype=object), mode=EXACT)
+    cod = TruncatedSpace(metric=np.array([Fraction(1)] * 3, dtype=object), mode=EXACT)
+    mat = _exact.zeros((3, 2))
+    mat[2, 0] = Fraction(2, 3)  # column 1 is zero, so the Gram's entry (1, 1) is
+    t = LinearMap(dom, cod, mat)
+    assert _isolated_nonzeros(t.adjoint().compose(t).matrix) is not None
+    with pytest.raises(SingularGram):
+        _gram_inverse(t)

@@ -324,7 +324,8 @@ def test_orthogonalize_matches_gram_schmidt_on_wide_blocks():
 
 
 def _rank_rule_cases(mode):
-    """Blocks whose kept count depends on the sequential rank rule."""
+    """Blocks whose kept count depends on the sequential rank rule: name ->
+    (D, columns, kept count)."""
     rng = np.random.default_rng(3)
 
     def draw(rows, count):
@@ -335,23 +336,66 @@ def _rank_rule_cases(mode):
     wide = draw(4, 9)
     zero_then_e0 = mode.zeros((2, 2))
     zero_then_e0[0, 1] = mode.one
+    # [x1, x1, x2, x2, ...]; exact arithmetic is kept to a small D
+    pairs = 8 if mode.is_exact else 256
     return {
         # |r_11| of [0, e_0] is 0, yet Gram-Schmidt keeps e_0
-        "zero then e_0": (2, zero_then_e0),
-        "interleaved": (6, np.column_stack([x, x, y, x + y, 0 * x, z])),
-        "more columns than D": (4, np.column_stack([wide, wide[:, :2], 0 * wide[:, 0]])),
-        "zero width": (5, mode.zeros((5, 0))),
+        "zero then e_0": (2, zero_then_e0, 1),
+        "interleaved": (6, np.column_stack([x, x, y, x + y, 0 * x, z]), 3),
+        "more columns than D": (4, np.column_stack([wide, wide[:, :2], 0 * wide[:, 0]]), 4),
+        "zero width": (5, mode.zeros((5, 0)), 0),
+        "duplicated pairs": (pairs, np.repeat(draw(pairs, pairs // 2), 2, axis=1), pairs // 2),
     }
 
 
+def _count_qr_and_mm(monkeypatch) -> dict:
+    """Count np.linalg.qr calls and the products orthogonalize forms; under
+    "k", the number of kept vectors each product is taken against."""
+    calls = {"qr": 0, "mm": 0, "k": []}
+    qr, mm = np.linalg.qr, subspaces._exact.mm
+
+    def counting_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counting_mm(a, b):
+        calls["mm"] += 1
+        calls["k"].append(min(a.shape))
+        return mm(a, b)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(subspaces._exact, "mm", counting_mm)
+    return calls
+
+
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
-def test_orthogonalize_rank_rule_regressions(mode):
+def test_orthogonalize_rank_rule_regressions(monkeypatch, mode):
+    """Each block keeps what Gram-Schmidt keeps, and float mode factors it
+    once, whatever columns it drops."""
     alpha = Fraction(1, 2) if mode.is_exact else 0.5
-    want = {"zero then e_0": 1, "interleaved": 3, "more columns than D": 4, "zero width": 0}
-    for name, (D, cols) in _rank_rule_cases(mode).items():
+    calls = _count_qr_and_mm(monkeypatch)
+    for name, (D, cols, want) in _rank_rule_cases(mode).items():
         sp = make_space(alpha, 1, D, mode)
-        assert orthogonalize(sp, cols)[0].shape == (D, want[name]), name
+        calls["qr"] = 0
+        assert orthogonalize(sp, cols)[0].shape == (D, want), name
+        assert calls["qr"] == (0 if mode.is_exact else 1), name
         assert_matches_reference(sp, cols, 1e-12)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_orthogonalize_stops_at_a_full_basis(monkeypatch, mode):
+    """2D + 2 random columns, the second a copy of the first so that float
+    mode leaves the factorization for the loop: no column is projected
+    against a basis that already spans the space."""
+    D = 6 if mode.is_exact else 16
+    sp = make_space(Fraction(1, 2) if mode.is_exact else 0.5, 1, D, mode)
+    cols = random_columns(sp, range(2 * D + 1))
+    cols = np.concatenate([cols[:, :1], cols], axis=1)
+    calls = _count_qr_and_mm(monkeypatch)
+    basis, norms = orthogonalize(sp, cols)
+    assert basis.shape == (D, D)
+    assert calls["mm"] > 0 and max(calls["k"]) < D
+    assert_orthonormal(sp, basis, norms, 1e-12)
 
 
 def test_orthogonalize_rank_rule_complex_columns():
@@ -372,19 +416,7 @@ def test_orthogonalize_is_one_factorization(monkeypatch, count):
     exact, so truncate and kernel can read them by index."""
     from bergman_lab.operators import _isolated_nonzeros
 
-    calls = {"qr": 0, "mm": 0}
-    qr, mm = np.linalg.qr, subspaces._exact.mm
-
-    def counting_qr(*args, **kwargs):
-        calls["qr"] += 1
-        return qr(*args, **kwargs)
-
-    def counting_mm(*args):
-        calls["mm"] += 1
-        return mm(*args)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    monkeypatch.setattr(subspaces._exact, "mm", counting_mm)
+    calls = _count_qr_and_mm(monkeypatch)
     sp = make_space(1.0, 2, count + 8)
     rng = np.random.default_rng(count)
     one_hot = np.eye(sp.dim)[:, sorted(rng.choice(sp.dim, count, replace=False))]
@@ -394,7 +426,7 @@ def test_orthogonalize_is_one_factorization(monkeypatch, count):
     for name, cols in blocks.items():
         calls.update(qr=0, mm=0)
         basis, norms = orthogonalize(sp, cols)
-        assert calls == {"qr": 1, "mm": 0}, name
+        assert (calls["qr"], calls["mm"]) == (1, 0), name
         assert basis.shape == (sp.dim, count) and (norms == 1.0).all(), name
     basis = orthogonalize(sp, one_hot)[0]
     sw = np.sqrt(np.asarray(sp.metric))

@@ -169,6 +169,53 @@ def test_run_check_wraps_exceptions():
     assert "KeyError" in bad_name.note
 
 
+@pytest.mark.parametrize("alpha", [1300.0, 1390.0])
+def test_tower_checks_refuse_weights_too_small_for_a_metric_ratio(alpha):
+    """At N=3, D=256 the tower reads omega_267, which falls below 1 / max
+    float64 from about alpha 1300.  Read as a weight, it would put a NaN
+    into the lift, and the tower checks would fail with residual 0.0 and no
+    note or raise LinAlgError; they report InvalidAlpha instead."""
+    for residues in ((0,), (0, 1)):
+        for name in verify.TOWER_CHECKS:
+            entry = run_check(CheckSpec(name, 3, alpha, 256, residues, 4, 0, FLOAT,
+                                        DEFAULT_TOLS[name]))
+            assert not entry.passed
+            assert entry.note.startswith("InvalidAlpha: weight omega_"), (name, entry.note)
+
+
+def test_tower_checks_pass_at_alpha_1200():
+    """At alpha 1200 every weight of the N=3, D=256 tower is above the bound."""
+    for name in verify.TOWER_CHECKS:
+        entry = run_check(CheckSpec(name, 3, 1200.0, 256, (0,), 4, 0, FLOAT,
+                                    DEFAULT_TOLS[name]))
+        assert entry.passed, (name, entry.note)
+
+
+def test_exact_towers_do_no_elimination(monkeypatch):
+    """Every map of an exact residue tower has one nonzero per row and
+    column, so no check that reads the tower eliminates: with rref and
+    invert refused, every such check passes at N = 1..3, D = 12, for every
+    residue set."""
+    def refuse(mat):
+        raise AssertionError("elimination on a tower map")
+
+    monkeypatch.setattr(verify._exact, "rref", refuse)
+    monkeypatch.setattr(verify._exact, "invert", refuse)
+    _tower_cached.cache_clear()
+    try:
+        for N in (1, 2, 3):
+            for size in range(N + 1):
+                for residues in itertools.combinations(range(N), size):
+                    for name in CHECKS:
+                        if name in AMBIENT_CHECKS:
+                            continue
+                        entry = run_check(spec_for(name, mode=EXACT, N=N, D=12,
+                                                   depth=4, residues=residues))
+                        assert entry.passed, (name, N, residues, entry.note)
+    finally:
+        _tower_cached.cache_clear()
+
+
 def test_beurling_rejects_non_reducing_subspace(monkeypatch):
     import bergman_lab.verify as verify
     monkeypatch.setattr(verify, "is_reducing",

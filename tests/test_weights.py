@@ -195,6 +195,25 @@ def test_weight_underflow_is_invalid_alpha():
         weight_sequence(WeightParams(1e300, 1, 3), FLOAT)
 
 
+def test_weight_too_small_for_a_metric_ratio_is_invalid_alpha():
+    """Below 1 / max float64 a weight overflows the metric ratio omega_0 /
+    omega_n, and a map's metric adjoint gets inf * 0 = NaN entries: at N=3,
+    D=256 the tower reads omega_0 .. omega_267, and omega_266 falls below
+    that bound at alpha 1300 while still a nonzero subnormal."""
+    tiny = 1 / np.finfo(np.float64).max
+    ws = weight_sequence(WeightParams(1200.0, 3, 268), FLOAT)
+    assert ws[267] > tiny
+    with pytest.raises(InvalidAlpha, match="omega_266 "):
+        weight_sequence(WeightParams(1300.0, 3, 268), FLOAT)
+    with pytest.raises(InvalidAlpha, match="omega_257 "):
+        weight_sequence(WeightParams(1390.0, 3, 268), FLOAT)
+    # D=1024 at alpha 300 reaches 1.04e-308, below the normal range but not the bound
+    ws = weight_sequence(WeightParams(300.0, 3, 1036), FLOAT)
+    assert tiny < ws[1035] < np.finfo(np.float64).tiny
+    # exact weights are never refused for their size
+    assert weight_sequence(WeightParams(Fraction(1300), 3, 268), EXACT)[267] > 0
+
+
 def test_mode_mismatch_float_alpha_in_exact_mode():
     with pytest.raises(ModeMismatch):
         coerce_alpha(0.5, EXACT)
