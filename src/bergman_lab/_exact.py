@@ -1,21 +1,31 @@
 """Exact rational linear algebra on object arrays of Fractions.
 
-Sizes here are small (truncation dimensions), so plain Gauss-Jordan with
-exact pivots is entirely adequate.
+Every piece of array arithmetic on exact data lives here: matrix products
+(:func:`mm`), weighted column norms (:func:`column_norms_sq`), metric
+adjoints (:func:`metric_adjoint`), sums and differences (:func:`add`,
+:func:`sub`) and nonzero scans (:func:`support`).  On float data each of
+them evaluates the plain numpy expression.
 
-Every matrix product the package forms goes through :func:`mm`, and both
-metric adjoints through :func:`metric_adjoint`; applying a map to a residue
-ladder and projecting onto one are index gathers in ``subspaces``, not
-products.  On float data the two functions evaluate the plain numpy
-expression.  On object data they multiply only pairs of nonzero
-entries: shifts, residue ladders and lifts have one nonzero per column, so
-almost every dense ``Fraction`` product is a multiplication by zero.  Exact
-sums do not depend on term order or on zero terms, so the results are the
-same ``Fraction`` values as the dense expressions.
+On object data they read only nonzero entries: shifts, residue ladders and
+lifts have one nonzero per column, so almost every dense product would be a
+multiplication by zero.  Products, norms and adjoints carry each rational as
+its integer numerator and denominator.  The integer terms of an output entry
+are summed with a common denominator and normalized once, by one
+``Fraction(n, d)`` (Knuth, *TAOCP* vol. 2, section 4.5.1), instead of
+paying a gcd and a new ``Fraction`` for every partial product and partial
+sum.  Exact sums depend neither on term order nor on zero terms, so the
+results are the same ``Fraction`` values as the dense expressions.  Object
+operands hold rationals (``Fraction`` or ``int``); an object operand mixed
+with float data raises TypeError.
+
+:func:`rref`, :func:`nullspace` and :func:`invert` are Gauss-Jordan
+elimination with exact pivots, the references for maps with a shared row or
+column; tower maps never reach them (see ``operators._isolated_nonzeros``).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -34,25 +44,100 @@ def eye(n: int) -> np.ndarray:
     return out
 
 
+def support(a) -> np.ndarray:
+    """Boolean mask of the nonzero entries of an array.
+
+    ``astype(bool)`` makes one truth test per entry; on object data that
+    costs about half of ``a != 0``, which builds a comparison per entry.
+    """
+    return np.asarray(a).astype(bool)
+
+
+def _is_exact(*arrays) -> bool:
+    """Whether the operands are exact (object) data; refuses a mix with float data."""
+    exact = [x.dtype == object for x in arrays]
+    if any(exact) and not all(exact):
+        raise TypeError("exact (object) and float operands do not mix; "
+                        "convert the exact ones with operators.to_float first")
+    return exact[0]
+
+
+def _ratio_sum(terms) -> Fraction:
+    """One normalized Fraction from integer pairs (numerator, denominator > 0).
+
+    The pairs are added over a common denominator, which grows only when a
+    denominator neither equals nor divides nor is divided by it.
+    """
+    n, d = 0, 1
+    for tn, td in terms:
+        if td == d:
+            n += tn
+        elif d % td == 0:
+            n += tn * (d // td)
+        elif td % d == 0:
+            n, d = n * (td // d) + tn, td
+        else:
+            n, d = n * td + tn * d, d * td
+    return Fraction(n, d)
+
+
+def _assemble(shape, terms: dict) -> np.ndarray:
+    """Exact zeros of ``shape`` with flat entry k set to the sum of ``terms[k]``."""
+    out = zeros(shape)
+    flat = out.reshape(-1)
+    for k, pairs in terms.items():
+        flat[k] = _ratio_sum(pairs)
+    return out
+
+
 def mm(a: np.ndarray, b: np.ndarray):
-    """``a @ b`` of arrays; on object data only pairs of nonzero factors are multiplied."""
-    if a.dtype != object and b.dtype != object:
+    """``a @ b`` of arrays.
+
+    On object data only pairs of nonzero factors are read, and each output
+    entry is the integer sum of their products, normalized once.
+    """
+    if not _is_exact(a, b):
         return a @ b
     a2 = a.reshape(1, -1) if a.ndim == 1 else a
     b2 = b.reshape(-1, 1) if b.ndim == 1 else b
     if a2.shape[1] != b2.shape[0]:
         raise ValueError(f"matmul: shapes {a.shape} and {b.shape} do not align")
-    out = zeros((a2.shape[0], b2.shape[1]))
     # the nonzeros of b grouped by row: a nonzero a[i, p] meets only row p's
     b_rows = [[] for _ in range(b2.shape[0])]
-    p_b, j_b = np.nonzero(b2 != 0)
-    for p, j, y in zip(p_b.tolist(), j_b.tolist(), b2[p_b, j_b]):
-        b_rows[p].append((j, y))
-    i_a, p_a = np.nonzero(a2 != 0)
-    for i, p, x in zip(i_a.tolist(), p_a.tolist(), a2[i_a, p_a]):
-        for j, y in b_rows[p]:
-            out[i, j] += x * y
+    p_b, j_b = np.nonzero(support(b2))
+    for p, j, y in zip(p_b.tolist(), j_b.tolist(), b2[p_b, j_b].tolist()):
+        b_rows[p].append((j, y.numerator, y.denominator))
+    width = b2.shape[1]
+    terms = {}
+    i_a, p_a = np.nonzero(support(a2))
+    for i, p, x in zip(i_a.tolist(), p_a.tolist(), a2[i_a, p_a].tolist()):
+        if b_rows[p]:
+            xn, xd = x.numerator, x.denominator
+            for j, yn, yd in b_rows[p]:
+                terms.setdefault(i * width + j, []).append((xn * yn, xd * yd))
+    out = _assemble((a2.shape[0], width), terms)
     return out[0 if a.ndim == 1 else slice(None), 0 if b.ndim == 1 else slice(None)]
+
+
+def column_norms_sq(mat: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """Squared weighted norm ``sum_i metric[i] |mat[i, j]|^2`` of every column.
+
+    Float data sums each column as one contiguous row of a transposed copy,
+    in the same order at any block width.  Object data sums the integer
+    terms of each column's nonzero entries and normalizes once, so a column
+    without one has norm exactly ``Fraction(0)``.
+    """
+    mat, metric = np.asarray(mat), np.asarray(metric)
+    if not _is_exact(mat, metric):
+        rows = np.ascontiguousarray(mat.T)
+        return np.sum(np.abs(rows) ** 2 * metric, axis=1)
+    w = metric.tolist()
+    terms = {}
+    i_nz, j_nz = np.nonzero(support(mat))
+    for i, j, x in zip(i_nz.tolist(), j_nz.tolist(), mat[i_nz, j_nz].tolist()):
+        xn, xd = x.numerator, x.denominator
+        terms.setdefault(j, []).append((xn * xn * w[i].numerator, xd * xd * w[i].denominator))
+    return _assemble(mat.shape[1], terms)
 
 
 def metric_adjoint(m: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> np.ndarray:
@@ -60,16 +145,41 @@ def metric_adjoint(m: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> np.nda
 
     It is ``conj(m).T * (w_out[None, :] / w_in[:, None])``.  The metric
     ratio is formed before the product, in real arithmetic (complex division
-    rounds even x/x).  On object data it is formed only at the nonzero
-    entries of ``m``.
+    rounds even x/x).  Object data is real, so it is not conjugated; each
+    nonzero entry of ``m`` gives one Fraction of the integer product.
     """
     m, w_out, w_in = np.asarray(m), np.asarray(w_out), np.asarray(w_in)
-    if m.dtype != object:
+    if not _is_exact(m, w_out, w_in):
         return np.conjugate(m).T * (w_out[None, :] / w_in[:, None])
     out = zeros(m.shape[::-1])
-    o, i = np.nonzero(m != 0)
-    out[i, o] = np.conjugate(m[o, i]) * (w_out[o] / w_in[i])
+    wo, wi = w_out.tolist(), w_in.tolist()
+    o_nz, i_nz = np.nonzero(support(m))
+    for o, i, x in zip(o_nz.tolist(), i_nz.tolist(), m[o_nz, i_nz].tolist()):
+        p, q = wo[o], wi[i]
+        out[i, o] = Fraction(x.numerator * p.numerator * q.denominator,
+                             x.denominator * p.denominator * q.numerator)
     return out
+
+
+def _combine(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
+    if not _is_exact(a, b):
+        return op(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"shapes {a.shape} and {b.shape} differ")
+    out = a.copy()
+    nz = np.nonzero(support(b))
+    out[nz] = op(a[nz], b[nz])
+    return out
+
+
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b``; on object data only the nonzero entries of ``b`` are added."""
+    return _combine(a, b, operator.add)
+
+
+def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a - b``; on object data only the nonzero entries of ``b`` are subtracted."""
+    return _combine(a, b, operator.sub)
 
 
 def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:

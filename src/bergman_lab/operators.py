@@ -107,12 +107,12 @@ class LinearMap:
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         self._check_same_shape(other)
-        return LinearMap(self.domain, self.codomain, self.matrix - other.matrix,
+        return LinearMap(self.domain, self.codomain, _exact.sub(self.matrix, other.matrix),
                          domain_sub=self.domain_sub, codomain_sub=self.codomain_sub)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         self._check_same_shape(other)
-        return LinearMap(self.domain, self.codomain, self.matrix + other.matrix,
+        return LinearMap(self.domain, self.codomain, _exact.add(self.matrix, other.matrix),
                          domain_sub=self.domain_sub, codomain_sub=self.codomain_sub)
 
     def __repr__(self) -> str:
@@ -173,7 +173,7 @@ def _isolated_nonzeros(mat: np.ndarray):
     """
     if np.count_nonzero(mat) > min(mat.shape):
         return None
-    rows, cols = np.nonzero(mat != 0)  # a boolean mask is scanned faster
+    rows, cols = np.nonzero(_exact.support(mat))
     if len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols):
         return None
     return rows, cols

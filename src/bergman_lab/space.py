@@ -20,6 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import _exact
 from .errors import DimensionMismatch
 from .weights import ScalarMode, WeightSequence
 
@@ -84,18 +85,12 @@ class TruncatedSpace:
     def column_norms_sq(self, mat: np.ndarray) -> np.ndarray:
         """Squared weighted norm of every column of ``mat`` at once.
 
-        The one weighted-norm routine.  Float mode sums each column as one
-        contiguous row of a transposed copy, in the same order at any block
-        width.  Exact mode adds the terms of nonzero entries only.
+        The one weighted-norm routine, :func:`_exact.column_norms_sq` in
+        this space's metric: float mode sums each column in the same order
+        at any block width; exact mode sums the integer terms of the nonzero
+        entries and makes one Fraction per column.
         """
-        if self.mode.is_exact:
-            out = self.mode.zeros(mat.shape[1])
-            i_nz, j_nz = np.nonzero(mat != 0)
-            for i, j, x in zip(i_nz.tolist(), j_nz.tolist(), mat[i_nz, j_nz]):
-                out[j] += x * x * self.metric[i]
-            return out
-        rows = np.ascontiguousarray(mat.T)
-        return np.sum(np.abs(rows) ** 2 * self.metric, axis=1)
+        return _exact.column_norms_sq(mat, self.metric)
 
 
 def random_columns(space: TruncatedSpace, seeds: Iterable[int]) -> np.ndarray:

@@ -140,14 +140,14 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
             break
         v = columns[:, j]
         for _ in range(1 if exact else 2):
-            v = v - _exact.mm(basis[:, :k], _exact.mm(functionals[:k], v))
+            v = _exact.sub(v, _exact.mm(basis[:, :k], _exact.mm(functionals[:k], v)))
         g = ambient.norm_sq(v)
         if not (g != 0 if exact else np.sqrt(g) > cuts[j]):
             continue
         if not exact:
             v, g = v / np.sqrt(g), 1.0
         basis[:, k], norms[k] = v, g
-        functionals[k] = np.conjugate(v) * (w / g)
+        functionals[k] = _exact.metric_adjoint(v[:, None], w, np.asarray([g]))[0]
         k += 1
     return basis[:, :k], norms[:k]
 
@@ -216,7 +216,7 @@ def project(sub: Subspace, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     degrees = _ladder_degrees(sub)
     if degrees is None:
         coords = _exact.mm(coefficient_functionals(sub), arr)
-        return coords, arr - _exact.mm(sub.basis, coords)
+        return coords, _exact.sub(arr, _exact.mm(sub.basis, coords))
     leftover = arr.copy()
     leftover[degrees] = sub.ambient.mode.zeros(())
     return arr[degrees], leftover
@@ -375,7 +375,7 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
     ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
     if m.mode.is_exact:
-        passed = bool((rsq == 0).all())
+        passed = not _exact.support(rsq).any()
     else:
         passed = residual <= tol
     return coords, InvarianceResult(passed, residual)
@@ -530,7 +530,7 @@ def projectors_equal(u: Subspace, v: Subspace) -> bool:
     """
     if u.ambient != v.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    return u.dim == v.dim and not bool((project(v, u.basis)[1] != 0).any())
+    return u.dim == v.dim and not _exact.support(project(v, u.basis)[1]).any()
 
 
 def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:

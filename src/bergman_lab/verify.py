@@ -237,7 +237,7 @@ Defect = tuple[float, bool]
 
 def _map_defect(m: LinearMap) -> Defect:
     """Defect of a map expected to vanish, measured by its metric operator norm."""
-    return (operator_norm(m), False) if (m.matrix != 0).any() else (0.0, True)
+    return (operator_norm(m), False) if _exact.support(m.matrix).any() else (0.0, True)
 
 
 def _column_defects(space: TruncatedSpace, cols: np.ndarray, dens_sq) -> list[Defect]:
@@ -258,9 +258,17 @@ def _entry(spec: CheckSpec, defects: list[Defect], ok: bool = True,
 
     The residual is the largest defect measure.  Exact mode passes when
     every defect is exactly zero; float mode when every measure is at most
-    ``spec.tol``.  Both modes also need ``ok``.
+    ``spec.tol``.  Both modes also need ``ok``.  A non-finite measure
+    makes the residual NaN (or infinite, when no measure is NaN) wherever
+    it sits among the defects, and the note names the first one.
     """
-    residual = max((r for r, _zero in defects), default=0.0)
+    bad = [(i, r) for i, (r, _zero) in enumerate(defects) if not math.isfinite(r)]
+    if bad:
+        residual = math.nan if any(math.isnan(r) for _i, r in bad) else math.inf
+        i, r = bad[0]
+        note = "; ".join(filter(None, [note, f"defect {i} of {len(defects)} is {float(r)}"]))
+    else:
+        residual = max((r for r, _zero in defects), default=0.0)
     if spec.mode.is_exact:
         passed = all(zero for _r, zero in defects)
     else:
@@ -359,13 +367,13 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
     if t.domain.dim > 0:
         g = random_columns(t.domain, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
         tg = t.apply(g)
-        defects += _column_defects(cod, p.apply(tg) - tg, cod.column_norms_sq(tg))
+        defects += _column_defects(cod, _exact.sub(p.apply(tg), tg), cod.column_norms_sq(tg))
     e = wandering(t)
     if e.dim > 0:
         e_coords = project(t.codomain_sub, e.basis)[0]
         defects += _column_defects(cod, p.apply(e_coords), e.norms_sq)
         e_in_coords = Subspace(t.codomain, e_coords, e.norms_sq)
-        comp = (identity_map(cod) - p).matrix - projector(e_in_coords)
+        comp = _exact.sub((identity_map(cod) - p).matrix, projector(e_in_coords))
         defects.append(_map_defect(LinearMap(cod, cod, comp)))
     return _entry(spec, defects)
 
@@ -461,7 +469,7 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
         top = level.t.codomain_sub
         cols = _exact.mm(top.basis, chain.matrix)
         low = cols[: m * spec.N]
-        hit = (low != 0).any(axis=0)
+        hit = _exact.support(low).any(axis=0)
         norms_sq = iter(top.ambient.column_norms_sq(cols[:, hit]))
         defects += [(float(np.abs(part).max()) / math.sqrt(next(norms_sq)), False)
                     if h else (0.0, True) for h, part in zip(hit, low.T)]

@@ -5,7 +5,8 @@ other than the one the package takes: the shift adjoint entry by entry from
 the shift coefficients, the iterated lift coefficients as products of those
 coefficients, the inner product straight from its defining sum, the
 random test columns one seed at a time, and the subspace distance from the
-full projector difference.
+full projector difference.  ``ReadLogged`` records which entries the exact
+kernels read.
 """
 
 from fractions import Fraction
@@ -18,6 +19,27 @@ from bergman_lab.operators import _require_graded_pair, to_float
 
 #: Denominator of the dyadic grid of the exact random draws.
 _EXACT_DENOM = 2**16
+
+
+class ReadLogged(Fraction):
+    """A Fraction that logs every read of its numerator or denominator.
+
+    The exact kernels of ``_exact`` read an entry only through these two
+    properties; their nonzero scans (``astype(bool)``) and Fraction's own
+    comparisons with ints go through the private fields, so they log nothing.
+    """
+
+    reads: list = []
+
+    @property
+    def numerator(self):
+        ReadLogged.reads.append(("numerator", self))
+        return self._numerator
+
+    @property
+    def denominator(self):
+        ReadLogged.reads.append(("denominator", self))
+        return self._denominator
 
 
 def inner(space: TruncatedSpace, f: np.ndarray, g: np.ndarray):

@@ -1,6 +1,7 @@
-"""The zero-skipping product helpers against the dense numpy expressions."""
+"""The exact kernels of ``_exact`` against the dense numpy expressions."""
 
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import bergman_lab
-from bergman_lab import _exact
+from bergman_lab import LinearMap, ScalarMode, TruncatedSpace, _exact
+from oracles import ReadLogged
 
 PACKAGE = Path(bergman_lab.__file__).resolve().parent
 
@@ -104,18 +106,176 @@ def test_metric_adjoint_matches_dense_expression():
     check()
 
 
-class CountedFraction(Fraction):
-    """A Fraction that records the factors of every product it is the left factor of."""
+#: Mersenne primes: the denominators of the coprime draws.
+LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
+#: The shared draws put their numerators over divisors of this denominator.
+SHARED_DENOMINATOR = 2**40 * 3**30
 
-    products: list = []
+STYLES = ("small", "ints", "coprime", "shared")
 
-    def __mul__(self, other):
-        CountedFraction.products.append((self, other))
-        return Fraction.__mul__(self, other)
+
+def rational_entries(rng, shape, density, style):
+    """Object array of rationals, each entry nonzero with probability ``density``.
+
+    ``small`` draws Fractions with one-digit parts; ``ints`` mixes ints with
+    such Fractions, and half its zeros are the int 0; ``coprime`` puts
+    62-bit numerators over distinct large primes; ``shared`` puts them over
+    divisors of one large denominator.
+    """
+    out = np.empty(shape, dtype=object)
+    flat = out.reshape(-1)
+    for i in range(flat.size):
+        sign = int(rng.choice([-1, 1]))
+        small = Fraction(sign * int(rng.integers(1, 9)), int(rng.integers(1, 6)))
+        big = sign * int(rng.integers(1, 2**62))
+        if rng.random() >= density:
+            flat[i] = 0 if style == "ints" and rng.random() < 0.5 else Fraction(0)
+        elif style == "small":
+            flat[i] = small
+        elif style == "ints":
+            flat[i] = small.numerator if rng.random() < 0.5 else small
+        elif style == "coprime":
+            flat[i] = Fraction(big, LARGE_PRIMES[int(rng.integers(len(LARGE_PRIMES)))])
+        else:
+            flat[i] = Fraction(big, SHARED_DENOMINATOR // 6 ** int(rng.integers(0, 4)))
+    return out
+
+
+def positive_rationals(rng, n, style):
+    return np.abs(rational_entries(rng, (n,), 1.0, style))
+
+
+def assert_values_equal(got, want):
+    """Equal shapes and values; a sum may keep an int entry where the dense one is a Fraction."""
+    got, want = np.asarray(got, dtype=object), np.asarray(want, dtype=object)
+    assert got.shape == want.shape
+    assert (got == want).all()
+
+
+def test_exact_kernels_match_dense_fraction_references():
+    """Products, column norms, metric adjoints, sums and differences of every
+    entry style equal the dense Fraction expressions, 1-D operands and empty
+    shapes included; products, norms and adjoints are all Fractions."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(products(), st.sampled_from(STYLES))
+    def check(problem, style):
+        seed, left, right, density_a, density_b = problem
+        rng = np.random.default_rng(seed)
+        a = rational_entries(rng, left, density_a, style)
+        b = rational_entries(rng, right, density_b, style)
+        assert_fraction_equal(_exact.mm(a, b), a @ b)
+        c = rational_entries(rng, left, density_b, style)
+        assert_values_equal(_exact.add(a, c), a + c)
+        assert_values_equal(_exact.sub(a, c), a - c)
+        if a.ndim == 2:
+            w = positive_rationals(rng, a.shape[0], style)
+            want = [sum((x * x * g for x, g in zip(a[:, j], w)), Fraction(0))
+                    for j in range(a.shape[1])]
+            assert_fraction_equal(_exact.column_norms_sq(a, w), np.asarray(want, dtype=object))
+            w_in = positive_rationals(rng, a.shape[1], style)
+            # int / int is a float in numpy, so the reference divides Fractions
+            as_fractions = np.vectorize(Fraction, otypes=[object])
+            assert_fraction_equal(_exact.metric_adjoint(a, w, w_in),
+                                  dense_adjoint(a, as_fractions(w), as_fractions(w_in)))
+
+    check()
+
+
+def test_cancelling_sums_are_fraction_zeros():
+    """Terms that cancel leave an exact Fraction 0, with large coprime and
+    shared denominators alike."""
+    for x, y in ((Fraction(3, 7), Fraction(-5, 2)),
+                 (Fraction(2**70 + 1, 2**61 - 1), Fraction(-3, 2**89 - 1)),
+                 (Fraction(5, SHARED_DENOMINATOR), Fraction(7, SHARED_DENOMINATOR // 6))):
+        a = np.array([[x, y, x, -y, 1]], dtype=object)
+        b = np.array([[y], [x], [-y], [x], [0]], dtype=object)
+        for got in (_exact.mm(a, b)[0, 0], _exact.mm(a[0], b[:, 0])):
+            assert got == 0 and type(got) is Fraction
+        for got in (_exact.sub(a, a), _exact.add(a, -a)):
+            assert (got == 0).all()
+            assert all(type(v) is Fraction for v in got[0, :4])
+        norms = _exact.column_norms_sq(np.array([[x, 0], [y, 0]], dtype=object),
+                                       np.array([Fraction(1), Fraction(2)], dtype=object))
+        assert norms[1] == 0 and type(norms[1]) is Fraction
+
+
+def test_linear_map_sum_and_difference_match_elementwise():
+    """Exact LinearMap sums and differences are the elementwise dense
+    Fraction arithmetic; float and complex maps are the numpy expressions bit
+    for bit."""
+    rng = np.random.default_rng(17)
+    for style in STYLES:
+        for density in (0.0, 0.2, 1.0):
+            dom = TruncatedSpace(metric=positive_rationals(rng, 4, style),
+                                 mode=ScalarMode.EXACT_RATIONAL)
+            cod = TruncatedSpace(metric=positive_rationals(rng, 3, style),
+                                 mode=ScalarMode.EXACT_RATIONAL)
+            f = LinearMap(dom, cod, rational_entries(rng, (3, 4), 0.5, style))
+            g = LinearMap(dom, cod, rational_entries(rng, (3, 4), density, style))
+            assert_values_equal((f + g).matrix, f.matrix + g.matrix)
+            assert_values_equal((f - g).matrix, f.matrix - g.matrix)
+    dom = TruncatedSpace(metric=rng.random(4) + 0.1, mode=ScalarMode.FLOAT64)
+    cod = TruncatedSpace(metric=rng.random(3) + 0.1, mode=ScalarMode.FLOAT64)
+    for make in (lambda: random_complex(rng, (3, 4), 0.5), lambda: rng.standard_normal((3, 4))):
+        f, g = LinearMap(dom, cod, make()), LinearMap(dom, cod, make())
+        assert_bit_identical((f + g).matrix, f.matrix + g.matrix)
+        assert_bit_identical((f - g).matrix, f.matrix - g.matrix)
+
+
+def test_sums_touch_only_the_nonzero_entries_of_the_right_operand():
+    """Exact sums and differences read both operands only where the right
+    one is nonzero; elsewhere the left entry is kept as it is."""
+    rng = np.random.default_rng(23)
+    for density in (0.0, 0.3, 1.0):
+        a = random_fractions(rng, (4, 5), 0.7, ReadLogged)
+        b = random_fractions(rng, (4, 5), density, ReadLogged)
+        at_b = {id(x) for x in np.concatenate([a[b != 0], b[b != 0]])}
+        for kernel, want in ((_exact.add, a + b), (_exact.sub, a - b)):
+            ReadLogged.reads.clear()
+            got = kernel(a, b)
+            assert {id(x) for _part, x in ReadLogged.reads} <= at_b
+            assert all(got[idx] is a[idx] for idx in zip(*np.nonzero(b == 0)))
+            assert_values_equal(got, want)
+
+
+def test_float_kernels_are_the_numpy_expressions():
+    """On float and complex data the norms, sums, differences and nonzero
+    masks are the plain numpy expressions, bit for bit."""
+    rng = np.random.default_rng(5)
+    w = rng.random(6) + 0.1
+    for a, c in ((random_complex(rng, (6, 5), 0.5), random_complex(rng, (6, 5), 0.5)),
+                 (rng.standard_normal((6, 5)), rng.standard_normal((6, 5))),
+                 (rng.standard_normal((6, 0)), rng.standard_normal((6, 0)))):
+        assert_bit_identical(_exact.column_norms_sq(a, w),
+                             np.sum(np.abs(np.ascontiguousarray(a.T)) ** 2 * w, axis=1))
+        assert_bit_identical(_exact.add(a, c), a + c)
+        assert_bit_identical(_exact.sub(a, c), a - c)
+        assert_bit_identical(_exact.support(a), a != 0)
+    special = np.array([0.0, -0.0, np.nan, np.inf, 1e-300, 1j, -0j])
+    assert_bit_identical(_exact.support(special), special != 0)
+
+
+def test_exact_and_float_operands_do_not_mix():
+    """An object operand next to a float one is refused with a TypeError
+    instead of producing an object array of floats."""
+    exact = np.array([[Fraction(1, 3), 0], [0, Fraction(2)]], dtype=object)
+    flt = np.array([[0.5, 0.0], [0.0, 2.0]])
+    calls = (lambda x, y: _exact.mm(x, y), lambda x, y: _exact.add(x, y),
+             lambda x, y: _exact.sub(x, y), lambda x, y: _exact.column_norms_sq(x, y[0]),
+             lambda x, y: _exact.metric_adjoint(x, y[0], y[1]))
+    for call in calls:
+        for x, y in ((exact, flt), (flt, exact)):
+            with pytest.raises(TypeError, match="do not mix"):
+                call(x, y)
 
 
 def test_mm_multiplies_only_nonzero_pairs():
-    """Exactly (a != 0).sum(0) @ (b != 0).sum(1) products, none with a zero factor."""
+    """Only nonzero pairs are multiplied: every nonzero factor with a nonzero
+    partner is read, numerator and denominator once each, no entry is read
+    twice, no zero entry is read, and the result is the dense Fraction product."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -124,13 +284,18 @@ def test_mm_multiplies_only_nonzero_pairs():
                       st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]), st.integers(0, 2**32 - 1))
     def check(m, k, n, density, seed):
         rng = np.random.default_rng(seed)
-        a = random_fractions(rng, (m, k), density, CountedFraction)
-        b = random_fractions(rng, (k, n), density, CountedFraction)
+        a = random_fractions(rng, (m, k), density, ReadLogged)
+        b = random_fractions(rng, (k, n), density, ReadLogged)
         want = a @ b
-        CountedFraction.products.clear()
+        ReadLogged.reads.clear()
         got = _exact.mm(a, b)
-        assert len(CountedFraction.products) == int((a != 0).sum(0) @ (b != 0).sum(1))
-        assert all(x != 0 and y != 0 for x, y in CountedFraction.products)
+        reads = Counter((part, id(x)) for part, x in ReadLogged.reads)
+        assert all(x != 0 for _part, x in ReadLogged.reads)
+        assert set(reads.values()) <= {1}
+        paired = ([a[i, p] for i, p in zip(*np.nonzero(a != 0)) if (b[p] != 0).any()]
+                  + [b[p, j] for p, j in zip(*np.nonzero(b != 0)) if (a[:, p] != 0).any()])
+        assert all(reads[(part, id(x))] == 1
+                   for x in paired for part in ("numerator", "denominator"))
         assert_fraction_equal(got, want)
 
     check()

@@ -14,7 +14,7 @@ from bergman_lab import (
     weight_sequence,
 )
 from bergman_lab.space import random_columns
-from oracles import monomial, random_vector
+from oracles import ReadLogged, monomial, random_vector
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -201,36 +201,22 @@ def test_column_norms_sq_matches_norm_sq(mode):
             assert space.norm_sq(col) == g
 
 
-def _recording(op):
-    def wrapped(self, *args):
-        _Recorded.ops.append((op, self))
-        return getattr(Fraction, op)(self, *args)
-    return wrapped
-
-
-class _Recorded(Fraction):
-    """A Fraction that records every product, power and abs applied to it."""
-
-    ops = []
-    __mul__ = _recording("__mul__")
-    __rmul__ = _recording("__rmul__")
-    __pow__ = _recording("__pow__")
-    __abs__ = _recording("__abs__")
-
-
 def test_exact_column_norms_sq_skip_zero_entries():
-    """Exact column norms touch no zero entry: each nonzero entry is squared
-    once, by a product, and a zero column's norm is exactly 0."""
+    """Exact column norms read no zero entry: the numerator and the
+    denominator of each nonzero entry are read once, the norms are the dense
+    Fraction sums, and a zero column's norm is exactly Fraction(0)."""
     space = make_space(Fraction(1, 2), 6, EXACT)
     rows = [[1, 0, 0], [0, 0, 3], [Fraction(-2, 5), 0, 0],
             [0, 0, 0], [0, 0, Fraction(7, 3)], [5, 0, 0]]
     block = np.empty((6, 3), dtype=object)
-    block[...] = [[_Recorded(x) for x in row] for row in rows]
-    _Recorded.ops.clear()
+    block[...] = [[ReadLogged(x) for x in row] for row in rows]
+    ReadLogged.reads.clear()
     got = space.column_norms_sq(block)
-    touched = [x for _op, x in _Recorded.ops]
-    assert all(x != 0 for x in touched)
-    assert sorted(touched) == sorted(x for x in block.ravel() if x != 0)
+    reads = list(ReadLogged.reads)
+    assert all(x != 0 for _part, x in reads)
+    nonzero = sorted(id(x) for x in block.ravel() if x != 0)
+    for part in ("numerator", "denominator"):
+        assert sorted(id(x) for p, x in reads if p == part) == nonzero
     want = [sum(x * x * w for x, w in zip(block[:, j], space.metric)) for j in range(3)]
     assert list(got) == want
     assert got[1] == 0 and isinstance(got[1], Fraction)

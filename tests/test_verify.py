@@ -404,6 +404,26 @@ def test_entry_exact_needs_zero_defects_float_needs_tol():
         assert _entry(spec, []).residual == 0.0
 
 
+def test_entry_reports_a_nan_defect_wherever_it_sits():
+    """A NaN defect fails the entry with a non-finite residual, and the note
+    names it, whether it comes first or last: Python's ``max`` keeps a NaN
+    only when it comes first, so a failing entry could report 0.0."""
+    flt = spec_for("left_inverse")
+    finite = [(0.0, True), (1e-3, False)]
+    for defects, index in (([(math.nan, False)] + finite, 0),
+                           (finite + [(math.nan, False)], 2),
+                           ([(math.inf, False), (0.0, True), (math.nan, False)], 0)):
+        entry = _entry(flt, defects, note="context")
+        assert not entry.passed
+        assert math.isnan(entry.residual)
+        assert entry.note == f"context; defect {index} of 3 is {defects[index][0]}"
+        assert verify.VerificationReport([entry]).to_json_obj()["entries"][0]["residual"] is None
+    entry = _entry(flt, [(0.0, True), (math.inf, False)])
+    assert entry.residual == math.inf and not entry.passed
+    assert entry.note == "defect 1 of 2 is inf"
+    assert _entry(flt, finite, note="context").note == "context"
+
+
 def test_lower_bound_notes_the_surrogate():
     entry = run_check(spec_for("lower_bound"))
     assert "finite-section surrogate" in entry.note
