@@ -1,6 +1,6 @@
 """Exact rational linear algebra on object arrays of Fractions.
 
-Every piece of array arithmetic on exact data lives here: matrix products
+The package's array kernels on exact data live here: matrix products
 (:func:`mm`), weighted column norms (:func:`column_norms_sq`), metric
 adjoints (:func:`metric_adjoint`), sums and differences (:func:`add`,
 :func:`sub`) and nonzero scans (:func:`support`).  On float data each of
