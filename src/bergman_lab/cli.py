@@ -5,6 +5,11 @@ Subcommands: ``weights``, ``coeffs``, ``verify``, ``beurling``, ``census``,
 everything passed, 1 when any check failed, 2 on usage errors, 3 on I/O
 errors.  ``--alpha`` accepts decimals and ``p/q`` rationals; rational syntax
 selects exact mode unless ``--mode float64`` overrides it.
+
+Dispatch is argparse's subcommand table: each subparser of
+:func:`build_parser` sets its handler as ``run``, and :func:`main` calls
+``args.run(parser, args)``.  Every JSON output goes through :func:`_json`
+and every CSV output through :func:`_csv`.
 """
 
 from __future__ import annotations
@@ -44,16 +49,13 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _parse_alpha(text: str) -> tuple:
-    """Return (value, implied_mode); 'p/q' syntax implies exact mode."""
-    if "/" in text:
-        return Fraction(text), ScalarMode.EXACT_RATIONAL
-    return float(text), None
-
-
 def _resolve_alpha_mode(parser: argparse.ArgumentParser, args) -> tuple:
+    """(alpha, mode); 'p/q' syntax implies exact mode unless --mode says otherwise."""
     try:
-        alpha, implied = _parse_alpha(args.alpha)
+        if "/" in args.alpha:
+            alpha, implied = Fraction(args.alpha), ScalarMode.EXACT_RATIONAL
+        else:
+            alpha, implied = float(args.alpha), None
     except (ValueError, ZeroDivisionError):
         parser.error(f"--alpha: cannot parse {args.alpha!r}")
     if args.mode is not None:
@@ -103,24 +105,36 @@ def _emit(text: str, out_path: Optional[str]) -> int:
     return EXIT_OK
 
 
+def _json(obj) -> str:
+    """The one JSON writer: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header: list, rows: list) -> str:
+    """The one CSV writer: a header row, then the rows, newline-terminated."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _report_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    return _json(report.to_json_obj())
 
 
 def _report_csv(report: VerificationReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "N", "alpha", "D", "residues", "depth", "seed",
-                     "mode", "residual", "tol", "pass", "wall_ms"])
+    rows = []
     for e in report.sorted_entries():
         s = e.spec
         residues = "" if s.residues is None else ";".join(map(str, sorted(s.residues)))
-        writer.writerow([
+        rows.append([
             s.name, s.N, _alpha_str(s.alpha), s.D, residues, s.depth, s.seed,
             s.mode.value, repr(float(e.residual)), repr(float(s.tol)),
             "true" if e.passed else "false", f"{e.wall_ms:.3f}",
         ])
-    return buf.getvalue()
+    return _csv(["name", "N", "alpha", "D", "residues", "depth", "seed",
+                 "mode", "residual", "tol", "pass", "wall_ms"], rows)
 
 
 def _report_text(report: VerificationReport) -> str:
@@ -140,29 +154,26 @@ def _report_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(report: VerificationReport, fmt: str, out_path: Optional[str]) -> int:
-    if fmt == "json":
-        text = _report_json(report)
-    elif fmt == "csv":
-        text = _report_csv(report)
-    else:
-        text = _report_text(report)
-    status = _emit(text, out_path)
+_REPORT_WRITERS = {"json": _report_json, "csv": _report_csv, "text": _report_text}
+
+
+def _emit_report(report: VerificationReport, args) -> int:
+    status = _emit(_REPORT_WRITERS[args.format](report), args.out)
     if status != EXIT_OK:
         return status
     return EXIT_OK if report.all_passed else EXIT_FAIL
 
 
-def _table_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _table_csv(header: list, rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit_table(args, payload: dict, header: list, rows: list, lines: list) -> int:
+    """Write a table in ``--format``: the JSON ``payload``, the CSV ``header``
+    and ``rows``, or the text ``lines``."""
+    if args.format == "json":
+        text = _json(payload)
+    elif args.format == "csv":
+        text = _csv(header, rows)
+    else:
+        text = "\n".join(lines) + "\n"
+    return _emit(text, args.out)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -190,6 +201,7 @@ def _add_check_params(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand table: each subparser names its handler as ``run``."""
     parser = argparse.ArgumentParser(
         prog="bergman-lab",
         description="Finite truncations of the multiplicity-N Bergman shift: "
@@ -203,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="number of weights to print")
     _add_mode_flag(p_weights)
     _add_output_flags(p_weights)
+    p_weights.set_defaults(run=_cmd_weights)
 
     p_coeffs = sub.add_parser("coeffs", help="print shift coefficients C(N, alpha, n)")
     p_coeffs.add_argument("--N", type=int, required=True)
@@ -211,22 +224,27 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of coefficients to print")
     _add_mode_flag(p_coeffs)
     _add_output_flags(p_coeffs)
+    p_coeffs.set_defaults(run=_cmd_coeffs)
 
     p_verify = sub.add_parser("verify", help="run one named check")
     p_verify.add_argument("--check", required=True, choices=sorted(CHECKS))
     _add_check_params(p_verify)
+    p_verify.set_defaults(run=_cmd_single_check)
 
     p_beurling = sub.add_parser(
         "beurling", help="reconstruct a residue subspace from its wandering part")
     _add_check_params(p_beurling)
+    p_beurling.set_defaults(run=_cmd_single_check, check="beurling")
 
     p_census = sub.add_parser(
         "census", help="sweep all residue subspaces plus random controls")
     _add_check_params(p_census)
+    p_census.set_defaults(run=_cmd_single_check, check="census")
 
     p_suite = sub.add_parser("suite", help="run a verification grid")
     p_suite.add_argument("--grid", choices=("default", "smoke"), default="default")
     _add_output_flags(p_suite)
+    p_suite.set_defaults(run=_cmd_suite)
 
     return parser
 
@@ -240,20 +258,15 @@ def _cmd_weights(parser: argparse.ArgumentParser, args) -> int:
         values = weight_sequence(params, mode)[: args.dim]
     except BergmanLabError as exc:
         parser.error(f"--alpha: {exc}")
-    if args.format == "json":
-        text = _table_json({
-            "alpha": _scalar_json(alpha),
-            "mode": mode.value,
-            "dim": args.dim,
-            "values": [_scalar_json(v) for v in values],
-        })
-    elif args.format == "csv":
-        text = _table_csv(["n", "omega"],
-                          [[n, _alpha_str(v)] for n, v in enumerate(values)])
-    else:
-        lines = [f"omega[{n}] = {_alpha_str(v)}" for n, v in enumerate(values)]
-        text = "\n".join(lines) + "\n"
-    return _emit(text, args.out)
+    payload = {
+        "alpha": _scalar_json(alpha),
+        "mode": mode.value,
+        "dim": args.dim,
+        "values": [_scalar_json(v) for v in values],
+    }
+    rows = [[n, _alpha_str(v)] for n, v in enumerate(values)]
+    return _emit_table(args, payload, ["n", "omega"], rows,
+                       [f"omega[{n}] = {v}" for n, v in rows])
 
 
 def _cmd_coeffs(parser: argparse.ArgumentParser, args) -> int:
@@ -267,26 +280,21 @@ def _cmd_coeffs(parser: argparse.ArgumentParser, args) -> int:
         bound = lower_bound(args.N, alpha)
     except BergmanLabError as exc:
         parser.error(f"--alpha: {exc}")
-    if args.format == "json":
-        text = _table_json({
-            "N": args.N,
-            "alpha": _scalar_json(alpha),
-            "mode": mode.value,
-            "dim": args.dim,
-            "lower_bound": _scalar_json(bound),
-            "values": [_scalar_json(v) for v in values],
-        })
-    elif args.format == "csv":
-        text = _table_csv(["n", "coeff"],
-                          [[n, _alpha_str(v)] for n, v in enumerate(values)])
-    else:
-        lines = [f"C[{n}] = {_alpha_str(v)}" for n, v in enumerate(values)]
-        lines.append(f"lower bound (strict): {_alpha_str(bound)}")
-        text = "\n".join(lines) + "\n"
-    return _emit(text, args.out)
+    payload = {
+        "N": args.N,
+        "alpha": _scalar_json(alpha),
+        "mode": mode.value,
+        "dim": args.dim,
+        "lower_bound": _scalar_json(bound),
+        "values": [_scalar_json(v) for v in values],
+    }
+    rows = [[n, _alpha_str(v)] for n, v in enumerate(values)]
+    lines = [f"C[{n}] = {v}" for n, v in rows]
+    lines.append(f"lower bound (strict): {_alpha_str(bound)}")
+    return _emit_table(args, payload, ["n", "coeff"], rows, lines)
 
 
-def _check_spec_from_args(parser: argparse.ArgumentParser, args, name: str) -> CheckSpec:
+def _check_spec_from_args(parser: argparse.ArgumentParser, args) -> CheckSpec:
     alpha, mode = _resolve_alpha_mode(parser, args)
     if args.N < 1:
         parser.error("--N: must be >= 1")
@@ -295,10 +303,10 @@ def _check_spec_from_args(parser: argparse.ArgumentParser, args, name: str) -> C
     residues = _parse_residues(parser, args.residues, args.N)
     if args.depth < 1:
         parser.error("--depth: must be >= 1")
-    tol = args.tol if args.tol is not None else DEFAULT_TOLS[name]
+    tol = args.tol if args.tol is not None else DEFAULT_TOLS[args.check]
     if tol < 0:
         parser.error("--tol: must be >= 0")
-    spec = CheckSpec(name, args.N, alpha, args.dim, residues,
+    spec = CheckSpec(args.check, args.N, alpha, args.dim, residues,
                      args.depth, args.seed, mode, tol)
     try:
         params = WeightParams(alpha, args.N, weights_reach(spec))
@@ -310,41 +318,23 @@ def _check_spec_from_args(parser: argparse.ArgumentParser, args, name: str) -> C
     return spec
 
 
-def _cmd_single_check(parser: argparse.ArgumentParser, args, name: str) -> int:
-    spec = _check_spec_from_args(parser, args, name)
-    report = VerificationReport([run_check(spec)])
-    return _emit_report(report, args.format, args.out)
+def _cmd_single_check(parser: argparse.ArgumentParser, args) -> int:
+    spec = _check_spec_from_args(parser, args)
+    return _emit_report(VerificationReport([run_check(spec)]), args)
 
 
 def _cmd_suite(parser: argparse.ArgumentParser, args) -> int:
     specs = default_grid() if args.grid == "default" else smoke_grid()
-    report = run_suite(specs)
-    return _emit_report(report, args.format, args.out)
+    return _emit_report(run_suite(specs), args)
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.run(parser, args)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        if args.command == "weights":
-            return _cmd_weights(parser, args)
-        if args.command == "coeffs":
-            return _cmd_coeffs(parser, args)
-        if args.command == "verify":
-            return _cmd_single_check(parser, args, args.check)
-        if args.command == "beurling":
-            return _cmd_single_check(parser, args, "beurling")
-        if args.command == "census":
-            return _cmd_single_check(parser, args, "census")
-        if args.command == "suite":
-            return _cmd_suite(parser, args)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
 
 if __name__ == "__main__":

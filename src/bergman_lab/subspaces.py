@@ -38,9 +38,11 @@ class Subspace:
     """Metric-orthogonal basis of a subspace of a truncated space.
 
     The residue tag (``residues`` with ``multiplicity``) is set only by
-    :func:`residue_subspace`, and it guarantees the ladder's layout: the basis
-    is the monomials of ``residue_degrees(multiplicity, residues,
-    ambient.dim)`` in degree order, and ``norms_sq == ambient.metric[degrees]``.
+    :func:`residue_subspace`, and it guarantees the ladder's layout: basis
+    column j is the monomial ``z^degrees[j]``, where ``degrees`` is
+    ``residue_degrees(multiplicity, residues, ambient.dim)``, in increasing
+    order, and ``norms_sq == ambient.metric[degrees]``.  ``degrees`` is
+    computed once, here, from the tag, and is None for an untagged subspace.
     Maps applied to a tagged basis and projections onto a tagged subspace
     rely on it to gather entries by degree instead of multiplying.
     """
@@ -69,6 +71,8 @@ class Subspace:
         self.norms_sq = norms_sq
         self.residues = None if residues is None else frozenset(residues)
         self.multiplicity = multiplicity
+        self.degrees = (None if residues is None
+                        else residue_degrees(multiplicity, self.residues, ambient.dim))
 
     @property
     def dim(self) -> int:
@@ -195,13 +199,6 @@ def coefficient_functionals(sub: Subspace) -> np.ndarray:
     return _exact.metric_adjoint(sub.basis, sub.ambient.metric, sub.norms_sq)
 
 
-def _ladder_degrees(sub: Subspace) -> Optional[list[int]]:
-    """Degrees of a residue-tagged subspace's monomial basis; None when untagged."""
-    if sub.residues is None:
-        return None
-    return residue_degrees(sub.multiplicity, sub.residues, sub.ambient.dim)
-
-
 def project(sub: Subspace, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Metric-orthogonal projection of the columns of ``arr`` onto ``sub``:
     their coordinates in the basis of ``sub``, and the leftover ``arr - P arr``.
@@ -213,13 +210,12 @@ def project(sub: Subspace, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and the leftover is a copy of ``arr`` with those rows zeroed: the same
     values, with no product and no subtraction.
     """
-    degrees = _ladder_degrees(sub)
-    if degrees is None:
+    if sub.degrees is None:
         coords = _exact.mm(coefficient_functionals(sub), arr)
         return coords, _exact.sub(arr, _exact.mm(sub.basis, coords))
     leftover = arr.copy()
-    leftover[degrees] = sub.ambient.mode.zeros(())
-    return arr[degrees], leftover
+    leftover[sub.degrees] = sub.ambient.mode.zeros(())
+    return arr[sub.degrees], leftover
 
 
 def projector(sub: Subspace) -> np.ndarray:
@@ -246,7 +242,7 @@ def _null_coords(m: LinearMap, tol: float) -> np.ndarray:
     metric-normalized matrix (see :func:`weighted_matrix`) at the absolute
     ``tol``, which is scale-free in the metric, and maps the null right
     singular vectors back to coordinates by the inverse square root of the
-    domain metric.  :func:`kernel`, :func:`wandering` and :func:`truncate`
+    domain metric.  :func:`kernel`, :func:`wandering` and :func:`extend`
     all decide their null directions here.
 
     When no two nonzeros of m share a row or a column (see
@@ -284,35 +280,29 @@ def truncate(sub: Subspace, dim: int) -> Subspace:
     else:
         target = TruncatedSpace(metric=np.asarray(sub.ambient.metric)[:dim],
                                 mode=sub.ambient.mode)
-    if sub.residues is not None:
-        return residue_subspace(target, sub.multiplicity, sub.residues)
-    if dim == sub.ambient.dim:
-        return Subspace(target, sub.basis, sub.norms_sq)
-    # basis combinations whose coefficients of degree >= dim all vanish
-    above = TruncatedSpace(metric=np.asarray(sub.ambient.metric)[dim:],
-                           mode=sub.ambient.mode)
-    top = LinearMap(sub.coordinate_space(), above, sub.basis[dim:, :])
-    cols = _exact.mm(sub.basis, _null_coords(top, RANK_TOL))[:dim, :]
-    return from_vectors(target, cols)
+    return extend(sub, target)
 
 
 def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
     """Canonical extension of the subspace into another truncation.
 
-    Residue-tagged subspaces regrow their monomial pattern.  Untagged ones
-    are zero-padded into a larger truncation and intersected with a smaller
-    one.
+    The one routine that moves a subspace between truncations.  Residue-tagged
+    subspaces regrow their monomial pattern.  Untagged ones are zero-padded
+    into a truncation at least as large, and intersected with a smaller one:
+    the span of the basis combinations whose coefficients of degree
+    ``>= space.dim`` all vanish, decided by :func:`_null_coords`.
     """
     _check_compatible(sub, space)
     if sub.residues is not None:
         return residue_subspace(space, sub.multiplicity, sub.residues)
-    if space.dim == sub.ambient.dim:
-        return Subspace(space, sub.basis, sub.norms_sq)
-    if space.dim < sub.ambient.dim:
-        return truncate(sub, space.dim)
-    basis = space.mode.buffer((space.dim, sub.dim), sub.basis)
-    basis[: sub.ambient.dim, :] = sub.basis
-    return Subspace(space, basis, sub.norms_sq)
+    d = space.dim
+    if d >= sub.ambient.dim:
+        basis = space.mode.buffer((d, sub.dim), sub.basis)
+        basis[: sub.ambient.dim, :] = sub.basis
+        return Subspace(space, basis, sub.norms_sq)
+    above = TruncatedSpace(metric=np.asarray(sub.ambient.metric)[d:], mode=space.mode)
+    top = LinearMap(sub.coordinate_space(), above, sub.basis[d:, :])
+    return from_vectors(space, _exact.mm(sub.basis, _null_coords(top, RANK_TOL))[:d, :])
 
 
 def max_degree(sub: Subspace) -> int:
@@ -368,8 +358,7 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
-    degrees = _ladder_degrees(sub)
-    imgs = m.apply(sub.basis) if degrees is None else m.matrix[:, degrees]
+    imgs = m.apply(sub.basis) if sub.degrees is None else m.matrix[:, sub.degrees]
     coords, leftover = project(target, imgs)
     rsq = m.codomain.column_norms_sq(leftover)
     ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))

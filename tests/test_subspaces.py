@@ -106,6 +106,7 @@ def test_residue_subspace_reads_a_one_shot_iterable_once(mode):
         got = residue_subspace(dom, 2, (r for r in residues))
         assert got.residues == want.residues == frozenset(residues)
         assert got.multiplicity == want.multiplicity == 2
+        assert got.degrees == want.degrees == residue_degrees(2, residues, 10)
         assert got.basis.dtype == want.basis.dtype
         assert (got.basis == want.basis).all()
         assert (np.asarray(got.norms_sq) == np.asarray(want.norms_sq)).all()
@@ -190,9 +191,40 @@ def test_orthogonalize_pairwise_orthogonal(mode):
         assert_orthonormal(sp, basis, norms, 1e-13)
 
 
+def nudge(col, w, i):
+    """``col`` moved along z^i by 1e-6 of its own norm in the metric ``w``."""
+    size = np.sqrt(np.sum(w * np.array(col, dtype=float) ** 2) / w[i])
+    col = list(col)
+    col[i] += Fraction(float(size)).limit_denominator(10**4) / 10**6
+    return col
+
+
+def large_close_combination(mode):
+    """[a, 0, 3a, 6a, 0, 12a + nudge] at D=5, alpha=-1/2, as a Gram-Schmidt problem.
+
+    Moved by an absolute 1e-6 instead, the last column sits 1e-6 / ||12a||
+    off the span, and the float basis lands 2e-8 from the reference, the
+    rounding error of any float method.
+    """
+    sp = make_space(Fraction(-1, 2) if mode.is_exact else -0.5, 1, 5, mode)
+    a = [Fraction(-1, 3), Fraction(3), Fraction(-1, 4), Fraction(-1, 3), Fraction(-1, 4)]
+    zero = [Fraction(0)] * 5
+    cols = [a, zero, [3 * x for x in a], [6 * x for x in a], zero,
+            nudge([12 * x for x in a], to_float(np.asarray(sp.metric)), 1)]
+    mat = sp.mode.zeros((5, len(cols)))
+    for j, col in enumerate(cols):
+        mat[:, j] = col if mode.is_exact else [float(x) for x in col]
+    return sp, mat, True
+
+
 def test_orthogonalize_matches_modified_gram_schmidt():
     """Exact output equals modified Gram-Schmidt entry for entry; float output
-    is orthonormal and spans what modified Gram-Schmidt spans."""
+    is orthonormal and spans what modified Gram-Schmidt spans.
+
+    A close column is a combination of earlier columns moved off their span
+    by 1e-6 of its own metric norm (see :func:`nudge`), so the 1e-8 bound
+    stays above the rounding error however large the combination is.
+    """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -203,6 +235,7 @@ def test_orthogonalize_matches_modified_gram_schmidt():
                                       Fraction(2), Fraction(7, 2)]))
         D = draw(st.integers(2, 8))
         sp = make_space(alpha if mode.is_exact else float(alpha), 1, D, mode)
+        w = to_float(np.asarray(sp.metric))
         entries = st.integers(-3, 3)
         cols, close = [], False
         for _ in range(draw(st.integers(1, 6))):
@@ -215,8 +248,8 @@ def test_orthogonalize_matches_modified_gram_schmidt():
                 coeffs = [draw(entries) for _ in cols]
                 col = [sum(c * v[i] for c, v in zip(coeffs, cols)) for i in range(D)]
                 if kind == "close":
-                    # off the span by about 1e-6: one projection pass is not enough
-                    col[draw(st.integers(0, D - 1))] += Fraction(1, 10**6)
+                    # off the span by 1e-6 of its norm: one projection pass is not enough
+                    col = nudge(col, w, draw(st.integers(0, D - 1)))
                     close = True
             cols.append(col)
         mat = sp.mode.zeros((D, len(cols)))
@@ -226,6 +259,8 @@ def test_orthogonalize_matches_modified_gram_schmidt():
 
     @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
     @hypothesis.given(problems())
+    @hypothesis.example(large_close_combination(FLOAT))
+    @hypothesis.example(large_close_combination(EXACT))
     def check(problem):
         sp, cols, close = problem
         basis, norms = orthogonalize(sp, cols)
@@ -304,9 +339,7 @@ def test_orthogonalize_matches_gram_schmidt_on_wide_blocks():
                     coeffs[-1] = 1
                 col = [sum(c * v[i] for c, v in zip(coeffs, randoms)) for i in range(D)]
                 if kind == "close":
-                    i = draw(st.integers(0, D - 1))
-                    size = np.sqrt(np.sum(w * np.array(col, dtype=float) ** 2) / w[i])
-                    col[i] += Fraction(float(size)).limit_denominator(10**4) / 10**6
+                    col = nudge(col, w, draw(st.integers(0, D - 1)))
                     close = True
             cols.append(col)
         mat = sp.mode.zeros((D, len(cols)))
