@@ -37,25 +37,17 @@ RANK_TOL = 1e-10
 class Subspace:
     """Metric-orthogonal basis of a subspace of a truncated space.
 
-    The residue tag (``residues`` with ``multiplicity``) is set only by
-    :func:`residue_subspace`, and it guarantees the ladder's layout: basis
+    The residue tag (``residues``, ``multiplicity`` and ``degrees``, all None
+    for an untagged subspace) is set only by :func:`residue_subspace`, once
+    the subspace is built, and it guarantees the ladder's layout: basis
     column j is the monomial ``z^degrees[j]``, where ``degrees`` is
     ``residue_degrees(multiplicity, residues, ambient.dim)``, in increasing
-    order, and ``norms_sq == ambient.metric[degrees]``.  ``degrees`` is
-    computed once, here, from the tag, and is None for an untagged subspace.
+    order, and ``norms_sq == ambient.metric[degrees]``.
     Maps applied to a tagged basis and projections onto a tagged subspace
     rely on it to gather entries by degree instead of multiplying.
     """
 
-    def __init__(
-        self,
-        ambient: TruncatedSpace,
-        basis: np.ndarray,
-        norms_sq: np.ndarray,
-        *,
-        residues: Optional[frozenset] = None,
-        multiplicity: Optional[int] = None,
-    ):
+    def __init__(self, ambient: TruncatedSpace, basis: np.ndarray, norms_sq: np.ndarray):
         basis = np.asarray(basis)
         if basis.ndim != 2 or basis.shape[0] != ambient.dim:
             raise DimensionMismatch(
@@ -69,10 +61,9 @@ class Subspace:
         self.ambient = ambient
         self.basis = basis
         self.norms_sq = norms_sq
-        self.residues = None if residues is None else frozenset(residues)
-        self.multiplicity = multiplicity
-        self.degrees = (None if residues is None
-                        else residue_degrees(multiplicity, self.residues, ambient.dim))
+        self.residues: Optional[frozenset] = None
+        self.multiplicity: Optional[int] = None
+        self.degrees: Optional[list[int]] = None
 
     @property
     def dim(self) -> int:
@@ -183,8 +174,9 @@ def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> 
     degrees = residue_degrees(N, residues, space.dim)
     basis = space.mode.zeros((space.dim, len(degrees)))
     basis[degrees, np.arange(len(degrees))] = space.mode.one
-    return Subspace(space, basis, np.asarray(space.metric)[degrees],
-                    residues=residues, multiplicity=N)
+    sub = Subspace(space, basis, np.asarray(space.metric)[degrees])
+    sub.residues, sub.multiplicity, sub.degrees = residues, N, degrees
+    return sub
 
 
 def coefficient_functionals(sub: Subspace) -> np.ndarray:

@@ -179,13 +179,16 @@ def _residues_of(spec: CheckSpec) -> tuple[int, ...]:
 
 class Level(NamedTuple):
     """Level j of the tower: the shift from dimension D + jN into D + (j+1)N,
-    its restriction ``t`` to the residue ladder, and the two pseudoinverse
-    factors of ``t``.  Spaces and ladders are read off the maps."""
+    its restriction ``t`` to the residue ladder, the left inverse
+    ``pinv(t) = (t* t)^-1 t*``, and the lift chain
+    ``A^(j+1) = lift_j o ... o lift_0`` from level 0's ladder into level j's
+    extension, where ``lift_i = left_inv_i*`` is the norm-expanding lift
+    ``T (T* T)^-1`` of level i.  Spaces and ladders are read off the maps."""
 
     shift: LinearMap
     t: LinearMap
     left_inv: LinearMap
-    lift: LinearMap
+    chain: LinearMap
 
 
 @functools.lru_cache(maxsize=64)
@@ -195,7 +198,10 @@ def _tower_cached(N: int, alpha: Scalar, D: int, residues: tuple,
     t = restrict(s, residue_subspace(s.domain, N, residues))
     left_inv = pinv(t)
     # the lift T (T*T)^-1 is the adjoint of the left inverse (T*T)^-1 T*
-    return Level(s, t, left_inv, left_inv.adjoint())
+    lift = left_inv.adjoint()
+    chain = lift if j == 0 else lift.compose(
+        _tower_cached(N, alpha, D, residues, mode, j - 1).chain)
+    return Level(s, t, left_inv, chain)
 
 
 def _tower(spec: CheckSpec, j: int = 0) -> Level:
@@ -210,11 +216,6 @@ def _tower(spec: CheckSpec, j: int = 0) -> Level:
 def _levels(spec: CheckSpec) -> list[Level]:
     """Levels 0 .. max(1, depth) - 1, for the checks that climb the tower."""
     return [_tower(spec, j) for j in range(max(1, spec.depth))]
-
-
-#: Checks that climb the tower with :func:`_levels`; every other check reads
-#: level 0 or the bare shift, both from dimension D into D + N.
-TOWER_CHECKS = ("telescoping", "kernel_containment", "expansive", "min_degree")
 
 
 def weights_reach(spec: CheckSpec) -> int:
@@ -417,11 +418,9 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
     defects = []
     dims_ok = True
     kdims = []
-    desc = None
     for n, level in enumerate(levels, start=1):
-        # (pinv T)^n maps level n down to level 0
-        desc = level.left_inv if desc is None else desc.compose(level.left_inv)
-        ker = kernel(desc, tol=min(spec.tol, 1e-8))
+        # (pinv T)^n = (A^n)* maps level n down to level 0
+        ker = kernel(level.chain.adjoint(), tol=min(spec.tol, 1e-8))
         expected = n * len(_residues_of(spec))
         top = level.t.codomain_sub
         dims_ok = dims_ok and ker.dim == expected == top.dim - base.dim
@@ -443,12 +442,10 @@ def check_expansive(spec: CheckSpec) -> ReportEntry:
     if levels[0].t.domain.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
     defects = []
-    chain = None
     g = random_columns(levels[0].t.domain, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
     dens = levels[0].t.domain.column_norms_sq(g)
     for level in levels:
-        chain = level.lift if chain is None else level.lift.compose(chain)
-        nums = chain.codomain.column_norms_sq(chain.apply(g))
+        nums = level.chain.codomain.column_norms_sq(level.chain.apply(g))
         for num, den in zip(nums, dens):
             if den != 0:
                 defects.append((max(0.0, 1.0 - math.sqrt(num / den)), num >= den))
@@ -463,11 +460,9 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
     if levels[0].t.domain.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
     defects = []
-    chain = None
     for m, level in enumerate(levels, start=1):
-        chain = level.lift if chain is None else level.lift.compose(chain)
         top = level.t.codomain_sub
-        cols = _exact.mm(top.basis, chain.matrix)
+        cols = _exact.mm(top.basis, level.chain.matrix)
         low = cols[: m * spec.N]
         hit = _exact.support(low).any(axis=0)
         norms_sq = iter(top.ambient.column_norms_sq(cols[:, hit]))
@@ -501,9 +496,7 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
         return _entry(spec, [], note="zero subspace, vacuous")
     e = wandering(t)
     e_base = truncate(e, spec.D)
-    dims_ok = e_base.dim == e.dim
-    if h.residues is not None:
-        dims_ok = dims_ok and e.dim == len(h.residues)
+    dims_ok = e_base.dim == e.dim == len(h.residues)
     k = max_degree(e_base)
     # keep only the combinations of E that vanish above degree k, so rounding
     # noise there is not amplified along the orbit
@@ -532,37 +525,31 @@ def check_census(spec: CheckSpec) -> ReportEntry:
     return _entry(spec, defects, report.all_randoms_fail, note=note)
 
 
+#: Every check, once: its function, its default tolerance in float mode, and
+#: what it reads: the bare shift from dimension D into D + N or its
+#: coefficients ("ambient", which ignores the residue parameter), level 0 of
+#: the tower ("level"), or levels 0 .. depth - 1 through :func:`_levels`
+#: ("tower").  The grids assign seeds in this order.
+_CHECK_TABLE = {
+    "norm_identity": (check_norm_identity, 1e-12, "ambient"),
+    "coeff_bounds": (check_coeff_bounds, 1e-12, "ambient"),
+    "lower_bound": (check_lower_bound, 1e-12, "level"),
+    "left_inverse": (check_left_inverse, 1e-10, "level"),
+    "range_projector": (check_range_projector, 1e-10, "level"),
+    "telescoping": (check_telescoping, 1e-10, "tower"),
+    "kernel_containment": (check_kernel_containment, 1e-9, "tower"),
+    "expansive": (check_expansive, 1e-12, "tower"),
+    "min_degree": (check_min_degree, 1e-13, "tower"),
+    "beurling": (check_beurling, 1e-10, "level"),
+    "census": (check_census, 1e-10, "ambient"),
+}
 CHECKS: dict[str, Callable[[CheckSpec], ReportEntry]] = {
-    "norm_identity": check_norm_identity,
-    "coeff_bounds": check_coeff_bounds,
-    "lower_bound": check_lower_bound,
-    "left_inverse": check_left_inverse,
-    "range_projector": check_range_projector,
-    "telescoping": check_telescoping,
-    "kernel_containment": check_kernel_containment,
-    "expansive": check_expansive,
-    "min_degree": check_min_degree,
-    "beurling": check_beurling,
-    "census": check_census,
-}
-
-#: Ambient checks ignore the residue parameter.
-AMBIENT_CHECKS = ("norm_identity", "coeff_bounds", "census")
-
-#: Default tolerance of each check in float mode.
-DEFAULT_TOLS = {
-    "norm_identity": 1e-12,
-    "coeff_bounds": 1e-12,
-    "lower_bound": 1e-12,
-    "left_inverse": 1e-10,
-    "range_projector": 1e-10,
-    "telescoping": 1e-10,
-    "kernel_containment": 1e-9,
-    "expansive": 1e-12,
-    "min_degree": 1e-13,
-    "beurling": 1e-10,
-    "census": 1e-10,
-}
+    name: check for name, (check, _tol, _reads) in _CHECK_TABLE.items()}
+DEFAULT_TOLS = {name: tol for name, (_check, tol, _reads) in _CHECK_TABLE.items()}
+AMBIENT_CHECKS = tuple(name for name, (_c, _t, reads) in _CHECK_TABLE.items()
+                       if reads == "ambient")
+TOWER_CHECKS = tuple(name for name, (_c, _t, reads) in _CHECK_TABLE.items()
+                     if reads == "tower")
 
 
 def run_check(spec: CheckSpec) -> ReportEntry:

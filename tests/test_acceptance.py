@@ -93,11 +93,32 @@ def float_tower(alpha, N) -> list[Level]:
 
 
 def lift_chains(tw: list[Level]):
-    """The m-fold lift compositions for m = 1 .. levels."""
-    chains = [tw[0].lift]
+    """The m-fold lift compositions for m = 1 .. levels, each lift the
+    adjoint of its level's left inverse; the levels' own chains are not read."""
+    chains = [tw[0].left_inv.adjoint()]
     for level in tw[1:]:
-        chains.append(level.lift.compose(chains[-1]))
+        chains.append(level.left_inv.adjoint().compose(chains[-1]))
     return chains
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_level_chain_matches_composed_lifts(mode):
+    """Level.chain is the composition of the levels' lifts: exactly equal in
+    exact mode, bit for bit in float mode, at N = 1..3, every residue set,
+    depth 4."""
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    D = 12
+    for N in (1, 2, 3):
+        for size in range(N + 1):
+            for residues in itertools.combinations(range(N), size):
+                tw = build_tower(N, alpha, D, residues, mode, DEPTH)
+                for j, ref in enumerate(lift_chains(tw)):
+                    got = verify._tower_cached(N, alpha, D, residues, mode, j).chain
+                    assert (got.domain, got.codomain) == (ref.domain, ref.codomain)
+                    if mode.is_exact:
+                        assert (got.matrix == ref.matrix).all(), (N, residues, j)
+                    else:
+                        assert np.array_equal(got.matrix, ref.matrix), (N, residues, j)
 
 
 def telescoping_sides(tw: list[Level]):

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,11 +115,13 @@ def _scaled(m, c):
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 @pytest.mark.parametrize("name,field,factor", [
-    ("expansive", "lift", Fraction(1, 2)),
+    ("expansive", "chain", Fraction(1, 2)),
     ("lower_bound", "t", Fraction(1, 100)),
 ])
 def test_block_checks_catch_faulty_levels(monkeypatch, mode, name, field, factor):
-    """A halved lift fails expansive; a shift shrunk 100-fold fails lower_bound."""
+    """A halved lift chain fails expansive; a shift shrunk 100-fold fails
+    lower_bound.  Each failure is a verdict: a check that raised would have
+    an infinite residual and the exception's type in its note."""
     built = verify._tower_cached
     c = factor if mode.is_exact else float(factor)
 
@@ -126,10 +129,17 @@ def test_block_checks_catch_faulty_levels(monkeypatch, mode, name, field, factor
         level = built(*key)
         return level._replace(**{field: _scaled(getattr(level, field), c)})
 
+    # a level built while the faulty builder is in place chains the scaled
+    # level below it, so neither cache state may leak into other tests
+    _tower_cached.cache_clear()
     monkeypatch.setattr(verify, "_tower_cached", faulty)
-    entry = run_check(spec_for(name, mode=mode))
+    try:
+        entry = run_check(spec_for(name, mode=mode))
+    finally:
+        _tower_cached.cache_clear()
     assert not entry.passed
-    assert entry.residual > DEFAULT_TOLS[name]
+    assert DEFAULT_TOLS[name] < entry.residual < math.inf
+    assert not re.match(r"\w+: ", entry.note), entry.note
 
 
 def test_checks_make_no_per_vector_applies(monkeypatch):
@@ -318,17 +328,75 @@ def _count_gram_inverses(monkeypatch) -> list:
 
 
 def test_gram_inverse_once_per_level(monkeypatch):
-    """Each tower level inverts its Gram operator once; the lift reuses pinv."""
+    """Each tower level inverts its Gram operator once; the lift reuses pinv,
+    and the lift chain of level j runs from level 0's ladder into level j's
+    extension."""
     calls = _count_gram_inverses(monkeypatch)
-    levels = [_tower_cached.__wrapped__(2, 0.5, 12, (0,), FLOAT, j) for j in range(3)]
+    _tower_cached.cache_clear()
+    try:
+        levels = [_tower_cached(2, 0.5, 12, (0,), FLOAT, j) for j in range(3)]
+    finally:
+        _tower_cached.cache_clear()
     assert len(calls) == 3
     for j, level in enumerate(levels):
         assert level.shift.domain.dim == 12 + 2 * j
         assert level.shift.codomain.dim == 12 + 2 * (j + 1)
         assert level.t.domain_sub.ambient == level.shift.domain
         assert level.t.codomain_sub.ambient == level.shift.codomain
-        assert level.lift.domain == level.left_inv.codomain == level.t.domain
-        assert level.lift.codomain == level.left_inv.domain == level.t.codomain
+        assert level.left_inv.codomain == level.t.domain
+        assert level.left_inv.domain == level.t.codomain
+        assert level.chain.domain == levels[0].t.domain
+        assert level.chain.codomain == level.t.codomain
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_warm_lift_checks_compose_nothing(monkeypatch, mode):
+    """The lift chains are composed once, when their levels are built: a warm
+    expansive, min_degree or kernel_containment makes no composition."""
+    composed = []
+    compose = operators.LinearMap.compose
+    for name in ("expansive", "min_degree", "kernel_containment"):
+        spec = spec_for(name, mode=mode, depth=4)
+        assert run_check(spec).passed
+        monkeypatch.setattr(operators.LinearMap, "compose",
+                            lambda self, other: composed.append(name) or compose(self, other))
+        entry = run_check(spec)
+        monkeypatch.setattr(operators.LinearMap, "compose", compose)
+        assert entry.passed, (name, entry.note)
+    assert composed == []
+
+
+#: The checks that report a zero ladder as vacuous instead of measuring it.
+VACUOUS_ON_ZERO_LADDER = ("lower_bound", "kernel_containment", "expansive", "min_degree",
+                          "beurling")
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("name", [n for n in CHECKS if n not in AMBIENT_CHECKS])
+def test_checks_pass_on_the_zero_ladder(mode, name):
+    """Every tower check passes on the empty residue set with residual 0.0;
+    the checks that guard it say so in the note."""
+    entry = run_check(spec_for(name, mode=mode, residues=(), D=12, depth=3))
+    assert entry.passed, entry.note
+    assert entry.residual == 0.0
+    if name in VACUOUS_ON_ZERO_LADDER:
+        assert entry.note == "zero subspace, vacuous"
+
+
+def test_check_table_order_is_pinned():
+    """The grids and the large-D workload assign seeds in CHECKS order, so a
+    reordered table would reseed every entry."""
+    assert list(CHECKS) == [
+        "norm_identity", "coeff_bounds", "lower_bound", "left_inverse", "range_projector",
+        "telescoping", "kernel_containment", "expansive", "min_degree", "beurling", "census"]
+    assert AMBIENT_CHECKS == ("norm_identity", "coeff_bounds", "census")
+    assert verify.TOWER_CHECKS == ("telescoping", "kernel_containment", "expansive",
+                                   "min_degree")
+    assert list(DEFAULT_TOLS.items()) == [
+        ("norm_identity", 1e-12), ("coeff_bounds", 1e-12), ("lower_bound", 1e-12),
+        ("left_inverse", 1e-10), ("range_projector", 1e-10), ("telescoping", 1e-10),
+        ("kernel_containment", 1e-9), ("expansive", 1e-12), ("min_degree", 1e-13),
+        ("beurling", 1e-10), ("census", 1e-10)]
 
 
 def test_float_tower_levels_are_real():
