@@ -3,7 +3,9 @@
 The package's array kernels on exact data live here: matrix products
 (:func:`mm`), weighted column norms (:func:`column_norms_sq`), metric
 adjoints (:func:`metric_adjoint`), sums and differences (:func:`add`,
-:func:`sub`) and nonzero scans (:func:`support`).  On float data each of
+:func:`sub`), nonzero scans (:func:`support`), and the elementwise
+kernels of maps stored by index (:func:`mul`, :func:`metric_scale`,
+:func:`weighted_sq`; see ``operators.LinearMap``).  On float data each of
 them evaluates the plain numpy expression.
 
 On object data they read only nonzero entries: shifts, residue ladders and
@@ -19,8 +21,8 @@ operands hold rationals (``Fraction`` or ``int``); an object operand mixed
 with float data raises TypeError.
 
 :func:`rref`, :func:`nullspace` and :func:`invert` are Gauss-Jordan
-elimination with exact pivots, the references for maps with a shared row or
-column; tower maps never reach them (see ``operators._isolated_nonzeros``).
+elimination with exact pivots, the references for dense maps; tower maps
+never reach them, since they are stored by index and decided there.
 """
 
 from __future__ import annotations
@@ -31,9 +33,13 @@ from fractions import Fraction
 import numpy as np
 
 
+#: The zero every exact buffer starts from; Fractions are immutable, so one is shared.
+_ZERO = Fraction(0)
+
+
 def zeros(shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
-    out[...] = Fraction(0)
+    out[...] = _ZERO
     return out
 
 
@@ -140,25 +146,52 @@ def column_norms_sq(mat: np.ndarray, metric: np.ndarray) -> np.ndarray:
     return _assemble(mat.shape[1], terms)
 
 
-def metric_adjoint(m: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> np.ndarray:
-    """Metric adjoint G_in^-1 m^H G_out of a matrix between diagonal metrics.
-
-    It is ``conj(m).T * (w_out[None, :] / w_in[:, None])``.  The metric
-    ratio is formed before the product, in real arithmetic (complex division
-    rounds even x/x).  Object data is real, so it is not conjugated; each
-    nonzero entry of ``m`` gives one Fraction of the integer product.
-    """
-    m, w_out, w_in = np.asarray(m), np.asarray(w_out), np.asarray(w_in)
-    if not _is_exact(m, w_out, w_in):
-        return np.conjugate(m).T * (w_out[None, :] / w_in[:, None])
-    out = zeros(m.shape[::-1])
-    wo, wi = w_out.tolist(), w_in.tolist()
-    o_nz, i_nz = np.nonzero(support(m))
-    for o, i, x in zip(o_nz.tolist(), i_nz.tolist(), m[o_nz, i_nz].tolist()):
-        p, q = wo[o], wi[i]
-        out[i, o] = Fraction(x.numerator * p.numerator * q.denominator,
-                             x.denominator * p.denominator * q.numerator)
+def _at_nonzeros(f, x, *others) -> np.ndarray:
+    """``f(x[i], *others[i])`` where no operand is zero (operands broadcast),
+    one Fraction each from the Python values; exact zero elsewhere."""
+    x, *others = np.broadcast_arrays(x, *others)
+    out = zeros(x.shape)
+    nz = np.logical_and.reduce([support(o) for o in (x, *others)])
+    out[nz] = [f(*args) for args in zip(x[nz].tolist(), *(o[nz].tolist() for o in others))]
     return out
+
+
+def metric_scale(x, p, q) -> np.ndarray:
+    """Elementwise ``conj(x) * (p / q)`` of broadcast arrays.
+
+    The ratio is formed before the product, in real arithmetic (complex
+    division rounds even x/x).  Object data is real, so it is not
+    conjugated; each nonzero entry of ``x`` gives one Fraction of the
+    integer product.
+    """
+    if not _is_exact(x, p, q):
+        return np.conjugate(x) * (p / q)
+    return _at_nonzeros(lambda a, b, c: Fraction(a.numerator * b.numerator * c.denominator,
+                                                 a.denominator * b.denominator * c.numerator),
+                        x, p, q)
+
+
+def metric_adjoint(m: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> np.ndarray:
+    """Metric adjoint G_in^-1 m^H G_out of a matrix between diagonal metrics:
+    ``conj(m).T * (w_out[None, :] / w_in[:, None])``, by :func:`metric_scale`."""
+    m, w_out, w_in = np.asarray(m), np.asarray(w_out), np.asarray(w_in)
+    return metric_scale(m.T, w_out[None, :], w_in[:, None])
+
+
+def weighted_sq(x, w) -> np.ndarray:
+    """Elementwise ``|x|^2 w``: the squared weighted norm of a column whose one
+    nonzero is x, in row weight w, with the terms of :func:`column_norms_sq`."""
+    if not _is_exact(x, w):
+        return np.abs(x) ** 2 * w
+    return _at_nonzeros(lambda a, b: Fraction(a.numerator * a.numerator * b.numerator,
+                                              a.denominator * a.denominator * b.denominator),
+                        x, w)
+
+
+def mul(a, b) -> np.ndarray:
+    """Elementwise ``a * b`` of broadcast arrays; on object data only pairs
+    of nonzero factors are multiplied."""
+    return a * b if not _is_exact(a, b) else _at_nonzeros(operator.mul, a, b)
 
 
 def _combine(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:

@@ -7,6 +7,15 @@ built from these maps hold at finite dimension and not merely in the limit.
 
 Adjoints are taken with respect to the diagonal metrics of the domain and
 codomain: adj(M) = G_in^(-1) M^H G_out.
+
+A map has one of two storage forms, fixed when it is built.  The dense form
+holds the matrix; it is the reference.  The index form holds a partial
+weighted permutation, a matrix with at most one nonzero in each row and
+column.  In the monomial basis z^N is a weighted shift (Shields, "Weighted
+shift operators and analytic function theory", 1974), so the shift, its
+restrictions to residue ladders, their adjoints, Gram operators,
+pseudoinverses, lifts and every product of these have that form, and on it
+each operation here is a few gathers and one elementwise product.
 """
 
 from __future__ import annotations
@@ -34,38 +43,79 @@ class LinearMap:
     ``domain_sub``/``codomain_sub`` optionally record the subspaces whose
     coordinate spaces the map acts between (set by ``subspaces.restrict``),
     so that coordinate vectors can be re-expressed in the ambient truncation.
+
+    The constructor stores the dense form.  The index form (see
+    :meth:`_indexed`) is built by :func:`shift`, :func:`identity_map` and
+    ``subspaces.restrict`` onto a residue ladder, and kept by
+    :meth:`adjoint` and :meth:`compose` of index maps, by ``+``/``-`` of two
+    index maps whose patterns agree (in each column the rows are equal or
+    one column is empty, and no row is hit twice) and by the Gram inverse.
+    Any other result is dense.  Both forms give the values of the dense
+    expressions: an entry of a product is the one product of two nonzero
+    factors that the dense sum adds zeros to, computed by itself.  No map is
+    inspected for its structure; ``matrix`` is built from the index form on
+    first read and kept.
     """
 
-    def __init__(
-        self,
-        domain: TruncatedSpace,
-        codomain: TruncatedSpace,
-        matrix: np.ndarray,
-        *,
-        domain_sub=None,
-        codomain_sub=None,
-    ):
+    def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace, matrix: np.ndarray,
+                 *, domain_sub=None, codomain_sub=None):
         matrix = np.asarray(matrix)
         if matrix.shape != (codomain.dim, domain.dim):
-            raise DimensionMismatch(
-                f"matrix shape {matrix.shape} does not match map "
-                f"{domain.dim} -> {codomain.dim}"
-            )
-        if domain.mode != codomain.mode:
-            raise DimensionMismatch("domain and codomain use different scalar modes")
+            raise DimensionMismatch(f"matrix shape {matrix.shape} does not match map "
+                                    f"{domain.dim} -> {codomain.dim}")
         matrix = matrix.copy()
         matrix.flags.writeable = False
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-        self.mode = domain.mode
-        self.domain_sub = domain_sub
-        self.codomain_sub = codomain_sub
+        self._bind(domain, codomain, domain_sub, codomain_sub)
+        self._matrix, self._rows, self._vals = matrix, None, None
+
+    @classmethod
+    def _indexed(cls, domain, codomain, rows, vals, *, domain_sub=None,
+                 codomain_sub=None) -> "LinearMap":
+        """Index form: column j holds ``vals[j]`` in row ``rows[j]``, or is
+        empty where ``rows[j] == -1`` and ``vals[j]`` is zero.  Both arrays
+        end in one padding entry, -1 and zero, so a gather at row index -1
+        reads an empty column."""
+        m = cls.__new__(cls)
+        m._bind(domain, codomain, domain_sub, codomain_sub)
+        rows.flags.writeable = vals.flags.writeable = False
+        m._matrix, m._rows, m._vals = None, rows, vals
+        return m
+
+    def _bind(self, domain, codomain, domain_sub, codomain_sub) -> None:
+        if domain.mode != codomain.mode:
+            raise DimensionMismatch("domain and codomain use different scalar modes")
+        self.domain, self.codomain, self.mode = domain, codomain, domain.mode
+        self.domain_sub, self.codomain_sub = domain_sub, codomain_sub
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            d = self.domain.dim
+            mat = self.mode.buffer((self.codomain.dim + 1, d), self._vals)
+            mat[self._rows[:-1], np.arange(d)] = self._vals[:-1]
+            mat = mat[:-1]
+            mat.flags.writeable = False
+            self._matrix = mat
+        return self._matrix
+
+    def _at_rows(self, a: np.ndarray) -> np.ndarray:
+        """``a[rows[j]]`` for every column j of the index form, 1 for the empty ones."""
+        return np.concatenate((a, (1,)))[self._rows]
+
+    def _transposed(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index form of the transposed pattern, with ``vals[j]`` at the
+        entry that column j's nonzero moves to."""
+        rows = np.full(self.codomain.dim + 1, -1)
+        out = self.mode.buffer(self.codomain.dim + 1, vals)
+        rows[self._rows] = np.arange(self.domain.dim + 1)
+        out[self._rows] = vals  # empty columns write their zero to the padding
+        rows[-1] = -1
+        return rows, out
 
     def apply(self, cols: np.ndarray) -> np.ndarray:
         """Image of a coefficient array: one vector, or a block of columns.
 
-        A real float64 matrix maps complex columns as two real products, of
+        A real float64 map maps complex columns as two real products, of
         the real and of the imaginary parts, instead of being cast whole to
         complex128.
         """
@@ -74,56 +124,86 @@ class LinearMap:
             raise DimensionMismatch(
                 f"expected {self.domain.dim} rows of coefficients, got shape {cols.shape}"
             )
-        if self.matrix.dtype == np.float64 and cols.dtype.kind == "c":
-            out = _exact.mm(self.matrix, cols.real).astype(np.complex128)
-            out.imag = _exact.mm(self.matrix, cols.imag)
+        data = self._matrix if self._rows is None else self._vals
+        if data.dtype == np.float64 and cols.dtype.kind == "c":
+            out = self._product(cols.real).astype(np.complex128)
+            out.imag = self._product(cols.imag)
             return out
-        return _exact.mm(self.matrix, cols)
+        return self._product(cols)
+
+    def _product(self, cols: np.ndarray) -> np.ndarray:
+        if self._rows is None:
+            return _exact.mm(self._matrix, cols)
+        vals = self._vals[:-1] if cols.ndim == 1 else self._vals[:-1, None]
+        out = self.mode.buffer((self.codomain.dim + 1,) + cols.shape[1:], self._vals, cols)
+        out[self._rows[:-1]] = _exact.mul(vals, cols)
+        return out[:-1]
+
+    def column_norms_sq(self) -> np.ndarray:
+        """Squared codomain norms of the columns: the images of the domain's
+        coordinate vectors, measured without applying the map."""
+        if self._rows is None:
+            return self.codomain.column_norms_sq(self._matrix)
+        return _exact.weighted_sq(self._vals, self._at_rows(self.codomain.metric))[:-1]
+
+    def is_zero(self) -> bool:
+        """Whether every entry is exactly zero."""
+        return not _exact.support(self._matrix if self._rows is None else self._vals).any()
 
     def adjoint(self) -> "LinearMap":
-        return LinearMap(
-            self.codomain,
-            self.domain,
-            _exact.metric_adjoint(self.matrix, self.codomain.metric, self.domain.metric),
-            domain_sub=self.codomain_sub,
-            codomain_sub=self.domain_sub,
-        )
+        subs = dict(domain_sub=self.codomain_sub, codomain_sub=self.domain_sub)
+        w_out, w_in = self.codomain.metric, self.domain.metric
+        if self._rows is None:
+            return LinearMap(self.codomain, self.domain,
+                             _exact.metric_adjoint(self._matrix, w_out, w_in), **subs)
+        w_in = np.concatenate((w_in, (1,)))  # the padding entry's domain weight
+        vals = _exact.metric_scale(self._vals, self._at_rows(w_out), w_in)
+        return LinearMap._indexed(self.codomain, self.domain, *self._transposed(vals), **subs)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
         if other.codomain != self.domain:
             raise DimensionMismatch("composition needs other.codomain == self.domain")
-        return LinearMap(
-            other.domain,
-            self.codomain,
-            _exact.mm(self.matrix, other.matrix),
-            domain_sub=other.domain_sub,
-            codomain_sub=self.codomain_sub,
-        )
+        subs = dict(domain_sub=other.domain_sub, codomain_sub=self.codomain_sub)
+        if self._rows is None or other._rows is None:
+            return LinearMap(other.domain, self.codomain,
+                             _exact.mm(self.matrix, other.matrix), **subs)
+        return LinearMap._indexed(other.domain, self.codomain, self._rows[other._rows],
+                                  _exact.mul(self._vals[other._rows], other._vals), **subs)
 
-    def _check_same_shape(self, other: "LinearMap") -> None:
+    def _combine(self, other: "LinearMap", op) -> "LinearMap":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise DimensionMismatch("maps act between different spaces")
+        subs = dict(domain_sub=self.domain_sub, codomain_sub=self.codomain_sub)
+        a, b = self._rows, other._rows
+        if a is not None and b is not None:
+            rows = np.maximum(a, b)
+            clash = ((np.minimum(a, b) >= 0) & (a != b)).any()
+            if not clash and np.bincount(rows + 1)[1:].max(initial=0) <= 1:
+                return LinearMap._indexed(self.domain, self.codomain, rows,
+                                          op(self._vals, other._vals), **subs)
+        return LinearMap(self.domain, self.codomain, op(self.matrix, other.matrix), **subs)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        self._check_same_shape(other)
-        return LinearMap(self.domain, self.codomain, _exact.sub(self.matrix, other.matrix),
-                         domain_sub=self.domain_sub, codomain_sub=self.codomain_sub)
+        return self._combine(other, _exact.sub)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
-        self._check_same_shape(other)
-        return LinearMap(self.domain, self.codomain, _exact.add(self.matrix, other.matrix),
-                         domain_sub=self.domain_sub, codomain_sub=self.codomain_sub)
+        return self._combine(other, _exact.add)
 
     def __repr__(self) -> str:
-        return (
-            f"LinearMap({self.domain.dim} -> {self.codomain.dim}, "
-            f"mode={self.mode.value})"
-        )
+        return f"LinearMap({self.domain.dim} -> {self.codomain.dim}, mode={self.mode.value})"
+
+
+def _unit_shift(domain: TruncatedSpace, codomain: TruncatedSpace, step: int) -> LinearMap:
+    """Index map sending the coordinate vector e_n to e_(n + step)."""
+    vals = domain.mode.buffer(domain.dim + 1)
+    vals[:-1] = domain.mode.one
+    return LinearMap._indexed(domain, codomain,
+                              np.append(np.arange(step, step + domain.dim), -1), vals)
 
 
 def identity_map(space: TruncatedSpace) -> LinearMap:
-    return LinearMap(space, space, space.mode.eye(space.dim))
+    return _unit_shift(space, space, 0)
 
 
 def _require_graded_pair(domain: TruncatedSpace, codomain: TruncatedSpace, step: int) -> None:
@@ -143,10 +223,7 @@ def shift(domain: TruncatedSpace, codomain: TruncatedSpace, N: int) -> LinearMap
     if N < 1:
         raise DimensionMismatch(f"multiplicity N must be >= 1, got {N}")
     _require_graded_pair(domain, codomain, N)
-    m = domain.mode.zeros((codomain.dim, domain.dim))
-    for n in range(domain.dim):
-        m[N + n, n] = domain.mode.one
-    return LinearMap(domain, codomain, m)
+    return _unit_shift(domain, codomain, N)
 
 
 def weighted_matrix(m: LinearMap) -> np.ndarray:
@@ -160,45 +237,29 @@ def weighted_matrix(m: LinearMap) -> np.ndarray:
     return (mat * sw_out[:, None]) / sw_in[None, :]
 
 
-def _isolated_nonzeros(mat: np.ndarray):
-    """``(rows, cols)`` of the nonzeros of a matrix in which no two nonzeros
-    share a row or a column; None otherwise.
-
-    In both modes every map of a residue-ladder tower has this shape: the
-    restricted shift is a weighted shift, and so are its adjoint, its
-    diagonal Gram operator, its pseudoinverse factors and their products.
-    Such a matrix needs no factorization: its metric singular values are the
-    absolute values of its weighted entries, with the coordinate vectors at
-    their positions as singular vectors.
-    """
-    if np.count_nonzero(mat) > min(mat.shape):
-        return None
-    rows, cols = np.nonzero(_exact.support(mat))
-    if len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols):
-        return None
-    return rows, cols
+def _weighted_values(m: LinearMap) -> np.ndarray:
+    """The entries of :func:`weighted_matrix` at the nonzeros of an index
+    map, one per column (zero for an empty one), padded like its values."""
+    sw_out = np.sqrt(to_float(np.asarray(m.codomain.metric)))
+    sw_in = np.sqrt(to_float(np.asarray(m.domain.metric)))
+    return (to_float(m._vals) * m._at_rows(sw_out)) / np.concatenate((sw_in, (1,)))
 
 
 def singular_values(m: LinearMap) -> np.ndarray:
     """Metric singular values of the map, largest first.
 
-    When no two nonzeros share a row or a column (see
-    :func:`_isolated_nonzeros`) they are the sorted absolute values of the
-    weighted entries, padded with zeros to ``min(shape)``, and LAPACK is not
-    called; exact data is weighted in float64 as :func:`weighted_matrix`
-    does.  Every other matrix takes the dense SVD of :func:`weighted_matrix`,
-    the reference the shortcut is tested against.
+    An index map's are the absolute values of its weighted entries (see
+    :func:`_weighted_values`), sorted, with the coordinate vectors at their
+    positions as singular vectors, and LAPACK is not called; exact data is
+    weighted in float64 as :func:`weighted_matrix` does.  A dense map takes
+    the SVD of :func:`weighted_matrix`, the reference.
     """
-    if 0 in m.matrix.shape:
+    k = min(m.domain.dim, m.codomain.dim)
+    if k == 0:
         return np.zeros(0)
-    w = weighted_matrix(m)
-    nz = _isolated_nonzeros(m.matrix)
-    if nz is None:
-        return np.linalg.svd(w, compute_uv=False)
-    s = np.zeros(min(w.shape))
-    vals = np.sort(np.abs(w[nz]))[::-1]
-    s[: len(vals)] = vals
-    return s
+    if m._rows is None:
+        return np.linalg.svd(weighted_matrix(m), compute_uv=False)
+    return np.sort(np.abs(_weighted_values(m)[:-1]))[::-1][:k]
 
 
 def operator_norm(m: LinearMap) -> float:
@@ -217,39 +278,36 @@ def _gram_inverse(t: LinearMap) -> LinearMap:
     Exact mode refuses a singular Gram operator.  Float mode refuses one
     whose metric condition number ``s[0] / s[-1]`` (the formula of
     ``np.linalg.cond``, on :func:`singular_values`) exceeds
-    ``GRAM_CONDITION_LIMIT``.  A Gram matrix whose nonzeros share no row or
-    column, as on a residue ladder where it is diagonal, is inverted in
-    either mode by writing the reciprocals at the transposed positions; it
-    is singular when it has fewer nonzeros than rows.  Any other takes
-    ``_exact.invert`` or ``np.linalg.inv``, the references the shortcut is
-    tested against.
+    ``GRAM_CONDITION_LIMIT``.  The Gram operator of an index map is an
+    index map, diagonal apart from empty columns; in either mode it is
+    inverted by writing the reciprocals at the transposed positions, and it
+    is singular when a column holds no nonzero.  A dense one takes
+    ``_exact.invert`` or ``np.linalg.inv``, the references.
     """
     gram = t.adjoint().compose(t)
-    n = gram.domain.dim
-    if n == 0:
+    if gram.domain.dim == 0:
         return gram
-    nz = _isolated_nonzeros(gram.matrix)
     if not t.mode.is_exact:
         s = singular_values(gram)
         cond = s[0] / s[-1] if s[-1] > 0 else np.inf
         if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
             raise SingularGram(f"Gram operator condition number {cond:.3e} exceeds "
                                f"{GRAM_CONDITION_LIMIT:.0e}")
-    if nz is None and t.mode.is_exact:
+    subs = dict(domain_sub=gram.domain_sub, codomain_sub=gram.codomain_sub)
+    if gram._rows is not None:
+        if not _exact.support(gram._vals[:-1]).all():  # exact mode: float mode refused it
+            raise SingularGram("Gram operator is singular")
+        vals = gram._vals.copy()
+        vals[:-1] = 1 / gram._vals[:-1]
+        return LinearMap._indexed(gram.codomain, gram.domain, *gram._transposed(vals), **subs)
+    if t.mode.is_exact:
         try:
             inv = _exact.invert(gram.matrix)
         except ZeroDivisionError:
             raise SingularGram("Gram operator is singular") from None
-    elif nz is None:
-        inv = np.linalg.inv(gram.matrix)
-    elif len(nz[0]) < n:  # exact mode: float mode refused it by its condition number
-        raise SingularGram("Gram operator is singular")
     else:
-        rows, cols = nz
-        inv = t.mode.buffer(gram.matrix.shape, gram.matrix)
-        inv[cols, rows] = 1 / gram.matrix[rows, cols]
-    return LinearMap(gram.domain, gram.codomain, inv,
-                     domain_sub=gram.domain_sub, codomain_sub=gram.codomain_sub)
+        inv = np.linalg.inv(gram.matrix)
+    return LinearMap(gram.domain, gram.codomain, inv, **subs)
 
 
 def pinv(t: LinearMap) -> LinearMap:

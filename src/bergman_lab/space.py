@@ -31,30 +31,21 @@ _EXACT_DENOM = 2**16
 class TruncatedSpace:
     """Finite-dimensional space with a diagonal positive metric."""
 
-    def __init__(
-        self,
-        weights: Optional[WeightSequence] = None,
-        dim: Optional[int] = None,
-        *,
-        metric: Optional[np.ndarray] = None,
-        mode: Optional[ScalarMode] = None,
-    ):
+    def __init__(self, weights: Optional[WeightSequence] = None, dim: Optional[int] = None,
+                 *, metric: Optional[np.ndarray] = None, mode: Optional[ScalarMode] = None):
         if weights is not None:
             self.weights = weights
             self.mode = weights.mode
             self.dim = len(weights) if dim is None else dim
             if self.dim > len(weights):
                 raise DimensionMismatch(
-                    f"dim {self.dim} exceeds weight sequence length {len(weights)}"
-                )
+                    f"dim {self.dim} exceeds weight sequence length {len(weights)}")
             metric = np.asarray(weights.values[: self.dim])
         else:
             if metric is None or mode is None:
                 raise ValueError("either weights or (metric, mode) is required")
             if dim is not None and dim != len(metric):
-                raise DimensionMismatch(
-                    f"dim {dim} does not match metric length {len(metric)}"
-                )
+                raise DimensionMismatch(f"dim {dim} does not match metric length {len(metric)}")
             self.weights = None
             self.mode = mode
             self.dim = len(metric)
@@ -64,13 +55,12 @@ class TruncatedSpace:
         self.metric = metric
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, TruncatedSpace):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.mode == other.mode
-            and bool((self.metric == other.metric).all())
-        )
+        return (self.dim == other.dim and self.mode == other.mode
+                and bool((self.metric == other.metric).all()))
 
     __hash__ = None  # spaces compare by value; not hashable
 

@@ -19,14 +19,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import _exact
-from .errors import (
-    AmbientMismatch,
-    BadResidue,
-    DepthOverflow,
-    DimensionMismatch,
-    NotInvariant,
-)
-from .operators import LinearMap, _isolated_nonzeros, to_float, weighted_matrix
+from .errors import AmbientMismatch, BadResidue, DepthOverflow, DimensionMismatch, NotInvariant
+from .operators import LinearMap, _weighted_values, to_float, weighted_matrix
 from .space import TruncatedSpace, random_columns
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
@@ -227,6 +221,25 @@ def _check_compatible(sub: Subspace, space: TruncatedSpace) -> None:
         raise AmbientMismatch("weight sequences disagree on the common truncation")
 
 
+def _isolated_nonzeros(m: LinearMap) -> Optional[LinearMap]:
+    """Index form of a dense map in which no two nonzeros share a row or a
+    column; None otherwise.
+
+    The one structure detection left: :func:`extend` builds the rows of an
+    untagged basis above a cut as a dense block, and when the basis comes
+    from a wandering part its columns are one-hot, so the block is a partial
+    weighted permutation that no operation built.
+    """
+    mat = m.matrix
+    rows, cols = np.nonzero(_exact.support(mat))
+    if len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols):
+        return None
+    index = np.full(m.domain.dim + 1, -1)
+    vals = m.mode.buffer(m.domain.dim + 1, mat)
+    index[cols], vals[cols] = rows, mat[rows, cols]
+    return LinearMap._indexed(m.domain, m.codomain, index, vals)
+
+
 def _null_coords(m: LinearMap, tol: float) -> np.ndarray:
     """Domain coordinates of {v : ||m v|| <= tol ||v||}, one column per direction.
 
@@ -237,27 +250,30 @@ def _null_coords(m: LinearMap, tol: float) -> np.ndarray:
     domain metric.  :func:`kernel`, :func:`wandering` and :func:`extend`
     all decide their null directions here.
 
-    When no two nonzeros of m share a row or a column (see
-    :func:`_isolated_nonzeros`), in either mode, the kernel is read off the
-    structural zeros without an elimination or an SVD.  It is spanned by the
-    coordinate vectors of the columns that hold no nonzero (exact mode,
-    entries ``Fraction(1)``) or no weighted entry above ``tol`` (float mode,
-    entries ``1 / sqrt(metric[c])``), in increasing column order.  Any other
-    matrix takes ``_exact.nullspace`` or the SVD, the references the
-    shortcut is tested against.
+    An index map (see ``operators.LinearMap``), in either mode, has its
+    kernel read off its structural zeros without an elimination or an SVD.
+    It is spanned by the coordinate vectors of the columns that hold no
+    nonzero (exact mode, entries ``Fraction(1)``) or no weighted entry above
+    ``tol`` (float mode, entries ``1 / sqrt(metric[c])``), in increasing
+    column order.  A dense map takes the same route when
+    :func:`_isolated_nonzeros` finds the index form in it, and otherwise
+    ``_exact.nullspace`` or the SVD, the references.
     """
-    nz = _isolated_nonzeros(m.matrix)
-    if nz is None:
-        if m.mode.is_exact:
-            return _exact.nullspace(m.matrix)
-        _u, s, vt = np.linalg.svd(weighted_matrix(m), full_matrices=True)
-        rank = int(np.sum(s > tol))
-        return vt[rank:].conj().T / np.sqrt(np.asarray(m.domain.metric))[:, None]
-    rows, cols = nz
-    if not m.mode.is_exact:
-        cols = cols[np.abs(weighted_matrix(m)[rows, cols]) > tol]
-    null = np.flatnonzero(np.bincount(cols, minlength=m.domain.dim) == 0)
-    coords = m.mode.buffer((m.domain.dim, len(null)), m.matrix)
+    if m._rows is None:
+        index = _isolated_nonzeros(m)
+        if index is None:
+            if m.mode.is_exact:
+                return _exact.nullspace(m.matrix)
+            _u, s, vt = np.linalg.svd(weighted_matrix(m), full_matrices=True)
+            rank = int(np.sum(s > tol))
+            return vt[rank:].conj().T / np.sqrt(np.asarray(m.domain.metric))[:, None]
+        m = index
+    if m.mode.is_exact:
+        live = _exact.support(m._vals[:-1])
+    else:
+        live = np.abs(_weighted_values(m)[:-1]) > tol
+    null = np.flatnonzero(~live)
+    coords = m.mode.buffer((m.domain.dim, len(null)), m._vals)
     coords[null, np.arange(len(null))] = (
         m.mode.one if m.mode.is_exact else 1 / np.sqrt(np.asarray(m.domain.metric))[null])
     return coords
@@ -336,30 +352,46 @@ class ReducingResult:
 def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float):
     """Restriction of m to sub: the one place invariance is decided.
 
-    Returns the coordinates of m(basis of sub) in the basis of ``target``, a
-    subspace of m's codomain, and the invariance verdict.  The residual is
-    max_i ||(I - P) m b_i|| / ||b_i|| over basis vectors, P projecting onto
-    the target.  Exact mode passes only when every leftover norm is exactly
-    zero; float mode when the residual is at most ``tol``.
+    Returns the map from the coordinates of sub into those of ``target``, a
+    subspace of m's codomain, that sends each basis vector of sub to the
+    coordinates of its image's projection onto ``target``, and the invariance
+    verdict.  The residual is max_i ||(I - P) m b_i|| / ||b_i|| over basis
+    vectors, P projecting onto the target.  Exact mode passes only when
+    every leftover norm is exactly zero; float mode when the residual is at
+    most ``tol``.
 
-    Residue ladders take no product: the images of a ladder basis are the
-    columns of m at its degrees, and the projection onto a ladder target
-    gathers the rows at its degrees and zeroes them in a copy of the images
-    to leave the leftover (see :func:`project`).  Untagged subspaces
-    take the dense products, the reference for both gathers.
+    An index map restricted to residue ladders takes no product and builds
+    no matrix: the images of the ladder basis are the map's columns at its
+    degrees, gathered with their rows and values; the projection onto a
+    ladder target keeps the entries in rows at its degrees, renumbered to
+    the target's coordinates, and leaves the others as the leftover.  The
+    restriction is then an index map.  Every other case projects the images
+    ``m.apply(sub.basis)`` with :func:`project`, the reference.
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
-    imgs = m.apply(sub.basis) if sub.degrees is None else m.matrix[:, sub.degrees]
-    coords, leftover = project(target, imgs)
-    rsq = m.codomain.column_norms_sq(leftover)
+    dom, cod = sub.coordinate_space(), target.coordinate_space()
+    links = dict(domain_sub=sub, codomain_sub=target)
+    if m._rows is not None and sub.degrees is not None and target.degrees is not None:
+        rows, vals = m._rows[sub.degrees + [-1]], m._vals[sub.degrees + [-1]]
+        coord_rows = np.full(m.codomain.dim + 1, -1)
+        coord_rows[target.degrees] = np.arange(target.dim)
+        coord_rows = coord_rows[rows]
+        kept, zero = coord_rows >= 0, m.mode.zeros(())
+        restricted = LinearMap._indexed(dom, cod, coord_rows, np.where(kept, vals, zero), **links)
+        rsq = LinearMap._indexed(dom, m.codomain, rows,
+                                 np.where(kept, zero, vals)).column_norms_sq()
+    else:
+        coords, leftover = project(target, m.apply(sub.basis))
+        restricted = LinearMap(dom, cod, coords, **links)
+        rsq = m.codomain.column_norms_sq(leftover)
     ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
     if m.mode.is_exact:
         passed = not _exact.support(rsq).any()
     else:
         passed = residual <= tol
-    return coords, InvarianceResult(passed, residual)
+    return restricted, InvarianceResult(passed, residual)
 
 
 def is_invariant(m: LinearMap, sub: Subspace, tol: float = 1e-10) -> InvarianceResult:
@@ -396,20 +428,13 @@ def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> LinearMap:
     """
     if s.domain_sub is not None:
         raise DimensionMismatch("restrict expects a map between ambient truncations")
-    ext = extend(sub, s.codomain)
-    coords, inv = _restriction_data(s, sub, ext, tol)
+    restricted, inv = _restriction_data(s, sub, extend(sub, s.codomain), tol)
     if not inv.passed:
         bound = "is not exactly zero" if s.mode.is_exact else f"exceeds tol {tol:.1e}"
         raise NotInvariant(
             f"subspace is not invariant: residual {inv.residual:.3e} {bound}"
         )
-    return LinearMap(
-        sub.coordinate_space(),
-        ext.coordinate_space(),
-        coords,
-        domain_sub=sub,
-        codomain_sub=ext,
-    )
+    return restricted
 
 
 def wandering(t: LinearMap) -> Subspace:
@@ -555,13 +580,8 @@ class CensusReport:
         return self.all_residues_reduce and self.all_randoms_fail
 
 
-def reducing_census(
-    s: LinearMap,
-    N: int,
-    trials: int = 20,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> CensusReport:
+def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
+                    tol: float = 1e-10) -> CensusReport:
     """Verify that residue ladders, and only they, pass the reducing test.
 
     All 2^N residue subspaces (including the zero and full ones) must reduce

@@ -238,7 +238,7 @@ Defect = tuple[float, bool]
 
 def _map_defect(m: LinearMap) -> Defect:
     """Defect of a map expected to vanish, measured by its metric operator norm."""
-    return (operator_norm(m), False) if _exact.support(m.matrix).any() else (0.0, True)
+    return (0.0, True) if m.is_zero() else (operator_norm(m), False)
 
 
 def _column_defects(space: TruncatedSpace, cols: np.ndarray, dens_sq) -> list[Defect]:
@@ -285,22 +285,23 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
     """||z^N f||^2 equals sum_n C(N, alpha, n) omega_n |a_n|^2.
 
     Swept over every monomial (one coefficient at a time, which pins each
-    C individually) and over random vectors.  The shift is applied once, to
-    all of them stacked as columns.  The right-hand side is the squared norm
-    in the metric C(N, alpha, n) omega_n.
+    C individually) and over random vectors.  The image of the monomial z^n
+    is column n of the shift, so the monomials' norms are the shift's column
+    norms; the shift is applied once, to the random vectors stacked as
+    columns.  The right-hand side is the squared norm in the metric
+    C(N, alpha, n) omega_n.
     """
     s = _shift(spec.N, spec.alpha, spec.D, spec.mode)
     dom = s.domain
     coeffs = np.asarray([shift_coeff(spec.N, spec.alpha, n, spec.mode)
                          for n in range(spec.D)])
     scaled = TruncatedSpace(metric=coeffs * dom.metric, mode=spec.mode)
-    # the monomials z^0 .. z^(D-1) are the columns of the identity
     randoms = random_columns(dom, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
-    vectors = np.concatenate([spec.mode.eye(spec.D), randoms], axis=1)
-    nums = s.codomain.column_norms_sq(s.apply(vectors))
+    nums = np.concatenate([s.column_norms_sq(), s.codomain.column_norms_sq(s.apply(randoms))])
+    rhss = np.concatenate([scaled.metric, scaled.column_norms_sq(randoms)])
+    dens = np.concatenate([dom.metric, dom.column_norms_sq(randoms)])
     defects = []
-    for num, rhs, den in zip(nums, scaled.column_norms_sq(vectors),
-                             dom.column_norms_sq(vectors)):
+    for num, rhs, den in zip(nums, rhss, dens):
         if den == 0:
             continue
         diff = num - rhs
@@ -374,8 +375,8 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
         e_coords = project(t.codomain_sub, e.basis)[0]
         defects += _column_defects(cod, p.apply(e_coords), e.norms_sq)
         e_in_coords = Subspace(t.codomain, e_coords, e.norms_sq)
-        comp = _exact.sub((identity_map(cod) - p).matrix, projector(e_in_coords))
-        defects.append(_map_defect(LinearMap(cod, cod, comp)))
+        comp = LinearMap(cod, cod, projector(e_in_coords))
+        defects.append(_map_defect(identity_map(cod) - p - comp))
     return _entry(spec, defects)
 
 

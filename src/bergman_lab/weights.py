@@ -52,12 +52,6 @@ class ScalarMode(enum.Enum):
         """
         return self.buffer(shape)
 
-    def eye(self, n: int) -> np.ndarray:
-        """Identity matrix in this mode's storage."""
-        if self.is_exact:
-            return _exact.eye(n)
-        return np.eye(n)
-
     def buffer(self, shape, *data: np.ndarray) -> np.ndarray:
         """Zero array to be filled from ``data``.
 

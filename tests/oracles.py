@@ -6,7 +6,8 @@ the shift coefficients, the iterated lift coefficients as products of those
 coefficients, the inner product straight from its defining sum, the
 random test columns one seed at a time, and the subspace distance from the
 full projector difference.  ``ReadLogged`` records which entries the exact
-kernels read.
+kernels read.  ``index_map`` and ``dense_copy`` build the two storage forms
+of one map.
 """
 
 from fractions import Fraction
@@ -49,7 +50,9 @@ def inner(space: TruncatedSpace, f: np.ndarray, g: np.ndarray):
 
 def monomial(space: TruncatedSpace, n: int) -> np.ndarray:
     """Coefficients of z^n, in the storage of the space's mode."""
-    return space.mode.eye(space.dim)[:, n]
+    out = space.mode.zeros(space.dim)
+    out[n] = space.mode.one
+    return out
 
 
 def random_vector(space: TruncatedSpace, seed: int) -> np.ndarray:
@@ -101,6 +104,21 @@ def iterated_coeff(
     for j in range(m):
         out = out / shift_coeff(N, alpha, n + j * N, mode)
     return out
+
+
+def index_map(domain: TruncatedSpace, codomain: TruncatedSpace, rows, vals) -> LinearMap:
+    """Map in the index form whose column j holds ``vals[j]`` in row ``rows[j]``;
+    a column with row -1 is empty, and its value must be zero."""
+    rows = np.append(np.asarray(rows, dtype=np.int64), -1)
+    padded = domain.mode.buffer(len(rows), np.asarray(vals))
+    padded[:-1] = vals
+    return LinearMap._indexed(domain, codomain, rows, padded)
+
+
+def dense_copy(m: LinearMap) -> LinearMap:
+    """The same map in the dense form, the reference."""
+    return LinearMap(m.domain, m.codomain, m.matrix,
+                     domain_sub=m.domain_sub, codomain_sub=m.codomain_sub)
 
 
 def projector_distance(u, v) -> float:

@@ -32,13 +32,12 @@ from bergman_lab.operators import (
     GRAM_CONDITION_LIMIT,
     LinearMap,
     _gram_inverse,
-    _isolated_nonzeros,
     to_float,
     weighted_matrix,
 )
 from bergman_lab.space import random_columns
 from bergman_lab.verify import _tower_cached
-from oracles import inner, iterated_coeff, monomial, shift_adjoint
+from oracles import dense_copy, index_map, inner, iterated_coeff, monomial, shift_adjoint
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -330,19 +329,22 @@ def test_weighted_matrix_norm_agrees_with_sampling():
 
 
 def _isolated_map(rows, cols, is_complex, spread, seed):
-    """Random map with 0 to 2 fewer nonzeros than min(rows, cols), no two of
-    them in one row or column, between float spaces whose metrics lie in
-    [10^-spread, 1]."""
+    """Random index map with 0 to 2 fewer nonzeros than min(rows, cols), no
+    two of them in one row or column, between float spaces whose metrics lie
+    in [10^-spread, 1]."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(max(min(rows, cols) - 2, 0), min(rows, cols) + 1))
     vals = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
     if is_complex:
         vals = vals * np.exp(1j * rng.uniform(0.0, 2 * np.pi, k))
-    mat = np.zeros((rows, cols), dtype=vals.dtype)
-    mat[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = vals
+    at_row, at_col = rng.permutation(rows)[:k], rng.permutation(cols)[:k]
     dom, cod = (TruncatedSpace(metric=10.0 ** rng.uniform(-spread, 0.0, n), mode=FLOAT)
                 for n in (cols, rows))
-    return LinearMap(dom, cod, mat)
+    index = np.full(cols, -1)
+    index[at_col] = at_row
+    col_vals = np.zeros(cols, dtype=vals.dtype)
+    col_vals[at_col] = vals
+    return index_map(dom, cod, index, col_vals)
 
 
 ISOLATED_CASES = [(shape, is_complex, spread, seed)
@@ -360,14 +362,15 @@ def _svd_calls(monkeypatch) -> list:
 
 
 def test_isolated_singular_values_match_the_dense_svd(monkeypatch):
-    """Without an SVD, the singular values of a map whose nonzeros share no
-    row or column are those LAPACK gives for its weighted matrix."""
+    """Without an SVD, the singular values of an index map are those LAPACK
+    gives for the weighted matrix of its dense copy."""
     calls = _svd_calls(monkeypatch)
     for shape, is_complex, spread, seed in ISOLATED_CASES:
         m = _isolated_map(*shape, is_complex, spread, seed)
         got = singular_values(m)
         assert not calls
-        ref = np.linalg.svd(weighted_matrix(m), compute_uv=False)
+        ref = singular_values(dense_copy(m))
+        assert len(calls) == 1
         calls.clear()
         assert got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
@@ -375,16 +378,19 @@ def test_isolated_singular_values_match_the_dense_svd(monkeypatch):
 
 
 def test_isolated_null_coords_match_the_svd_route(monkeypatch):
-    """The kernel read off the structural zeros has the dimension of the SVD
-    route's kernel and lies within metric distance 1e-12 of it."""
+    """The kernel read off the structural zeros of an index map has the
+    dimension of the SVD route's kernel and lies within metric distance
+    1e-12 of it; its dense copy, converted by _isolated_nonzeros, gives the
+    same coordinates."""
     calls = _svd_calls(monkeypatch)
     for shape, is_complex, spread, seed in ISOLATED_CASES:
         m = _isolated_map(*shape, is_complex, spread, seed)
         got = subspaces._null_coords(m, 1e-10)
+        assert np.array_equal(subspaces._null_coords(dense_copy(m), 1e-10), got)
         assert not calls
         with monkeypatch.context() as dense:
-            dense.setattr(subspaces, "_isolated_nonzeros", lambda mat: None)
-            ref = subspaces._null_coords(m, 1e-10)
+            dense.setattr(subspaces, "_isolated_nonzeros", lambda m: None)
+            ref = subspaces._null_coords(dense_copy(m), 1e-10)
         assert calls
         calls.clear()
         assert got.shape == ref.shape
@@ -393,53 +399,61 @@ def test_isolated_null_coords_match_the_svd_route(monkeypatch):
 
 
 def test_diagonal_gram_inverse_matches_numpy():
-    """A diagonal Gram operator is inverted entry for entry as np.linalg.inv
-    does, and refused exactly where np.linalg.cond exceeds the limit."""
+    """The Gram operator of an index map is an index map; it is inverted
+    entry for entry as np.linalg.inv does, and refused exactly where
+    np.linalg.cond exceeds the limit."""
     refused = inverted = 0
     for shape, is_complex, spread, seed in ISOLATED_CASES:
         t = _isolated_map(*shape, is_complex, spread, seed)
         gram = t.adjoint().compose(t)
-        assert _isolated_nonzeros(gram.matrix) is not None
+        assert gram._rows is not None
         cond = np.linalg.cond(weighted_matrix(gram))
         if not cond <= GRAM_CONDITION_LIMIT:
             with pytest.raises(SingularGram):
                 _gram_inverse(t)
             refused += 1
         else:
-            assert np.array_equal(_gram_inverse(t).matrix, np.linalg.inv(gram.matrix))
+            inv = _gram_inverse(t)
+            assert inv._rows is not None
+            assert np.array_equal(inv.matrix, np.linalg.inv(gram.matrix))
             inverted += 1
     assert refused > 20 and inverted > 20
 
 
 def test_shared_row_or_column_takes_the_dense_path(monkeypatch):
-    """Two nonzeros in one row or in one column make the helper decline, and
-    singular values and kernels fall back to the SVD, or in exact mode to
-    elimination; an exact shift takes the index route."""
+    """A dense map is never inspected: its singular values take the SVD even
+    when no two nonzeros share a row or a column.  Two nonzeros in one row or
+    in one column make _isolated_nonzeros decline, and kernels fall back to
+    the SVD, or in exact mode to elimination; an exact shift is an index
+    map."""
     calls = _svd_calls(monkeypatch)
     dom = TruncatedSpace(metric=np.array([1.0, 0.5, 0.25, 0.125]), mode=FLOAT)
     cod = TruncatedSpace(metric=np.linspace(1.0, 0.2, 5), mode=FLOAT)
     base = np.zeros((5, 4))
     base[[1, 3, 0], [0, 1, 3]] = [2.0, -1.0, 0.75]
-    assert _isolated_nonzeros(base) is not None
+    assert subspaces._isolated_nonzeros(LinearMap(dom, cod, base)) is not None
+    singular_values(LinearMap(dom, cod, base))
+    assert len(calls) == 1
+    calls.clear()
     # row 1 gains a second nonzero, then column 0 does
     for r, c in ((1, 2), (2, 0)):
         mat = base.copy()
         mat[r, c] = 0.5
         m = LinearMap(dom, cod, mat)
-        assert _isolated_nonzeros(m.matrix) is None
+        assert subspaces._isolated_nonzeros(m) is None
         singular_values(m)
         subspaces._null_coords(m, 1e-10)
         assert len(calls) == 2
         calls.clear()
     dom, cod = spaces(Fraction(1, 2), 2, 6, EXACT)
-    assert _isolated_nonzeros(shift(dom, cod, 2).matrix) is not None
+    assert shift(dom, cod, 2)._rows is not None
     rrefs = []
     rref = _exact.rref
     monkeypatch.setattr(_exact, "rref", lambda mat: rrefs.append(1) or rref(mat))
     shared = shift(dom, cod, 2).matrix.copy()
     shared[2, 1] = Fraction(3, 4)  # row 2 holds the images of z^0 and z^1
     m = LinearMap(dom, cod, shared)
-    assert _isolated_nonzeros(m.matrix) is None
+    assert subspaces._isolated_nonzeros(m) is None
     assert (subspaces._null_coords(m, 1e-10) == _exact.nullspace(shared)).all()
     assert len(rrefs) == 2
     assert (_gram_inverse(m).compose(m.adjoint().compose(m)).matrix == _exact.eye(6)).all()
@@ -459,13 +473,13 @@ def _exact_tower_maps():
 
 
 def test_exact_tower_maps_take_the_index_route():
-    """On every exact tower map the index route gives the Gram inverse that
-    _exact.invert gives, or refuses it where that raises, and the kernel
-    that _exact.nullspace gives, entry for entry; the singular values are
+    """Every exact tower map is an index map.  Its Gram inverse is the one
+    _exact.invert gives, or refused where that raises, and its kernel the
+    one _exact.nullspace gives, entry for entry; the singular values are
     those of the dense SVD of the weighted matrix."""
     count = 0
     for name, m in _exact_tower_maps():
-        assert _isolated_nonzeros(m.matrix) is not None, name
+        assert m._rows is not None, name
         gram = m.adjoint().compose(m).matrix
         try:
             ref = _exact.invert(gram)
@@ -488,11 +502,13 @@ def test_exact_tower_maps_take_the_index_route():
 
 
 def test_exact_gram_with_a_zero_on_its_diagonal_is_singular():
+    """An exact index map with an empty column has a Gram operator with a
+    zero on its diagonal, refused as singular, as its dense copy's is."""
     dom = TruncatedSpace(metric=np.array([Fraction(1), Fraction(1, 2)], dtype=object), mode=EXACT)
     cod = TruncatedSpace(metric=np.array([Fraction(1)] * 3, dtype=object), mode=EXACT)
-    mat = _exact.zeros((3, 2))
-    mat[2, 0] = Fraction(2, 3)  # column 1 is zero, so the Gram's entry (1, 1) is
-    t = LinearMap(dom, cod, mat)
-    assert _isolated_nonzeros(t.adjoint().compose(t).matrix) is not None
-    with pytest.raises(SingularGram):
-        _gram_inverse(t)
+    vals = np.array([Fraction(2, 3), Fraction(0)], dtype=object)
+    t = index_map(dom, cod, [2, -1], vals)  # column 1 is zero, so the Gram's entry (1, 1) is
+    assert t.adjoint().compose(t)._rows is not None
+    for m in (t, dense_copy(t)):
+        with pytest.raises(SingularGram):
+            _gram_inverse(m)

@@ -447,8 +447,6 @@ def test_orthogonalize_is_one_factorization(monkeypatch, count):
     """A full-rank float block is one Householder QR and no per-column
     products; one-hot columns come out as e_n / sqrt(w_n) with their zeros
     exact, so truncate and kernel can read them by index."""
-    from bergman_lab.operators import _isolated_nonzeros
-
     calls = _count_qr_and_mm(monkeypatch)
     sp = make_space(1.0, 2, count + 8)
     rng = np.random.default_rng(count)
@@ -463,7 +461,8 @@ def test_orthogonalize_is_one_factorization(monkeypatch, count):
         assert basis.shape == (sp.dim, count) and (norms == 1.0).all(), name
     basis = orthogonalize(sp, one_hot)[0]
     sw = np.sqrt(np.asarray(sp.metric))
-    assert _isolated_nonzeros(basis) is not None
+    rows, cols = np.nonzero(basis)
+    assert sorted(cols) == list(range(count)) and len(set(rows)) == count
     assert np.abs(basis * sw[:, None] - one_hot).max() <= 1e-15
 
 
@@ -723,17 +722,18 @@ def test_ladder_gathers_match_dense_reference(alpha, D):
                 ext = extend(h, cod)
                 ref = {}
                 for name, f, sub, target in (("fwd", m, h, ext), ("adj", m_adj, ext, h)):
-                    coords, inv = subspaces._restriction_data(f, sub, target, tol)
+                    restricted, inv = subspaces._restriction_data(f, sub, target, tol)
                     ref[name] = subspaces._restriction_data(
                         f, _untagged(sub), _untagged(target), tol)
-                    assert np.array_equal(coords, ref[name][0])
+                    assert restricted.domain_sub is sub and restricted.codomain_sub is target
+                    assert np.array_equal(restricted.matrix, ref[name][0].matrix)
                     assert inv == ref[name][1]
                 (fwd_coords, fwd), (_, adj) = ref["fwd"], ref["adj"]
                 assert subspaces._reducing(m, m_adj, h, tol) == ReducingResult(
                     fwd.passed and adj.passed, fwd.residual, adj.residual)
                 assert is_invariant(m, h, tol) == fwd
                 if fwd.passed:
-                    assert np.array_equal(restrict(m, h, tol).matrix, fwd_coords)
+                    assert np.array_equal(restrict(m, h, tol).matrix, fwd_coords.matrix)
                 else:
                     with pytest.raises(NotInvariant):
                         restrict(m, h, tol)

@@ -408,6 +408,20 @@ def test_float_tower_levels_are_real():
         assert wandering(level.t).basis.dtype == np.float64
 
 
+@pytest.mark.parametrize("name", ["telescoping", "left_inverse", "expansive"])
+def test_warm_tower_checks_make_no_dense_products(monkeypatch, name):
+    """Tower maps are index maps, so a warm float run of a check that reads
+    only them makes no _exact.mm call (N=2, alpha=1, D=256, residues {0})."""
+    spec = CheckSpec(name, 2, 1.0, 256, (0,), 4, 0, FLOAT, DEFAULT_TOLS[name])
+    assert run_check(spec).passed
+    calls = []
+    mm = verify._exact.mm
+    monkeypatch.setattr(verify._exact, "mm", lambda *args: calls.append(1) or mm(*args))
+    entry = run_check(spec)
+    assert entry.passed, entry.note
+    assert not calls
+
+
 @pytest.mark.parametrize("depth", [1, 3])
 def test_weights_reach_covers_every_weight_a_check_reads(monkeypatch, depth):
     """weights_reach is the longest weight sequence a check builds: D + N for

@@ -164,11 +164,9 @@ def test_iterated_coeff_is_weight_ratio(mode):
                          [(FLOAT, np.float64, float), (EXACT, object, Fraction)])
 def test_scalar_mode_storage(mode, dtype, scalar):
     z = mode.zeros((2, 3))
-    e = mode.eye(3)
-    assert z.shape == (2, 3) and z.dtype == dtype and e.dtype == dtype
-    assert all(isinstance(x, scalar) for x in (*z.flat, *e.flat))
-    assert not (z != 0).any()
-    assert (e == np.eye(3)).all()
+    assert z.shape == (2, 3) and z.dtype == dtype
+    assert all(isinstance(x, scalar) for x in (*z.flat, mode.one))
+    assert not (z != 0).any() and mode.one == 1
 
 
 def test_alpha_validation():
