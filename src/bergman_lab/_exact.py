@@ -240,9 +240,7 @@ def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def nullspace(mat: np.ndarray) -> np.ndarray:
     """Exact kernel basis, one column per free variable (cols x k)."""
-    rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return eye(cols) if cols else zeros((cols, 0))
+    cols = mat.shape[1]
     r, pivots = rref(mat)
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros((cols, len(free)))

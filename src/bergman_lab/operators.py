@@ -15,7 +15,11 @@ column.  In the monomial basis z^N is a weighted shift (Shields, "Weighted
 shift operators and analytic function theory", 1974), so the shift, its
 restrictions to residue ladders, their adjoints, Gram operators,
 pseudoinverses, lifts and every product of these have that form, and on it
-each operation here is a few gathers and one elementwise product.
+each operation here is a few gathers and one elementwise product.  So do
+the embeddings of the subspaces built from residue ladders (see
+``subspaces.Subspace``): this module is the one that reads the index form,
+and :func:`unit_map`, :func:`displace`, :func:`null_space`,
+:func:`index_span` and :func:`hstack` build it for them.
 """
 
 from __future__ import annotations
@@ -45,16 +49,19 @@ class LinearMap:
     so that coordinate vectors can be re-expressed in the ambient truncation.
 
     The constructor stores the dense form.  The index form (see
-    :meth:`_indexed`) is built by :func:`shift`, :func:`identity_map` and
-    ``subspaces.restrict`` onto a residue ladder, and kept by
-    :meth:`adjoint` and :meth:`compose` of index maps, by ``+``/``-`` of two
-    index maps whose patterns agree (in each column the rows are equal or
-    one column is empty, and no row is hit twice) and by the Gram inverse.
-    Any other result is dense.  Both forms give the values of the dense
-    expressions: an entry of a product is the one product of two nonzero
-    factors that the dense sum adds zeros to, computed by itself.  No map is
-    inspected for its structure; ``matrix`` is built from the index form on
-    first read and kept.
+    :meth:`_indexed`) is built by :func:`unit_map` (and with it
+    :func:`shift` and :func:`identity_map`), :func:`null_space` and
+    :func:`index_span`, and kept by :meth:`adjoint`, :meth:`compose` and
+    :func:`displace` of index maps, by ``+``/``-`` of two index maps whose
+    patterns agree (in each column the rows are equal or one column is
+    empty, and no row is hit twice), by :func:`hstack` under the same rule
+    and by the Gram inverse.  Any other result is dense.  Both forms give
+    the values of the dense expressions: an entry of a product is the one
+    product of two nonzero factors that the dense sum adds zeros to,
+    computed by itself, and a product with a dense right factor is the left
+    factor's :meth:`apply` to its matrix.  No map is inspected for its
+    structure; ``matrix`` is built from the index form on first read and
+    kept.
     """
 
     def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace, matrix: np.ndarray,
@@ -148,7 +155,7 @@ class LinearMap:
 
     def is_zero(self) -> bool:
         """Whether every entry is exactly zero."""
-        return not _exact.support(self._matrix if self._rows is None else self._vals).any()
+        return not np.count_nonzero(self._matrix if self._rows is None else self._vals)
 
     def adjoint(self) -> "LinearMap":
         subs = dict(domain_sub=self.codomain_sub, codomain_sub=self.domain_sub)
@@ -165,7 +172,9 @@ class LinearMap:
         if other.codomain != self.domain:
             raise DimensionMismatch("composition needs other.codomain == self.domain")
         subs = dict(domain_sub=other.domain_sub, codomain_sub=self.codomain_sub)
-        if self._rows is None or other._rows is None:
+        if other._rows is None:
+            return LinearMap(other.domain, self.codomain, self.apply(other.matrix), **subs)
+        if self._rows is None:
             return LinearMap(other.domain, self.codomain,
                              _exact.mm(self.matrix, other.matrix), **subs)
         return LinearMap._indexed(other.domain, self.codomain, self._rows[other._rows],
@@ -178,8 +187,8 @@ class LinearMap:
         a, b = self._rows, other._rows
         if a is not None and b is not None:
             rows = np.maximum(a, b)
-            clash = ((np.minimum(a, b) >= 0) & (a != b)).any()
-            if not clash and np.bincount(rows + 1)[1:].max(initial=0) <= 1:
+            clashes = np.count_nonzero((np.minimum(a, b) >= 0) & (a != b))
+            if not clashes and not np.count_nonzero(np.bincount(rows + 1)[1:] > 1):
                 return LinearMap._indexed(self.domain, self.codomain, rows,
                                           op(self._vals, other._vals), **subs)
         return LinearMap(self.domain, self.codomain, op(self.matrix, other.matrix), **subs)
@@ -194,16 +203,38 @@ class LinearMap:
         return f"LinearMap({self.domain.dim} -> {self.codomain.dim}, mode={self.mode.value})"
 
 
-def _unit_shift(domain: TruncatedSpace, codomain: TruncatedSpace, step: int) -> LinearMap:
-    """Index map sending the coordinate vector e_n to e_(n + step)."""
+def unit_map(domain: TruncatedSpace, codomain: TruncatedSpace, rows) -> LinearMap:
+    """Index map sending the coordinate vector e_j to e_(rows[j]), for
+    distinct rows in ``range(codomain.dim)``: shifts, identities, ladder
+    embeddings and the kernels of index maps are such maps."""
     vals = domain.mode.buffer(domain.dim + 1)
     vals[:-1] = domain.mode.one
     return LinearMap._indexed(domain, codomain,
-                              np.append(np.arange(step, step + domain.dim), -1), vals)
+                              np.append(np.asarray(rows, dtype=np.int64), -1), vals)
+
+
+def displace(m: LinearMap, codomain: TruncatedSpace, step: int = 0) -> LinearMap:
+    """``m`` followed by the unit map e_n -> e_(n + step) into ``codomain``,
+    which drops the entries whose rows leave it: the inclusion into a
+    larger truncation, the cut to a smaller one, and the shift by z^step
+    inside one.  The values are moved, not multiplied."""
+    if m._rows is None:
+        out = m.mode.buffer((codomain.dim, m.domain.dim), m._matrix)
+        lo, hi = max(step, 0), min(codomain.dim, m.codomain.dim + step)
+        out[lo:hi] = m._matrix[lo - step: hi - step]
+        return LinearMap(m.domain, codomain, out)
+    rows = m._rows + step
+    rows[(m._rows < 0) | (rows < 0) | (rows >= codomain.dim)] = -1
+    return LinearMap._indexed(m.domain, codomain, rows, np.where(rows >= 0, m._vals, m._vals[-1]))
+
+
+def _unit_space(k: int, mode) -> TruncatedSpace:
+    """Coordinate space of dimension k with the unit metric."""
+    return TruncatedSpace(metric=mode.zeros(k) + mode.one, mode=mode)
 
 
 def identity_map(space: TruncatedSpace) -> LinearMap:
-    return _unit_shift(space, space, 0)
+    return unit_map(space, space, np.arange(space.dim))
 
 
 def _require_graded_pair(domain: TruncatedSpace, codomain: TruncatedSpace, step: int) -> None:
@@ -223,7 +254,7 @@ def shift(domain: TruncatedSpace, codomain: TruncatedSpace, N: int) -> LinearMap
     if N < 1:
         raise DimensionMismatch(f"multiplicity N must be >= 1, got {N}")
     _require_graded_pair(domain, codomain, N)
-    return _unit_shift(domain, codomain, N)
+    return unit_map(domain, codomain, np.arange(N, N + domain.dim))
 
 
 def weighted_matrix(m: LinearMap) -> np.ndarray:
@@ -321,3 +352,71 @@ def pinv(t: LinearMap) -> LinearMap:
     """
     return _gram_inverse(t).compose(t.adjoint())
 
+
+def null_space(m: LinearMap, tol: float) -> LinearMap:
+    """Map whose columns span {v : ||m v|| <= tol ||v||} in m's domain; in
+    exact mode, the kernel.  Its domain numbers the columns, with the unit
+    metric.
+
+    An index map, in either mode, has its kernel read off its structural
+    zeros without an elimination or an SVD: it is spanned by the coordinate
+    vectors of the columns that hold no nonzero (exact mode) or no weighted
+    entry (see :func:`_weighted_values`) above ``tol`` (float mode), and the
+    result is the :func:`unit_map` onto them, in increasing column order.
+    A dense map takes ``_exact.nullspace``, or in float mode cuts the
+    singular values of :func:`weighted_matrix` at the absolute ``tol``,
+    which is scale-free in the metric, and maps the null right singular
+    vectors back to coordinates by the inverse square root of the domain
+    metric; these are the references.
+    """
+    if m._rows is None:
+        if m.mode.is_exact:
+            cols = _exact.nullspace(m.matrix)
+        else:
+            _u, s, vt = np.linalg.svd(weighted_matrix(m), full_matrices=True)
+            rank = int(np.sum(s > tol))
+            cols = vt[rank:].conj().T / np.sqrt(np.asarray(m.domain.metric))[:, None]
+        return LinearMap(_unit_space(cols.shape[1], m.mode), m.domain, cols)
+    if m.mode.is_exact:
+        live = _exact.support(m._vals[:-1])
+    else:
+        live = np.abs(_weighted_values(m)[:-1]) > tol
+    null = np.flatnonzero(~live)
+    return unit_map(_unit_space(len(null), m.mode), m.domain, null)
+
+
+def index_span(m: LinearMap) -> "LinearMap | None":
+    """Embedding of the span of an index map's columns; None for a dense map.
+
+    The nonzero columns of an index map hit distinct rows, so they are
+    orthogonal in the codomain's diagonal metric by construction, and the
+    empty ones are dropped.  Exact mode keeps the values and carries the
+    squared norms ``|v|^2 w[row]`` as the coordinate metric.  Float mode
+    normalizes each value to ``phase / sqrt(w[row])``, the vector a
+    Gram-Schmidt step reaches up to rounding, with coordinate metric 1.
+    """
+    if m._rows is None:
+        return None
+    pick = np.append(np.flatnonzero(_exact.support(m._vals[:-1])), -1)
+    rows, vals = m._rows[pick], m._vals[pick]
+    w = np.asarray(m.codomain.metric)[rows[:-1]]
+    if m.mode.is_exact:
+        norms = _exact.weighted_sq(vals[:-1], w)
+    else:
+        vals[:-1] = vals[:-1] / np.abs(vals[:-1]) / np.sqrt(w)
+        norms = np.ones(len(w))
+    return LinearMap._indexed(TruncatedSpace(metric=norms, mode=m.mode), m.codomain, rows, vals)
+
+
+def hstack(maps) -> LinearMap:
+    """The map whose columns are those of ``maps``, in turn, into their one
+    codomain.  It is an index map when every map is one and no row is hit
+    twice, the rule of ``+``; otherwise it is dense."""
+    cod = maps[0].codomain
+    dom = TruncatedSpace(metric=np.concatenate([m.domain.metric for m in maps]), mode=cod.mode)
+    if all(m._rows is not None for m in maps):
+        rows = np.concatenate([m._rows[:-1] for m in maps] + [[-1]])
+        if not np.count_nonzero(np.bincount(rows + 1)[1:] > 1):
+            vals = np.concatenate([m._vals[:-1] for m in maps] + [maps[0]._vals[-1:]])
+            return LinearMap._indexed(dom, cod, rows, vals)
+    return LinearMap(dom, cod, np.concatenate([m.matrix for m in maps], axis=1))

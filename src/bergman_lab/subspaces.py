@@ -1,17 +1,27 @@
 """Subspaces of truncated weighted spaces and their lattice operations.
 
-A ``Subspace`` stores a basis that is orthogonal in the weighted metric
-together with the squared norms of the basis vectors.  Monomial-pattern
-subspaces (the residue-class ladders invariant under multiplication by z^N)
-keep raw monomials as their basis, so their coordinate metric is the
-corresponding slice of the weight sequence and restricted operators keep the
-explicit coefficient form of the ambient ones.  Bases produced numerically
-are normalized in float mode; in exact rational mode normalization would
-leave the field, so the squared norms are carried instead.
+A ``Subspace`` is its embedding: a ``LinearMap`` from its coordinate space
+into the ambient truncation, whose columns are a basis that is orthogonal
+in the weighted metric, and whose domain metric holds their squared norms.
+Every operation here is a composition with that map or its adjoint, the
+coordinate map, in whichever storage form the embedding has.
+
+In the monomial basis z^N is a weighted shift, so the subspaces built from
+residue ladders are spans of monomials: the ladders themselves, the
+wandering parts ``ker T*``, kernels of index maps, their orbits, extensions
+and truncations.  Their embeddings are index maps (see
+``operators.LinearMap``), orthogonal by construction, and taking their span
+needs no factorization (``operators.index_span``).  A dense embedding, as
+``Subspace(ambient, basis, norms_sq)`` and :func:`from_vectors` build, is
+the reference: its spans take :func:`orthogonalize`, and its kernels the SVD
+or exact elimination.  Float bases are normalized; in exact rational mode
+normalization would leave the field, so the squared norms are carried
+instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -20,7 +30,8 @@ import numpy as np
 
 from . import _exact
 from .errors import AmbientMismatch, BadResidue, DepthOverflow, DimensionMismatch, NotInvariant
-from .operators import LinearMap, _weighted_values, to_float, weighted_matrix
+from .operators import (LinearMap, displace, hstack, index_span, null_space, operator_norm,
+                        to_float, unit_map)
 from .space import TruncatedSpace, random_columns
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
@@ -29,43 +40,60 @@ RANK_TOL = 1e-10
 
 
 class Subspace:
-    """Metric-orthogonal basis of a subspace of a truncated space.
+    """A subspace of a truncated space, held as its embedding map.
 
-    The residue tag (``residues``, ``multiplicity`` and ``degrees``, all None
-    for an untagged subspace) is set only by :func:`residue_subspace`, once
-    the subspace is built, and it guarantees the ladder's layout: basis
-    column j is the monomial ``z^degrees[j]``, where ``degrees`` is
-    ``residue_degrees(multiplicity, residues, ambient.dim)``, in increasing
-    order, and ``norms_sq == ambient.metric[degrees]``.
-    Maps applied to a tagged basis and projections onto a tagged subspace
-    rely on it to gather entries by degree instead of multiplying.
+    ``embedding`` maps the coordinate space into ``ambient``: its columns
+    are the basis, metric-orthogonal, and the coordinate space's metric is
+    their squared norms.  ``basis``, ``norms_sq`` and ``coordinate_space()``
+    are read-only views of it, and ``coordinates``, the metric adjoint of
+    the embedding, maps a vector to its coordinates; it is built once.
+    ``Subspace(ambient, basis, norms_sq)`` builds a dense embedding;
+    :meth:`embedded` takes one in either storage form.
+
+    The residue tag (``residues`` and ``multiplicity``, None for an untagged
+    subspace) is set only by :func:`residue_subspace`, and lets
+    :func:`extend` regrow the ladder in another truncation.
     """
 
     def __init__(self, ambient: TruncatedSpace, basis: np.ndarray, norms_sq: np.ndarray):
-        basis = np.asarray(basis)
-        if basis.ndim != 2 or basis.shape[0] != ambient.dim:
-            raise DimensionMismatch(
-                f"basis shape {basis.shape} does not match ambient dim {ambient.dim}"
-            )
-        norms_sq = np.asarray(norms_sq)
-        if norms_sq.shape != (basis.shape[1],):
-            raise DimensionMismatch("one squared norm per basis vector required")
-        basis = basis.copy()
-        basis.flags.writeable = False
-        self.ambient = ambient
-        self.basis = basis
-        self.norms_sq = norms_sq
+        # LinearMap refuses a basis whose shape is not (ambient.dim, len(norms_sq))
+        coords = TruncatedSpace(metric=np.asarray(norms_sq), mode=ambient.mode)
+        self._embed(LinearMap(coords, ambient, basis))
+
+    @classmethod
+    def embedded(cls, embedding: LinearMap) -> "Subspace":
+        """The subspace spanned by the columns of ``embedding``, which must
+        be metric-orthogonal with their squared norms as its domain metric."""
+        sub = cls.__new__(cls)
+        sub._embed(embedding)
+        return sub
+
+    def _embed(self, embedding: LinearMap) -> None:
+        self.embedding = embedding
+        self.ambient = embedding.codomain
         self.residues: Optional[frozenset] = None
         self.multiplicity: Optional[int] = None
-        self.degrees: Optional[list[int]] = None
+
+    @functools.cached_property
+    def coordinates(self) -> LinearMap:
+        """The coordinate map: the metric adjoint of the embedding."""
+        return self.embedding.adjoint()
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.embedding.domain.dim
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.embedding.matrix
+
+    @property
+    def norms_sq(self) -> np.ndarray:
+        return self.embedding.domain.metric
 
     def coordinate_space(self) -> TruncatedSpace:
         """Space of coordinates in this basis; its metric is the squared norms."""
-        return TruncatedSpace(metric=np.asarray(self.norms_sq), mode=self.ambient.mode)
+        return self.embedding.domain
 
     def __repr__(self) -> str:
         tag = f", residues={sorted(self.residues)}" if self.residues is not None else ""
@@ -147,6 +175,13 @@ def from_vectors(ambient: TruncatedSpace, columns: np.ndarray) -> Subspace:
     return Subspace(ambient, basis, norms)
 
 
+def _span(m: LinearMap) -> Subspace:
+    """Span of the columns of a map, in its codomain: an index map's by
+    ``operators.index_span``, a dense map's by :func:`from_vectors`."""
+    emb = index_span(m)
+    return Subspace.embedded(emb) if emb is not None else from_vectors(m.codomain, m.matrix)
+
+
 def residue_degrees(N: int, residues: Iterable[int], dim: int) -> list[int]:
     """Sorted degrees {k + j*N : k in residues} below ``dim``."""
     res = sorted(set(residues))
@@ -159,56 +194,53 @@ def residue_degrees(N: int, residues: Iterable[int], dim: int) -> list[int]:
 def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> Subspace:
     """Monomial ladder span{z^(k + j*N) : k in residues}, a reducing subspace.
 
-    The basis is the raw monomials in degree order, so the coordinate metric
-    is the slice of the weight sequence at the selected degrees.
+    Its embedding is the unit index map onto the selected degrees, in
+    increasing order, so the coordinate metric is the slice of the weight
+    sequence there.
     """
     if space.weights is None:
         raise AmbientMismatch("residue subspaces need a weight-backed ambient space")
     residues = frozenset(residues)
     degrees = residue_degrees(N, residues, space.dim)
-    basis = space.mode.zeros((space.dim, len(degrees)))
-    basis[degrees, np.arange(len(degrees))] = space.mode.one
-    sub = Subspace(space, basis, np.asarray(space.metric)[degrees])
-    sub.residues, sub.multiplicity, sub.degrees = residues, N, degrees
+    coords = TruncatedSpace(metric=np.asarray(space.metric)[degrees], mode=space.mode)
+    sub = Subspace.embedded(unit_map(coords, space, degrees))
+    sub.residues, sub.multiplicity = residues, N
     return sub
 
 
 def coefficient_functionals(sub: Subspace) -> np.ndarray:
     """Matrix of the coordinate functionals: coords(v) = functionals @ v.
 
-    Row j is conj(b_j) scaled entrywise by metric / ||b_j||^2, the metric
-    adjoint of the basis matrix.  The scaling ratio is formed first, in real
+    Row j is conj(b_j) scaled entrywise by metric / ||b_j||^2, the matrix of
+    the coordinate map.  The scaling ratio is formed first, in real
     arithmetic (complex division rounds even x/x), so one-hot monomial bases
     produce exact 1.0 entries and projections of lattice vectors are exact
     even in floating point.
     """
-    return _exact.metric_adjoint(sub.basis, sub.ambient.metric, sub.norms_sq)
+    return sub.coordinates.matrix
 
 
-def project(sub: Subspace, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Metric-orthogonal projection of the columns of ``arr`` onto ``sub``:
-    their coordinates in the basis of ``sub``, and the leftover ``arr - P arr``.
+def project(sub: Subspace, x):
+    """Metric-orthogonal projection onto ``sub``: the coordinates ``F x``
+    and the leftover ``x - E F x``, with E the embedding and F the
+    coordinate map.
 
-    The package's one projection routine.  The dense route, the reference,
-    is ``coords = F @ arr`` with F the coordinate functionals, and
-    ``arr - B @ coords``.  A ladder's functionals are rows with a single 1 at
-    its degrees, so there the coordinates are the row gather ``arr[degrees]``
-    and the leftover is a copy of ``arr`` with those rows zeroed: the same
-    values, with no product and no subtraction.
+    The package's one projection routine.  ``x`` is a block of coefficient
+    columns, or a map into the ambient space of ``sub``; the coordinates
+    and the leftover are then arrays, or maps, composed in the storage form
+    of their factors.
     """
-    if sub.degrees is None:
-        coords = _exact.mm(coefficient_functionals(sub), arr)
-        return coords, _exact.sub(arr, _exact.mm(sub.basis, coords))
-    leftover = arr.copy()
-    leftover[sub.degrees] = sub.ambient.mode.zeros(())
-    return arr[sub.degrees], leftover
+    f, e = sub.coordinates, sub.embedding
+    if isinstance(x, LinearMap):
+        coords = f.compose(x)
+        return coords, x - e.compose(coords)
+    coords = f.apply(x)
+    return coords, _exact.sub(x, e.apply(coords))
 
 
-def projector(sub: Subspace) -> np.ndarray:
-    """Projector matrix in ambient coordinates: B diag(1/g) B^H G."""
-    if sub.dim == 0:
-        return sub.ambient.mode.zeros((sub.ambient.dim, sub.ambient.dim))
-    return _exact.mm(sub.basis, coefficient_functionals(sub))
+def projector(sub: Subspace) -> LinearMap:
+    """Metric projector onto the subspace, the embedding after the coordinate map."""
+    return sub.embedding.compose(sub.coordinates)
 
 
 def _check_compatible(sub: Subspace, space: TruncatedSpace) -> None:
@@ -219,64 +251,6 @@ def _check_compatible(sub: Subspace, space: TruncatedSpace) -> None:
     b = np.asarray(space.metric)[:d]
     if not bool((a == b).all()):
         raise AmbientMismatch("weight sequences disagree on the common truncation")
-
-
-def _isolated_nonzeros(m: LinearMap) -> Optional[LinearMap]:
-    """Index form of a dense map in which no two nonzeros share a row or a
-    column; None otherwise.
-
-    The one structure detection left: :func:`extend` builds the rows of an
-    untagged basis above a cut as a dense block, and when the basis comes
-    from a wandering part its columns are one-hot, so the block is a partial
-    weighted permutation that no operation built.
-    """
-    mat = m.matrix
-    rows, cols = np.nonzero(_exact.support(mat))
-    if len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols):
-        return None
-    index = np.full(m.domain.dim + 1, -1)
-    vals = m.mode.buffer(m.domain.dim + 1, mat)
-    index[cols], vals[cols] = rows, mat[rows, cols]
-    return LinearMap._indexed(m.domain, m.codomain, index, vals)
-
-
-def _null_coords(m: LinearMap, tol: float) -> np.ndarray:
-    """Domain coordinates of {v : ||m v|| <= tol ||v||}, one column per direction.
-
-    Exact mode solves m v = 0.  Float mode cuts the singular values of the
-    metric-normalized matrix (see :func:`weighted_matrix`) at the absolute
-    ``tol``, which is scale-free in the metric, and maps the null right
-    singular vectors back to coordinates by the inverse square root of the
-    domain metric.  :func:`kernel`, :func:`wandering` and :func:`extend`
-    all decide their null directions here.
-
-    An index map (see ``operators.LinearMap``), in either mode, has its
-    kernel read off its structural zeros without an elimination or an SVD.
-    It is spanned by the coordinate vectors of the columns that hold no
-    nonzero (exact mode, entries ``Fraction(1)``) or no weighted entry above
-    ``tol`` (float mode, entries ``1 / sqrt(metric[c])``), in increasing
-    column order.  A dense map takes the same route when
-    :func:`_isolated_nonzeros` finds the index form in it, and otherwise
-    ``_exact.nullspace`` or the SVD, the references.
-    """
-    if m._rows is None:
-        index = _isolated_nonzeros(m)
-        if index is None:
-            if m.mode.is_exact:
-                return _exact.nullspace(m.matrix)
-            _u, s, vt = np.linalg.svd(weighted_matrix(m), full_matrices=True)
-            rank = int(np.sum(s > tol))
-            return vt[rank:].conj().T / np.sqrt(np.asarray(m.domain.metric))[:, None]
-        m = index
-    if m.mode.is_exact:
-        live = _exact.support(m._vals[:-1])
-    else:
-        live = np.abs(_weighted_values(m)[:-1]) > tol
-    null = np.flatnonzero(~live)
-    coords = m.mode.buffer((m.domain.dim, len(null)), m._vals)
-    coords[null, np.arange(len(null))] = (
-        m.mode.one if m.mode.is_exact else 1 / np.sqrt(np.asarray(m.domain.metric))[null])
-    return coords
 
 
 def truncate(sub: Subspace, dim: int) -> Subspace:
@@ -295,22 +269,21 @@ def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
     """Canonical extension of the subspace into another truncation.
 
     The one routine that moves a subspace between truncations.  Residue-tagged
-    subspaces regrow their monomial pattern.  Untagged ones are zero-padded
-    into a truncation at least as large, and intersected with a smaller one:
-    the span of the basis combinations whose coefficients of degree
-    ``>= space.dim`` all vanish, decided by :func:`_null_coords`.
+    subspaces regrow their monomial pattern.  Untagged ones are displaced
+    into a truncation at least as large (zero padding, ``operators.displace``),
+    and intersected with a smaller one: the span of the basis combinations
+    whose coefficients of degree ``>= space.dim`` all vanish, decided by
+    ``operators.null_space`` and cut to the rows below ``space.dim``.  For
+    an index embedding these are the columns whose row lies below the cut.
     """
     _check_compatible(sub, space)
     if sub.residues is not None:
         return residue_subspace(space, sub.multiplicity, sub.residues)
-    d = space.dim
-    if d >= sub.ambient.dim:
-        basis = space.mode.buffer((d, sub.dim), sub.basis)
-        basis[: sub.ambient.dim, :] = sub.basis
-        return Subspace(space, basis, sub.norms_sq)
-    above = TruncatedSpace(metric=np.asarray(sub.ambient.metric)[d:], mode=space.mode)
-    top = LinearMap(sub.coordinate_space(), above, sub.basis[d:, :])
-    return from_vectors(space, _exact.mm(sub.basis, _null_coords(top, RANK_TOL))[:d, :])
+    if space.dim >= sub.ambient.dim:
+        return Subspace.embedded(displace(sub.embedding, space))
+    above = TruncatedSpace(metric=np.asarray(sub.ambient.metric)[space.dim:], mode=space.mode)
+    null = null_space(displace(sub.embedding, above, -space.dim), RANK_TOL)
+    return _span(displace(sub.embedding.compose(null), space))
 
 
 def max_degree(sub: Subspace) -> int:
@@ -352,45 +325,23 @@ class ReducingResult:
 def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float):
     """Restriction of m to sub: the one place invariance is decided.
 
-    Returns the map from the coordinates of sub into those of ``target``, a
-    subspace of m's codomain, that sends each basis vector of sub to the
-    coordinates of its image's projection onto ``target``, and the invariance
-    verdict.  The residual is max_i ||(I - P) m b_i|| / ||b_i|| over basis
-    vectors, P projecting onto the target.  Exact mode passes only when
-    every leftover norm is exactly zero; float mode when the residual is at
-    most ``tol``.
-
-    An index map restricted to residue ladders takes no product and builds
-    no matrix: the images of the ladder basis are the map's columns at its
-    degrees, gathered with their rows and values; the projection onto a
-    ladder target keeps the entries in rows at its degrees, renumbered to
-    the target's coordinates, and leaves the others as the leftover.  The
-    restriction is then an index map.  Every other case projects the images
-    ``m.apply(sub.basis)`` with :func:`project`, the reference.
+    Returns the map ``F_t m E`` from the coordinates of sub into those of
+    ``target``, a subspace of m's codomain (E the embedding of sub, F_t the
+    coordinate map of the target), and the invariance verdict.  The
+    leftover ``m E - E_t F_t m E`` is :func:`project`'s, and the residual
+    is max_i ||(I - P) m b_i|| / ||b_i|| over its columns, P projecting
+    onto the target.  Exact mode passes only when every leftover norm is
+    exactly zero; float mode when the residual is at most ``tol``.  For an
+    index map and index embeddings every factor is an index map, so nothing
+    is multiplied but one value per column.
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
-    dom, cod = sub.coordinate_space(), target.coordinate_space()
-    links = dict(domain_sub=sub, codomain_sub=target)
-    if m._rows is not None and sub.degrees is not None and target.degrees is not None:
-        rows, vals = m._rows[sub.degrees + [-1]], m._vals[sub.degrees + [-1]]
-        coord_rows = np.full(m.codomain.dim + 1, -1)
-        coord_rows[target.degrees] = np.arange(target.dim)
-        coord_rows = coord_rows[rows]
-        kept, zero = coord_rows >= 0, m.mode.zeros(())
-        restricted = LinearMap._indexed(dom, cod, coord_rows, np.where(kept, vals, zero), **links)
-        rsq = LinearMap._indexed(dom, m.codomain, rows,
-                                 np.where(kept, zero, vals)).column_norms_sq()
-    else:
-        coords, leftover = project(target, m.apply(sub.basis))
-        restricted = LinearMap(dom, cod, coords, **links)
-        rsq = m.codomain.column_norms_sq(leftover)
-    ratios = to_float(rsq) / to_float(np.asarray(sub.norms_sq))
+    restricted, leftover = project(target, m.compose(sub.embedding))
+    restricted.domain_sub, restricted.codomain_sub = sub, target
+    ratios = to_float(leftover.column_norms_sq()) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
-    if m.mode.is_exact:
-        passed = not _exact.support(rsq).any()
-    else:
-        passed = residual <= tol
+    passed = leftover.is_zero() if m.mode.is_exact else residual <= tol
     return restricted, InvarianceResult(passed, residual)
 
 
@@ -455,18 +406,17 @@ def wandering(t: LinearMap) -> Subspace:
 def invariant_closure(e: Subspace, N: int, depth: int) -> Subspace:
     """Span of the orbit {z^(jN) f : f in E, 0 <= j <= depth} in E's ambient space.
 
-    The package's one orbit routine.  Multiplying by z^(jN) displaces the
-    coefficient array of f by j*N rows, so the orbit is E's basis stacked at
-    row offsets 0, N, ..., depth*N.  The whole orbit must fit inside the
-    ambient truncation; otherwise DepthOverflow signals that the truncation
-    dimension should be raised.
+    The package's one orbit routine.  The orbit is E's embedding displaced
+    by 0, N, ..., depth*N rows, side by side (``operators.displace`` and
+    ``operators.hstack``); when E is a span of monomials below degree N,
+    the shifted copies hit distinct rows and the orbit is an index map.
+    The whole orbit must fit inside the ambient truncation; otherwise
+    DepthOverflow signals that the truncation dimension should be raised.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if e.dim == 0:
-        return zero_subspace(e.ambient)
     d = e.ambient.dim
     k = max_degree(e)
     if k + depth * N > d - 1:
@@ -474,12 +424,7 @@ def invariant_closure(e: Subspace, N: int, depth: int) -> Subspace:
             f"orbit of depth {depth} reaches degree {k + depth * N}, "
             f"beyond truncation {d}; raise the dimension"
         )
-    cols = e.ambient.mode.buffer((d, e.dim * (depth + 1)), e.basis)
-    for j in range(depth + 1):
-        lo = j * N
-        block = e.basis[: d - lo, :] if lo else e.basis
-        cols[lo:, j * e.dim : (j + 1) * e.dim] = block
-    return from_vectors(e.ambient, cols)
+    return _span(hstack([displace(e.embedding, e.ambient, j * N) for j in range(depth + 1)]))
 
 
 def kernel(m: LinearMap, tol: float = 1e-10) -> Subspace:
@@ -488,16 +433,12 @@ def kernel(m: LinearMap, tol: float = 1e-10) -> Subspace:
     In float mode ``tol`` bounds the metric singular values of m, so the cut
     does not depend on the scale of the weights.  When m acts between
     subspace coordinate spaces the kernel is re-expressed in the ambient
-    truncation of m's domain subspace.
+    truncation of m's domain subspace, through its embedding.
     """
-    coords = _null_coords(m, tol)
+    null = null_space(m, tol)
     if m.domain_sub is not None:
-        ambient = m.domain_sub.ambient
-        cols = _exact.mm(m.domain_sub.basis, coords)
-    else:
-        ambient = m.domain
-        cols = coords
-    return from_vectors(ambient, cols)
+        null = m.domain_sub.embedding.compose(null)
+    return _span(null)
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> float:
@@ -507,36 +448,30 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
     direction orthogonal to the whole of the other, as it always does when
     the dimensions differ.  For equal dimensions ``||P_U - P_V||`` is
     ``||(I - P_V) Q_U||`` with Q_U a metric-orthonormal basis of U (Golub and
-    Van Loan, *Matrix Computations*, 4th ed., section 2.5.3), so the norm is
-    taken of the metric-scaled D x k block ``(I - P_V) B_U diag(norms_sq)^(-1/2)``
-    instead of a D x D projector difference.  An exactly zero leftover
+    Van Loan, *Matrix Computations*, 4th ed., section 2.5.3): the metric
+    operator norm of :func:`project`'s leftover map ``E_U - E_V F_V E_U``,
+    whose domain metric is U's squared norms.  An exactly zero leftover
     (U inside V, as for a ladder and its untagged copy) gives 0.0 without
-    the SVD of the 2-norm.
+    a norm.
     """
     if u.ambient != v.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
     if u.dim != v.dim:
         return 1.0
-    if u.dim == 0:
-        return 0.0
-    leftover = to_float(project(v, u.basis)[1])
-    if not leftover.any():
-        return 0.0
-    sw = np.sqrt(to_float(np.asarray(u.ambient.metric)))
-    scale = np.sqrt(to_float(np.asarray(u.norms_sq)))
-    return float(np.linalg.norm(leftover * sw[:, None] / scale[None, :], 2))
+    leftover = project(v, u.embedding)[1]
+    return 0.0 if leftover.is_zero() else operator_norm(leftover)
 
 
 def projectors_equal(u: Subspace, v: Subspace) -> bool:
     """Exact-mode equality of two subspaces, decided from a leftover.
 
     Equal dimensions and U inside V mean U = V, so the subspaces are equal
-    exactly when their dimensions agree and ``project(v, u.basis)`` leaves an
-    exactly zero leftover.  No projector matrix is formed.
+    exactly when their dimensions agree and :func:`project` leaves an
+    exactly zero leftover map of U's embedding.  No projector is formed.
     """
     if u.ambient != v.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    return u.dim == v.dim and not _exact.support(project(v, u.basis)[1]).any()
+    return u.dim == v.dim and project(v, u.embedding)[1].is_zero()
 
 
 def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:

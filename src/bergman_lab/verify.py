@@ -32,6 +32,7 @@ from . import _exact
 from .errors import DepthOverflow, NotReducing
 from .operators import (
     LinearMap,
+    displace,
     identity_map,
     operator_norm,
     pinv,
@@ -241,16 +242,15 @@ def _map_defect(m: LinearMap) -> Defect:
     return (0.0, True) if m.is_zero() else (operator_norm(m), False)
 
 
-def _column_defects(space: TruncatedSpace, cols: np.ndarray, dens_sq) -> list[Defect]:
-    """Defect of each column of ``cols`` expected to vanish, relative to
-    sqrt of its entry of ``dens_sq``.
+def _column_defects(nums_sq, dens_sq) -> list[Defect]:
+    """Defect of each column expected to vanish, from its squared norm in
+    ``nums_sq`` relative to its entry of ``dens_sq``.
 
-    All columns are measured with one :meth:`TruncatedSpace.column_norms_sq`;
-    a column whose norm is 0 is (0.0, True) and its entry of ``dens_sq`` is
+    A column whose norm is 0 is (0.0, True) and its entry of ``dens_sq`` is
     not read.
     """
     return [(0.0, True) if num == 0 else (math.sqrt(float(num) / float(den)), False)
-            for num, den in zip(space.column_norms_sq(cols), dens_sq)]
+            for num, den in zip(nums_sq, dens_sq)]
 
 
 def _entry(spec: CheckSpec, defects: list[Defect], ok: bool = True,
@@ -359,7 +359,8 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
     """P = T pinv(T) is the metric projector onto TH and I - P projects onto E.
 
     The complement projector is compared against one assembled independently
-    from an orthogonal basis of the wandering part.
+    from the embedding of the wandering part in the coordinates of T's
+    codomain.
     """
     level = _tower(spec)
     t = level.t
@@ -369,13 +370,13 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
     if t.domain.dim > 0:
         g = random_columns(t.domain, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
         tg = t.apply(g)
-        defects += _column_defects(cod, _exact.sub(p.apply(tg), tg), cod.column_norms_sq(tg))
+        defects += _column_defects(cod.column_norms_sq(_exact.sub(p.apply(tg), tg)),
+                                   cod.column_norms_sq(tg))
     e = wandering(t)
     if e.dim > 0:
-        e_coords = project(t.codomain_sub, e.basis)[0]
-        defects += _column_defects(cod, p.apply(e_coords), e.norms_sq)
-        e_in_coords = Subspace(t.codomain, e_coords, e.norms_sq)
-        comp = LinearMap(cod, cod, projector(e_in_coords))
+        e_coords = project(t.codomain_sub, e.embedding)[0]
+        defects += _column_defects(p.compose(e_coords).column_norms_sq(), e.norms_sq)
+        comp = projector(Subspace.embedded(e_coords))
         defects.append(_map_defect(identity_map(cod) - p - comp))
     return _entry(spec, defects)
 
@@ -428,8 +429,8 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
         kdims.append(ker.dim)
         # W_n = E + TE + ... + T^(n-1)E inside level n's ambient truncation
         w_span = invariant_closure(extend(e, top.ambient), spec.N, n - 1)
-        leftover = project(w_span, ker.basis)[1]
-        defects += _column_defects(top.ambient, leftover, ker.norms_sq)
+        leftover = project(w_span, ker.embedding)[1]
+        defects += _column_defects(leftover.column_norms_sq(), ker.norms_sq)
     note = f"n=1..{len(levels)}, dim ker={kdims}, step={len(_residues_of(spec))}"
     return _entry(spec, defects, dims_ok, note=note)
 
@@ -463,10 +464,11 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
     defects = []
     for m, level in enumerate(levels, start=1):
         top = level.t.codomain_sub
-        cols = _exact.mm(top.basis, level.chain.matrix)
-        low = cols[: m * spec.N]
+        cols = top.embedding.compose(level.chain)
+        below = TruncatedSpace(metric=np.asarray(top.ambient.metric)[: m * spec.N], mode=spec.mode)
+        low = displace(cols, below).matrix
         hit = _exact.support(low).any(axis=0)
-        norms_sq = iter(top.ambient.column_norms_sq(cols[:, hit]))
+        norms_sq = iter(cols.column_norms_sq()[hit] if hit.any() else ())
         defects += [(float(np.abs(part).max()) / math.sqrt(next(norms_sq)), False)
                     if h else (0.0, True) for h, part in zip(hit, low.T)]
     return _entry(spec, defects,

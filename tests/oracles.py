@@ -130,6 +130,6 @@ def projector_distance(u, v) -> float:
     """
     if u.ambient.dim == 0:
         return 0.0
-    diff = to_float(projector(u) - projector(v))
+    diff = to_float(projector(u).matrix - projector(v).matrix)
     sw = np.sqrt(to_float(np.asarray(u.ambient.metric)))
     return float(np.linalg.norm(diff * sw[:, None] / sw[None, :], 2))

@@ -147,10 +147,10 @@ def range_and_wandering_projectors(tw: list[Level]):
     t = tw[0].t
     p = t.compose(tw[0].left_inv)
     rng = from_vectors(t.codomain, t.matrix)
-    p_range = projector(rng)
+    p_range = projector(rng).matrix
     e = wandering(t)
     e_coords = coefficient_functionals(t.codomain_sub) @ e.basis
-    p_wander = projector(Subspace(t.codomain, e_coords, e.norms_sq))
+    p_wander = projector(Subspace(t.codomain, e_coords, e.norms_sq)).matrix
     return p, p_range, p_wander
 
 

@@ -45,3 +45,23 @@ def test_modules_import_only_lower_layers():
         upward += [f"{name} imports {dep}" for dep in sorted(package_imports(tree))
                    if RANK[dep] > RANK[name]]
     assert upward == []
+
+
+#: The names of the index storage form of a map (see ``operators.LinearMap``).
+INDEX_FORM_NAMES = {"_rows", "_vals", "_indexed", "_at_rows", "_transposed", "_weighted_values"}
+
+
+def test_only_operators_names_the_index_storage_form():
+    """Every other module reaches index maps through operators' functions
+    and LinearMap's public methods, so one module knows the storage format."""
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "operators":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            named += [f"{path.stem}:{node.lineno} names {name}"
+                      for name in sorted(names & INDEX_FORM_NAMES)]
+    assert named == []

@@ -27,11 +27,12 @@ from bergman_lab import (
     subspace_distance,
     weight_sequence,
 )
-from bergman_lab import _exact, subspaces
+from bergman_lab import _exact
 from bergman_lab.operators import (
     GRAM_CONDITION_LIMIT,
     LinearMap,
     _gram_inverse,
+    null_space,
     to_float,
     weighted_matrix,
 )
@@ -379,23 +380,19 @@ def test_isolated_singular_values_match_the_dense_svd(monkeypatch):
 
 def test_isolated_null_coords_match_the_svd_route(monkeypatch):
     """The kernel read off the structural zeros of an index map has the
-    dimension of the SVD route's kernel and lies within metric distance
-    1e-12 of it; its dense copy, converted by _isolated_nonzeros, gives the
-    same coordinates."""
+    dimension of the SVD route's kernel, which its dense copy takes, and
+    lies within metric distance 1e-12 of it."""
     calls = _svd_calls(monkeypatch)
     for shape, is_complex, spread, seed in ISOLATED_CASES:
         m = _isolated_map(*shape, is_complex, spread, seed)
-        got = subspaces._null_coords(m, 1e-10)
-        assert np.array_equal(subspaces._null_coords(dense_copy(m), 1e-10), got)
+        got = null_space(m, 1e-10).matrix
         assert not calls
-        with monkeypatch.context() as dense:
-            dense.setattr(subspaces, "_isolated_nonzeros", lambda m: None)
-            ref = subspaces._null_coords(dense_copy(m), 1e-10)
+        ref = null_space(dense_copy(m), 1e-10).matrix
         assert calls
-        calls.clear()
         assert got.shape == ref.shape
         assert subspace_distance(from_vectors(m.domain, got),
                                  from_vectors(m.domain, ref)) <= 1e-12
+        calls.clear()
 
 
 def test_diagonal_gram_inverse_matches_numpy():
@@ -421,28 +418,24 @@ def test_diagonal_gram_inverse_matches_numpy():
 
 
 def test_shared_row_or_column_takes_the_dense_path(monkeypatch):
-    """A dense map is never inspected: its singular values take the SVD even
-    when no two nonzeros share a row or a column.  Two nonzeros in one row or
-    in one column make _isolated_nonzeros decline, and kernels fall back to
-    the SVD, or in exact mode to elimination; an exact shift is an index
-    map."""
+    """A dense map is never inspected: its singular values and its kernel
+    take the SVD even when no two nonzeros share a row or a column, and so
+    do maps with two nonzeros in one row or in one column; in exact mode the
+    kernel takes elimination.  An exact shift is an index map."""
     calls = _svd_calls(monkeypatch)
     dom = TruncatedSpace(metric=np.array([1.0, 0.5, 0.25, 0.125]), mode=FLOAT)
     cod = TruncatedSpace(metric=np.linspace(1.0, 0.2, 5), mode=FLOAT)
     base = np.zeros((5, 4))
     base[[1, 3, 0], [0, 1, 3]] = [2.0, -1.0, 0.75]
-    assert subspaces._isolated_nonzeros(LinearMap(dom, cod, base)) is not None
-    singular_values(LinearMap(dom, cod, base))
-    assert len(calls) == 1
-    calls.clear()
+    mats = [base]
     # row 1 gains a second nonzero, then column 0 does
     for r, c in ((1, 2), (2, 0)):
-        mat = base.copy()
-        mat[r, c] = 0.5
+        mats.append(base.copy())
+        mats[-1][r, c] = 0.5
+    for mat in mats:
         m = LinearMap(dom, cod, mat)
-        assert subspaces._isolated_nonzeros(m) is None
         singular_values(m)
-        subspaces._null_coords(m, 1e-10)
+        null_space(m, 1e-10)
         assert len(calls) == 2
         calls.clear()
     dom, cod = spaces(Fraction(1, 2), 2, 6, EXACT)
@@ -453,8 +446,7 @@ def test_shared_row_or_column_takes_the_dense_path(monkeypatch):
     shared = shift(dom, cod, 2).matrix.copy()
     shared[2, 1] = Fraction(3, 4)  # row 2 holds the images of z^0 and z^1
     m = LinearMap(dom, cod, shared)
-    assert subspaces._isolated_nonzeros(m) is None
-    assert (subspaces._null_coords(m, 1e-10) == _exact.nullspace(shared)).all()
+    assert (null_space(m, 1e-10).matrix == _exact.nullspace(shared)).all()
     assert len(rrefs) == 2
     assert (_gram_inverse(m).compose(m.adjoint().compose(m)).matrix == _exact.eye(6)).all()
     assert len(rrefs) == 3
@@ -489,7 +481,7 @@ def test_exact_tower_maps_take_the_index_route():
         else:
             got = _gram_inverse(m).matrix
             assert got.dtype == object and (got == ref).all(), name
-        got = subspaces._null_coords(m, 1e-10)
+        got = null_space(m, 1e-10).matrix
         ref = _exact.nullspace(m.matrix)
         assert got.dtype == object and got.shape == ref.shape, name
         assert (got == ref).all(), name

@@ -20,6 +20,7 @@ from bergman_lab import (
     restrict,
     wandering,
 )
+import bergman_lab.subspaces as subspaces
 import bergman_lab.verify as verify
 from bergman_lab.verify import (
     AMBIENT_CHECKS,
@@ -100,12 +101,12 @@ def test_column_defects_measure_only_nonzero_columns(mode):
     cols[:, 1] = [one, 2 * one, 0 * one]
     cols[:, 3] = [0 * one, one / 5, one]
     dens = [0, 4 * one, 0, one / 7]
-    got = _column_defects(space, cols, dens)
+    got = _column_defects(space.column_norms_sq(cols), dens)
     assert got[0] == got[2] == (0.0, True)
     for j in (1, 3):
         want = math.sqrt(float(space.norm_sq(cols[:, j])) / float(dens[j]))
         assert got[j] == (want, False)
-    assert _column_defects(space, cols[:, :0], []) == []
+    assert _column_defects(space.column_norms_sq(cols[:, :0]), []) == []
 
 
 def _scaled(m, c):
@@ -352,18 +353,55 @@ def test_gram_inverse_once_per_level(monkeypatch):
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_warm_lift_checks_compose_nothing(monkeypatch, mode):
     """The lift chains are composed once, when their levels are built: a warm
-    expansive, min_degree or kernel_containment makes no composition."""
+    expansive or kernel_containment composes no tower map, and a warm
+    min_degree only puts each level's lift chain under its ladder's
+    embedding, once per level."""
     composed = []
     compose = operators.LinearMap.compose
     for name in ("expansive", "min_degree", "kernel_containment"):
         spec = spec_for(name, mode=mode, depth=4)
         assert run_check(spec).passed
-        monkeypatch.setattr(operators.LinearMap, "compose",
-                            lambda self, other: composed.append(name) or compose(self, other))
+        tower = {id(m): field for j in range(spec.depth)
+                 for field, m in _tower(spec, j)._asdict().items()}
+
+        def recording(self, other, name=name, tower=tower):
+            if id(self) in tower or id(other) in tower:
+                composed.append((name, tower.get(id(self)), tower.get(id(other))))
+            return compose(self, other)
+
+        monkeypatch.setattr(operators.LinearMap, "compose", recording)
         entry = run_check(spec)
         monkeypatch.setattr(operators.LinearMap, "compose", compose)
         assert entry.passed, (name, entry.note)
-    assert composed == []
+    assert composed == [("min_degree", None, "chain")] * 4
+
+
+@pytest.mark.parametrize("mode,D", [(FLOAT, 256), (EXACT, 32)])
+def test_ladder_towers_reach_no_factorization(monkeypatch, mode, D):
+    """On a residue ladder every subspace the level and tower checks build
+    (the ladders, wandering parts, kernels, orbits, their extensions and
+    truncations) is a span of monomials held by an index embedding, so a
+    cold run of each of them (N=3, residues {0, 2}, depth 4) reaches no
+    orthogonalize, QR, SVD or exact elimination.  census is left out: its
+    random controls are dense subspaces, which take the dense reference
+    route."""
+    calls = []
+    for owner, name in ((subspaces, "orthogonalize"), (np.linalg, "qr"),
+                        (np.linalg, "svd"), (verify._exact, "rref")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _n=name, _f=original, **kw:
+                            calls.append(_n) or _f(*a, **kw))
+    alpha = Fraction(1, 2) if mode.is_exact else 1.0
+    _tower_cached.cache_clear()
+    try:
+        for name, (_check, tol, reads) in verify._CHECK_TABLE.items():
+            if reads == "ambient":
+                continue
+            entry = run_check(CheckSpec(name, 3, alpha, D, (0, 2), 4, 0, mode, tol))
+            assert entry.passed, (name, entry.note)
+            assert calls == [], name
+    finally:
+        _tower_cached.cache_clear()
 
 
 #: The checks that report a zero ladder as vacuous instead of measuring it.
