@@ -12,13 +12,23 @@ On object data they read only nonzero entries: shifts, residue ladders and
 lifts have one nonzero per column, so almost every dense product would be a
 multiplication by zero.  Products, norms and adjoints carry each rational as
 its integer numerator and denominator.  The integer terms of an output entry
-are summed with a common denominator and normalized once, by one
+are summed over the least common denominator of their denominators, which
+grows by one gcd per new denominator, and normalized once, by one
 ``Fraction(n, d)`` (Knuth, *TAOCP* vol. 2, section 4.5.1), instead of
 paying a gcd and a new ``Fraction`` for every partial product and partial
-sum.  Exact sums depend neither on term order nor on zero terms, so the
-results are the same ``Fraction`` values as the dense expressions.  Object
-operands hold rationals (``Fraction`` or ``int``); an object operand mixed
-with float data raises TypeError.
+sum.  A product with a factor 1 is the other factor, shared, not a new
+``Fraction``.  Exact sums depend neither on term order nor on zero terms,
+so the results are the same ``Fraction`` values as the dense expressions.
+Object operands hold rationals (``Fraction`` or ``int``); an object operand
+mixed with float data raises TypeError.
+
+A diagonal metric reaches the kernels as integers over one common
+denominator (:func:`over_common_denominator`): ``w = W / L`` with ``W``
+Python ints.  A metric ratio ``w_m / w_n`` is then ``W_m / W_n`` (times
+one ratio of the two denominators), and a column norm sums the integer
+terms ``x.numerator^2 W_i / x.denominator^2`` and divides by ``L`` once.
+``TruncatedSpace`` keeps its ``(W, L)`` (see
+``space.TruncatedSpace.scaled_metric``).
 
 :func:`rref`, :func:`nullspace` and :func:`invert` are Gauss-Jordan
 elimination with exact pivots, the references for dense maps; tower maps
@@ -27,6 +37,8 @@ never reach them, since they are stored by index and decided there.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from fractions import Fraction
 
@@ -68,31 +80,42 @@ def _is_exact(*arrays) -> bool:
     return exact[0]
 
 
-def _ratio_sum(terms) -> Fraction:
-    """One normalized Fraction from integer pairs (numerator, denominator > 0).
+def over_common_denominator(metric) -> tuple[np.ndarray, int]:
+    """``(W, L)`` with ``metric == W / L`` for rational entries, the kernels'
+    metric operands: ``L`` is the least common denominator of the entries
+    and ``W`` holds Python ints."""
+    values = np.asarray(metric).tolist()
+    den = math.lcm(*(x.denominator for x in values))
+    scaled = np.empty(len(values), dtype=object)
+    scaled[:] = [x.numerator * (den // x.denominator) for x in values]
+    return scaled, den
 
-    The pairs are added over a common denominator, which grows only when a
-    denominator neither equals nor divides nor is divided by it.
+
+def _ratio_sum(terms, den: int = 1) -> Fraction:
+    """One normalized Fraction from integer pairs (numerator, denominator > 0):
+    their sum, divided by ``den``.
+
+    The pairs are added over the least common denominator of their
+    denominators: a new denominator costs one gcd and moves the running sum
+    to the lcm, so the sum never carries a larger denominator than that.
     """
     n, d = 0, 1
     for tn, td in terms:
         if td == d:
             n += tn
-        elif d % td == 0:
-            n += tn * (d // td)
-        elif td % d == 0:
-            n, d = n * (td // d) + tn, td
         else:
-            n, d = n * td + tn * d, d * td
-    return Fraction(n, d)
+            g = math.gcd(d, td)
+            n, d = n * (td // g) + tn * (d // g), d * (td // g)
+    return Fraction(n, d * den)
 
 
-def _assemble(shape, terms: dict) -> np.ndarray:
-    """Exact zeros of ``shape`` with flat entry k set to the sum of ``terms[k]``."""
+def _assemble(shape, terms: dict, den: int = 1) -> np.ndarray:
+    """Exact zeros of ``shape`` with flat entry k set to the sum of
+    ``terms[k]`` over ``den``."""
     out = zeros(shape)
     flat = out.reshape(-1)
     for k, pairs in terms.items():
-        flat[k] = _ratio_sum(pairs)
+        flat[k] = _ratio_sum(pairs, den)
     return out
 
 
@@ -125,13 +148,16 @@ def mm(a: np.ndarray, b: np.ndarray):
     return out[0 if a.ndim == 1 else slice(None), 0 if b.ndim == 1 else slice(None)]
 
 
-def column_norms_sq(mat: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Squared weighted norm ``sum_i metric[i] |mat[i, j]|^2`` of every column.
+def column_norms_sq(mat: np.ndarray, metric: np.ndarray, den: int = 1) -> np.ndarray:
+    """Squared weighted norm ``sum_i (metric[i] / den) |mat[i, j]|^2`` of every column.
 
-    Float data sums each column as one contiguous row of a transposed copy,
-    in the same order at any block width.  Object data sums the integer
-    terms of each column's nonzero entries and normalizes once, so a column
-    without one has norm exactly ``Fraction(0)``.
+    Float data (where ``den`` is 1) sums each column as one contiguous row
+    of a transposed copy, in the same order at any block width.  Object
+    data takes an integer metric ``W`` over its common denominator
+    ``L = den`` (see :func:`over_common_denominator`; rational entries give
+    the same values): the terms ``x.numerator^2 W[i] / x.denominator^2`` of
+    a column's nonzero entries are summed by :func:`_ratio_sum` and divided
+    by L once, so a column without a nonzero has norm exactly ``Fraction(0)``.
     """
     mat, metric = np.asarray(mat), np.asarray(metric)
     if not _is_exact(mat, metric):
@@ -142,56 +168,73 @@ def column_norms_sq(mat: np.ndarray, metric: np.ndarray) -> np.ndarray:
     i_nz, j_nz = np.nonzero(support(mat))
     for i, j, x in zip(i_nz.tolist(), j_nz.tolist(), mat[i_nz, j_nz].tolist()):
         xn, xd = x.numerator, x.denominator
-        terms.setdefault(j, []).append((xn * xn * w[i].numerator, xd * xd * w[i].denominator))
-    return _assemble(mat.shape[1], terms)
+        terms.setdefault(j, []).append((xn * xn * w[i], xd * xd))
+    return _assemble(mat.shape[1], terms, den)
 
 
-def _at_nonzeros(f, x, *others) -> np.ndarray:
-    """``f(x[i], *others[i])`` where no operand is zero (operands broadcast),
-    one Fraction each from the Python values; exact zero elsewhere."""
-    x, *others = np.broadcast_arrays(x, *others)
-    out = zeros(x.shape)
-    nz = np.logical_and.reduce([support(o) for o in (x, *others)])
-    out[nz] = [f(*args) for args in zip(x[nz].tolist(), *(o[nz].tolist() for o in others))]
+def _at_nonzeros(f, data: tuple, metrics: tuple = ()) -> np.ndarray:
+    """``f(*data[i], *metrics[i])`` where no data operand is zero (operands
+    broadcast), from the Python values; exact zero elsewhere.  Metric
+    operands are positive, so their entries are not tested."""
+    arrays = [np.asarray(a) for a in (*data, *metrics)]
+    if len({a.shape for a in arrays}) > 1:
+        arrays = np.broadcast_arrays(*arrays)
+    out = zeros(arrays[0].shape)
+    nz = functools.reduce(operator.and_, [support(a) for a in arrays[:len(data)]])
+    out[nz] = [f(*args) for args in zip(*(a[nz].tolist() for a in arrays))]
     return out
 
 
-def metric_scale(x, p, q) -> np.ndarray:
-    """Elementwise ``conj(x) * (p / q)`` of broadcast arrays.
+def metric_scale(x, p, q, p_den: int = 1, q_den: int = 1) -> np.ndarray:
+    """Elementwise ``conj(x) * ((p / p_den) / (q / q_den))`` of broadcast arrays.
 
     The ratio is formed before the product, in real arithmetic (complex
-    division rounds even x/x).  Object data is real, so it is not
-    conjugated; each nonzero entry of ``x`` gives one Fraction of the
-    integer product.
+    division rounds even x/x); float data has both denominators 1.  Object
+    data is real, so it is not conjugated; each nonzero entry of ``x``
+    gives one Fraction of the integer product.  Integer metrics over their
+    common denominators (see :func:`over_common_denominator`) enter as
+    ``p``, ``q`` and the two denominators, whose ratio is taken once.
     """
     if not _is_exact(x, p, q):
         return np.conjugate(x) * (p / q)
-    return _at_nonzeros(lambda a, b, c: Fraction(a.numerator * b.numerator * c.denominator,
-                                                 a.denominator * b.denominator * c.numerator),
-                        x, p, q)
+    g = math.gcd(p_den, q_den)
+    rn, rd = q_den // g, p_den // g
+    return _at_nonzeros(lambda a, b, c: Fraction(a.numerator * b.numerator * c.denominator * rn,
+                                                 a.denominator * b.denominator * c.numerator * rd),
+                        (x,), (p, q))
 
 
-def metric_adjoint(m: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> np.ndarray:
-    """Metric adjoint G_in^-1 m^H G_out of a matrix between diagonal metrics:
+def metric_adjoint(m: np.ndarray, w_out: np.ndarray, w_in: np.ndarray,
+                   out_den: int = 1, in_den: int = 1) -> np.ndarray:
+    """Metric adjoint G_in^-1 m^H G_out of a matrix between diagonal metrics
+    ``w_out / out_den`` and ``w_in / in_den``:
     ``conj(m).T * (w_out[None, :] / w_in[:, None])``, by :func:`metric_scale`."""
     m, w_out, w_in = np.asarray(m), np.asarray(w_out), np.asarray(w_in)
-    return metric_scale(m.T, w_out[None, :], w_in[:, None])
+    return metric_scale(m.T, w_out[None, :], w_in[:, None], out_den, in_den)
 
 
-def weighted_sq(x, w) -> np.ndarray:
-    """Elementwise ``|x|^2 w``: the squared weighted norm of a column whose one
-    nonzero is x, in row weight w, with the terms of :func:`column_norms_sq`."""
+def weighted_sq(x, w, den: int = 1) -> np.ndarray:
+    """Elementwise ``|x|^2 w / den``: the squared weighted norm of a column
+    whose one nonzero is x, in row weight ``w / den`` (an integer metric
+    over its common denominator, or ``den`` 1), as :func:`column_norms_sq`
+    gives it.  Float data has ``den`` 1."""
     if not _is_exact(x, w):
         return np.abs(x) ** 2 * w
     return _at_nonzeros(lambda a, b: Fraction(a.numerator * a.numerator * b.numerator,
-                                              a.denominator * a.denominator * b.denominator),
-                        x, w)
+                                              a.denominator * a.denominator * b.denominator * den),
+                        (x,), (w,))
+
+
+def _times(a, b):
+    """``a * b``, or the other factor itself when one is 1."""
+    return b if a == 1 else a if b == 1 else a * b
 
 
 def mul(a, b) -> np.ndarray:
     """Elementwise ``a * b`` of broadcast arrays; on object data only pairs
-    of nonzero factors are multiplied."""
-    return a * b if not _is_exact(a, b) else _at_nonzeros(operator.mul, a, b)
+    of nonzero factors are multiplied, and a factor 1 gives the other
+    factor, shared (Fractions are immutable), not a new Fraction."""
+    return a * b if not _is_exact(a, b) else _at_nonzeros(_times, (a, b))
 
 
 def _combine(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:

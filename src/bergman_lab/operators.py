@@ -18,8 +18,8 @@ pseudoinverses, lifts and every product of these have that form, and on it
 each operation here is a few gathers and one elementwise product.  So do
 the embeddings of the subspaces built from residue ladders (see
 ``subspaces.Subspace``): this module is the one that reads the index form,
-and :func:`unit_map`, :func:`displace`, :func:`null_space`,
-:func:`index_span` and :func:`hstack` build it for them.
+and :func:`unit_map`, :func:`transpose`, :func:`displace`,
+:func:`null_space`, :func:`index_span` and :func:`hstack` build it for them.
 """
 
 from __future__ import annotations
@@ -151,7 +151,8 @@ class LinearMap:
         coordinate vectors, measured without applying the map."""
         if self._rows is None:
             return self.codomain.column_norms_sq(self._matrix)
-        return _exact.weighted_sq(self._vals, self._at_rows(self.codomain.metric))[:-1]
+        w, den = self.codomain.scaled_metric
+        return _exact.weighted_sq(self._vals, self._at_rows(w), den)[:-1]
 
     def is_zero(self) -> bool:
         """Whether every entry is exactly zero."""
@@ -159,12 +160,12 @@ class LinearMap:
 
     def adjoint(self) -> "LinearMap":
         subs = dict(domain_sub=self.codomain_sub, codomain_sub=self.domain_sub)
-        w_out, w_in = self.codomain.metric, self.domain.metric
+        (w_out, out_den), (w_in, in_den) = self.codomain.scaled_metric, self.domain.scaled_metric
         if self._rows is None:
-            return LinearMap(self.codomain, self.domain,
-                             _exact.metric_adjoint(self._matrix, w_out, w_in), **subs)
+            return LinearMap(self.codomain, self.domain, _exact.metric_adjoint(
+                self._matrix, w_out, w_in, out_den, in_den), **subs)
         w_in = np.concatenate((w_in, (1,)))  # the padding entry's domain weight
-        vals = _exact.metric_scale(self._vals, self._at_rows(w_out), w_in)
+        vals = _exact.metric_scale(self._vals, self._at_rows(w_out), w_in, out_den, in_den)
         return LinearMap._indexed(self.codomain, self.domain, *self._transposed(vals), **subs)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
@@ -211,6 +212,13 @@ def unit_map(domain: TruncatedSpace, codomain: TruncatedSpace, rows) -> LinearMa
     vals[:-1] = domain.mode.one
     return LinearMap._indexed(domain, codomain,
                               np.append(np.asarray(rows, dtype=np.int64), -1), vals)
+
+
+def transpose(m: LinearMap) -> LinearMap:
+    """The transposed index map, from m's codomain into its domain.  For a
+    unit map whose domain metric is its codomain's at the rows it hits, as
+    a ladder's embedding, it is the metric adjoint: every ratio is w / w = 1."""
+    return LinearMap._indexed(m.codomain, m.domain, *m._transposed(m._vals))
 
 
 def displace(m: LinearMap, codomain: TruncatedSpace, step: int = 0) -> LinearMap:
@@ -399,9 +407,10 @@ def index_span(m: LinearMap) -> "LinearMap | None":
         return None
     pick = np.append(np.flatnonzero(_exact.support(m._vals[:-1])), -1)
     rows, vals = m._rows[pick], m._vals[pick]
-    w = np.asarray(m.codomain.metric)[rows[:-1]]
+    w, den = m.codomain.scaled_metric
+    w = w[rows[:-1]]
     if m.mode.is_exact:
-        norms = _exact.weighted_sq(vals[:-1], w)
+        norms = _exact.weighted_sq(vals[:-1], w, den)
     else:
         vals[:-1] = vals[:-1] / np.abs(vals[:-1]) / np.sqrt(w)
         norms = np.ones(len(w))

@@ -53,6 +53,7 @@ class TruncatedSpace:
         metric = metric.copy()
         metric.flags.writeable = False
         self.metric = metric
+        self._scaled = None if self.mode.is_exact else (metric, 1)
 
     def __eq__(self, other: object) -> bool:
         if other is self:
@@ -68,6 +69,21 @@ class TruncatedSpace:
         kind = "ambient" if self.weights is not None else "coords"
         return f"TruncatedSpace(dim={self.dim}, mode={self.mode.value}, {kind})"
 
+    @property
+    def scaled_metric(self) -> tuple[np.ndarray, int]:
+        """The metric as the kernels of ``_exact`` read it: ``(W, L)`` with
+        ``metric == W / L``, in exact mode Python ints over one common
+        denominator, in float mode the metric over 1.  An exact space
+        computes it on first read and keeps it: a weight-backed one slices
+        its sequence's, whose ``L`` serves every prefix."""
+        if self._scaled is None:
+            if self.weights is None:
+                self._scaled = _exact.over_common_denominator(self.metric)
+            else:
+                w, den = self.weights.scaled_values
+                self._scaled = w[: self.dim], den
+        return self._scaled
+
     def norm_sq(self, a: np.ndarray):
         """Squared weighted norm of a coefficient array; a Fraction in exact mode."""
         return self.column_norms_sq(np.asarray(a)[:, None])[0]
@@ -78,9 +94,10 @@ class TruncatedSpace:
         The one weighted-norm routine, :func:`_exact.column_norms_sq` in
         this space's metric: float mode sums each column in the same order
         at any block width; exact mode sums the integer terms of the nonzero
-        entries and makes one Fraction per column.
+        entries against :attr:`scaled_metric` and makes one Fraction per
+        column.
         """
-        return _exact.column_norms_sq(mat, self.metric)
+        return _exact.column_norms_sq(mat, *self.scaled_metric)
 
 
 def random_columns(space: TruncatedSpace, seeds: Iterable[int]) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from . import _exact
 from .errors import AmbientMismatch, BadResidue, DepthOverflow, DimensionMismatch, NotInvariant
 from .operators import (LinearMap, displace, hstack, index_span, null_space, operator_norm,
-                        to_float, unit_map)
+                        to_float, transpose, unit_map)
 from .space import TruncatedSpace, random_columns
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
@@ -46,7 +46,8 @@ class Subspace:
     are the basis, metric-orthogonal, and the coordinate space's metric is
     their squared norms.  ``basis``, ``norms_sq`` and ``coordinate_space()``
     are read-only views of it, and ``coordinates``, the metric adjoint of
-    the embedding, maps a vector to its coordinates; it is built once.
+    the embedding, maps a vector to its coordinates; it is built once, on
+    first read, or with the embedding by :func:`residue_subspace`.
     ``Subspace(ambient, basis, norms_sq)`` builds a dense embedding;
     :meth:`embedded` takes one in either storage form.
 
@@ -132,7 +133,7 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
     otherwise the first failing column is dropped and the loop takes the
     columns after it.
     """
-    w = np.asarray(ambient.metric)
+    w, den = ambient.scaled_metric  # float mode: the metric over 1
     exact = ambient.mode.is_exact
     k = start = 0
     if not exact:
@@ -164,7 +165,7 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
         if not exact:
             v, g = v / np.sqrt(g), 1.0
         basis[:, k], norms[k] = v, g
-        functionals[k] = _exact.metric_adjoint(v[:, None], w, np.asarray([g]))[0]
+        functionals[k] = _exact.metric_adjoint(v[:, None], w, np.asarray([g]), den)[0]
         k += 1
     return basis[:, :k], norms[:k]
 
@@ -196,15 +197,17 @@ def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> 
 
     Its embedding is the unit index map onto the selected degrees, in
     increasing order, so the coordinate metric is the slice of the weight
-    sequence there.
+    sequence there, and its coordinate map is built with it: the transposed
+    unit map, whose every entry w / w is 1.
     """
     if space.weights is None:
         raise AmbientMismatch("residue subspaces need a weight-backed ambient space")
     residues = frozenset(residues)
     degrees = residue_degrees(N, residues, space.dim)
     coords = TruncatedSpace(metric=np.asarray(space.metric)[degrees], mode=space.mode)
-    sub = Subspace.embedded(unit_map(coords, space, degrees))
-    sub.residues, sub.multiplicity = residues, N
+    embedding = unit_map(coords, space, degrees)
+    sub = Subspace.embedded(embedding)
+    sub.coordinates, sub.residues, sub.multiplicity = transpose(embedding), residues, N
     return sub
 
 

@@ -14,6 +14,7 @@ rational) on the same code path.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,6 +123,13 @@ class WeightSequence:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @functools.cached_property
+    def scaled_values(self) -> tuple[np.ndarray, int]:
+        """``(W, L)`` with ``values == W / L`` in exact mode: Python ints over
+        the least common denominator of the weights, which is a common
+        denominator of every prefix."""
+        return _exact.over_common_denominator(self.values)
 
     def __getitem__(self, n: int) -> Scalar:
         return self.values[n]

@@ -1,6 +1,7 @@
 """The exact kernels of ``_exact`` against the dense numpy expressions."""
 
 import ast
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import bergman_lab
 from bergman_lab import LinearMap, ScalarMode, TruncatedSpace, _exact
+from bergman_lab.verify import DEFAULT_TOLS, CheckSpec, run_check
 from oracles import ReadLogged
 
 PACKAGE = Path(bergman_lab.__file__).resolve().parent
@@ -111,7 +113,7 @@ LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
 #: The shared draws put their numerators over divisors of this denominator.
 SHARED_DENOMINATOR = 2**40 * 3**30
 
-STYLES = ("small", "ints", "coprime", "shared")
+STYLES = ("small", "ints", "coprime", "shared", "units", "multiples")
 
 
 def rational_entries(rng, shape, density, style):
@@ -120,7 +122,10 @@ def rational_entries(rng, shape, density, style):
     ``small`` draws Fractions with one-digit parts; ``ints`` mixes ints with
     such Fractions, and half its zeros are the int 0; ``coprime`` puts
     62-bit numerators over distinct large primes; ``shared`` puts them over
-    divisors of one large denominator.
+    divisors of one large denominator; ``units`` makes half its nonzeros
+    ``Fraction(1)`` and the rest ``small``; ``multiples`` puts 62-bit
+    numerators over ``P * k``, P one of two large primes and k below 13,
+    so that denominators share large factors without dividing each other.
     """
     out = np.empty(shape, dtype=object)
     flat = out.reshape(-1)
@@ -136,6 +141,10 @@ def rational_entries(rng, shape, density, style):
             flat[i] = small.numerator if rng.random() < 0.5 else small
         elif style == "coprime":
             flat[i] = Fraction(big, LARGE_PRIMES[int(rng.integers(len(LARGE_PRIMES)))])
+        elif style == "units":
+            flat[i] = Fraction(1) if rng.random() < 0.5 else small
+        elif style == "multiples":
+            flat[i] = Fraction(big, LARGE_PRIMES[int(rng.integers(2))] * int(rng.integers(1, 13)))
         else:
             flat[i] = Fraction(big, SHARED_DENOMINATOR // 6 ** int(rng.integers(0, 4)))
     return out
@@ -153,9 +162,12 @@ def assert_values_equal(got, want):
 
 
 def test_exact_kernels_match_dense_fraction_references():
-    """Products, column norms, metric adjoints, sums and differences of every
-    entry style equal the dense Fraction expressions, 1-D operands and empty
-    shapes included; products, norms and adjoints are all Fractions."""
+    """Products, column norms, metric adjoints and scalings, one-entry norms,
+    elementwise products, sums and differences of every entry style equal
+    the dense Fraction expressions, 1-D operands and empty shapes included,
+    with metrics as Fractions and as integers over their least common
+    denominator; products, norms and scalings are all Fractions, and an
+    elementwise product with a factor 1 is the other factor itself."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -170,18 +182,69 @@ def test_exact_kernels_match_dense_fraction_references():
         c = rational_entries(rng, left, density_b, style)
         assert_values_equal(_exact.add(a, c), a + c)
         assert_values_equal(_exact.sub(a, c), a - c)
+        got = _exact.mul(a, c)
+        assert_values_equal(got, a * c)
+        for idx in zip(*np.nonzero((a == 1) & (c != 0))):
+            assert got[idx] is c[idx]
+        # int / int is a float in numpy, so the references divide Fractions
+        as_fractions = np.vectorize(Fraction, otypes=[object])
+        x = a.reshape(-1)
+        p, q = (positive_rationals(rng, x.size, style) for _ in range(2))
+        (p_int, p_den), (q_int, q_den) = map(_exact.over_common_denominator, (p, q))
+        want = x * (as_fractions(p) / as_fractions(q))
+        assert_fraction_equal(_exact.metric_scale(x, p, q), want)
+        assert_fraction_equal(_exact.metric_scale(x, p_int, q_int, p_den, q_den), want)
+        assert_fraction_equal(_exact.weighted_sq(x, p), x * x * as_fractions(p))
+        assert_fraction_equal(_exact.weighted_sq(x, p_int, p_den), x * x * as_fractions(p))
         if a.ndim == 2:
             w = positive_rationals(rng, a.shape[0], style)
             want = [sum((x * x * g for x, g in zip(a[:, j], w)), Fraction(0))
                     for j in range(a.shape[1])]
             assert_fraction_equal(_exact.column_norms_sq(a, w), np.asarray(want, dtype=object))
+            w_int, w_den = _exact.over_common_denominator(w)
+            assert w_den == math.lcm(*(Fraction(g).denominator for g in w))
+            assert all(Fraction(n, w_den) == g for n, g in zip(w_int, w))
+            assert_fraction_equal(_exact.column_norms_sq(a, w_int, w_den),
+                                  np.asarray(want, dtype=object))
             w_in = positive_rationals(rng, a.shape[1], style)
-            # int / int is a float in numpy, so the reference divides Fractions
-            as_fractions = np.vectorize(Fraction, otypes=[object])
-            assert_fraction_equal(_exact.metric_adjoint(a, w, w_in),
-                                  dense_adjoint(a, as_fractions(w), as_fractions(w_in)))
+            want = dense_adjoint(a, as_fractions(w), as_fractions(w_in))
+            assert_fraction_equal(_exact.metric_adjoint(a, w, w_in), want)
+            in_int, in_den = _exact.over_common_denominator(w_in)
+            assert_fraction_equal(_exact.metric_adjoint(a, w_int, in_int, w_den, in_den), want)
 
     check()
+
+
+def test_sums_carry_at_most_the_lcm_of_their_denominators(monkeypatch):
+    """Terms over P * k (P a large prime) are summed over their least common
+    denominator: the one Fraction a sum makes gets a denominator no longer
+    than that lcm, where a running product of the denominators would grow
+    by P with every new k."""
+    prime = 2**127 - 1
+    terms = [((-1) ** k * (3 * k + 1), prime * k) for k in range(1, 41)]
+    dens = [d for _n, d in terms]
+    made = []
+
+    def recording(n, d):
+        made.append((n, d))
+        return Fraction(n, d)
+
+    monkeypatch.setattr(_exact, "Fraction", recording)
+    got = _exact._ratio_sum(terms)
+    assert got == sum(Fraction(n, d) for n, d in terms)
+    [(_n, d)] = made
+    assert d.bit_length() <= math.lcm(*dens).bit_length()
+
+
+@pytest.mark.parametrize("name", ["census", "norm_identity", "expansive", "lower_bound"])
+def test_exact_checks_pass_at_dimension_64(name):
+    """The exact checks whose sums and norms carry the weights' large
+    denominators pass at D = 64, where sums over products of denominators
+    made them take seconds."""
+    spec = CheckSpec(name, 2, Fraction(1, 2), 64, (0,), 4, 0,
+                     ScalarMode.EXACT_RATIONAL, DEFAULT_TOLS[name])
+    entry = run_check(spec)
+    assert entry.passed and entry.residual == 0.0, entry.note
 
 
 def test_cancelling_sums_are_fraction_zeros():
@@ -253,7 +316,12 @@ def test_float_kernels_are_the_numpy_expressions():
                              np.sum(np.abs(np.ascontiguousarray(a.T)) ** 2 * w, axis=1))
         assert_bit_identical(_exact.add(a, c), a + c)
         assert_bit_identical(_exact.sub(a, c), a - c)
+        assert_bit_identical(_exact.mul(a, c), a * c)
         assert_bit_identical(_exact.support(a), a != 0)
+        p = np.abs(c.real) + 0.1
+        assert_bit_identical(_exact.metric_scale(a, p, w[:, None]),
+                             np.conjugate(a) * (p / w[:, None]))
+        assert_bit_identical(_exact.weighted_sq(a, p), np.abs(a) ** 2 * p)
     special = np.array([0.0, -0.0, np.nan, np.inf, 1e-300, 1j, -0j])
     assert_bit_identical(_exact.support(special), special != 0)
 

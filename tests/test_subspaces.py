@@ -48,6 +48,7 @@ from bergman_lab.subspaces import (
     project,
 )
 from oracles import monomial, projector_distance, random_vector, shift_adjoint
+from test_index_maps import assert_same_entries
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -82,6 +83,22 @@ def test_residue_ladder_basis():
     assert (np.asarray(h.norms_sq) == w[[0, 2, 4]]).all()
     assert h.residues == frozenset({0})
     assert h.multiplicity == 2
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_ladder_coordinates_are_the_adjoint_of_the_embedding(mode):
+    """A ladder's coordinate map, built with its embedding as the transposed
+    unit map, is the embedding's metric adjoint entry for entry, also at
+    alphas whose weights span many orders of magnitude."""
+    for alpha in (Fraction(-9, 10), Fraction(1, 2), 200):
+        sp = make_space(alpha if mode is EXACT else float(alpha), 3, 40, mode)
+        for residues in ((), (0,), (1, 2), (0, 1, 2)):
+            sub = residue_subspace(sp, 3, residues)
+            got, want = sub.coordinates, sub.embedding.adjoint()
+            assert (got.domain, got.codomain) == (want.domain, want.codomain)
+            assert np.array_equal(got._rows, want._rows)
+            assert_same_entries(got._vals, want._vals)
+            assert_same_entries(got.matrix, want.matrix)
 
 
 def test_residue_degrees_and_bad_residue():
