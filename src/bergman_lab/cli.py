@@ -303,6 +303,8 @@ def _check_spec_from_args(parser: argparse.ArgumentParser, args) -> CheckSpec:
     residues = _parse_residues(parser, args.residues, args.N)
     if args.depth < 1:
         parser.error("--depth: must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed: must be >= 0")
     tol = args.tol if args.tol is not None else DEFAULT_TOLS[args.check]
     if tol < 0:
         parser.error("--tol: must be >= 0")

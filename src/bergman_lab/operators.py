@@ -44,9 +44,9 @@ def to_float(a: np.ndarray) -> np.ndarray:
 class LinearMap:
     """Matrix of a linear map in the bases of its domain and codomain spaces.
 
-    ``domain_sub``/``codomain_sub`` optionally record the subspaces whose
-    coordinate spaces the map acts between (set by ``subspaces.restrict``),
-    so that coordinate vectors can be re-expressed in the ambient truncation.
+    A map knows only its two spaces and its data.  A map between the
+    coordinate spaces of subspaces, as ``subspaces.restrict`` returns, does
+    not know those subspaces; whoever built it keeps them.
 
     The constructor stores the dense form.  The index form (see
     :meth:`_indexed`) is built by :func:`unit_map` (and with it
@@ -64,35 +64,32 @@ class LinearMap:
     kept.
     """
 
-    def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace, matrix: np.ndarray,
-                 *, domain_sub=None, codomain_sub=None):
+    def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if matrix.shape != (codomain.dim, domain.dim):
             raise DimensionMismatch(f"matrix shape {matrix.shape} does not match map "
                                     f"{domain.dim} -> {codomain.dim}")
         matrix = matrix.copy()
         matrix.flags.writeable = False
-        self._bind(domain, codomain, domain_sub, codomain_sub)
+        self._bind(domain, codomain)
         self._matrix, self._rows, self._vals = matrix, None, None
 
     @classmethod
-    def _indexed(cls, domain, codomain, rows, vals, *, domain_sub=None,
-                 codomain_sub=None) -> "LinearMap":
+    def _indexed(cls, domain, codomain, rows, vals) -> "LinearMap":
         """Index form: column j holds ``vals[j]`` in row ``rows[j]``, or is
         empty where ``rows[j] == -1`` and ``vals[j]`` is zero.  Both arrays
         end in one padding entry, -1 and zero, so a gather at row index -1
         reads an empty column."""
         m = cls.__new__(cls)
-        m._bind(domain, codomain, domain_sub, codomain_sub)
+        m._bind(domain, codomain)
         rows.flags.writeable = vals.flags.writeable = False
         m._matrix, m._rows, m._vals = None, rows, vals
         return m
 
-    def _bind(self, domain, codomain, domain_sub, codomain_sub) -> None:
+    def _bind(self, domain, codomain) -> None:
         if domain.mode != codomain.mode:
             raise DimensionMismatch("domain and codomain use different scalar modes")
         self.domain, self.codomain, self.mode = domain, codomain, domain.mode
-        self.domain_sub, self.codomain_sub = domain_sub, codomain_sub
 
     @property
     def matrix(self) -> np.ndarray:
@@ -159,40 +156,36 @@ class LinearMap:
         return not np.count_nonzero(self._matrix if self._rows is None else self._vals)
 
     def adjoint(self) -> "LinearMap":
-        subs = dict(domain_sub=self.codomain_sub, codomain_sub=self.domain_sub)
         (w_out, out_den), (w_in, in_den) = self.codomain.scaled_metric, self.domain.scaled_metric
         if self._rows is None:
             return LinearMap(self.codomain, self.domain, _exact.metric_adjoint(
-                self._matrix, w_out, w_in, out_den, in_den), **subs)
+                self._matrix, w_out, w_in, out_den, in_den))
         w_in = np.concatenate((w_in, (1,)))  # the padding entry's domain weight
         vals = _exact.metric_scale(self._vals, self._at_rows(w_out), w_in, out_den, in_den)
-        return LinearMap._indexed(self.codomain, self.domain, *self._transposed(vals), **subs)
+        return LinearMap._indexed(self.codomain, self.domain, *self._transposed(vals))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
         if other.codomain != self.domain:
             raise DimensionMismatch("composition needs other.codomain == self.domain")
-        subs = dict(domain_sub=other.domain_sub, codomain_sub=self.codomain_sub)
         if other._rows is None:
-            return LinearMap(other.domain, self.codomain, self.apply(other.matrix), **subs)
+            return LinearMap(other.domain, self.codomain, self.apply(other.matrix))
         if self._rows is None:
-            return LinearMap(other.domain, self.codomain,
-                             _exact.mm(self.matrix, other.matrix), **subs)
+            return LinearMap(other.domain, self.codomain, _exact.mm(self.matrix, other.matrix))
         return LinearMap._indexed(other.domain, self.codomain, self._rows[other._rows],
-                                  _exact.mul(self._vals[other._rows], other._vals), **subs)
+                                  _exact.mul(self._vals[other._rows], other._vals))
 
     def _combine(self, other: "LinearMap", op) -> "LinearMap":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise DimensionMismatch("maps act between different spaces")
-        subs = dict(domain_sub=self.domain_sub, codomain_sub=self.codomain_sub)
         a, b = self._rows, other._rows
         if a is not None and b is not None:
             rows = np.maximum(a, b)
             clashes = np.count_nonzero((np.minimum(a, b) >= 0) & (a != b))
             if not clashes and not np.count_nonzero(np.bincount(rows + 1)[1:] > 1):
                 return LinearMap._indexed(self.domain, self.codomain, rows,
-                                          op(self._vals, other._vals), **subs)
-        return LinearMap(self.domain, self.codomain, op(self.matrix, other.matrix), **subs)
+                                          op(self._vals, other._vals))
+        return LinearMap(self.domain, self.codomain, op(self.matrix, other.matrix))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         return self._combine(other, _exact.sub)
@@ -332,13 +325,12 @@ def _gram_inverse(t: LinearMap) -> LinearMap:
         if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
             raise SingularGram(f"Gram operator condition number {cond:.3e} exceeds "
                                f"{GRAM_CONDITION_LIMIT:.0e}")
-    subs = dict(domain_sub=gram.domain_sub, codomain_sub=gram.codomain_sub)
     if gram._rows is not None:
         if not _exact.support(gram._vals[:-1]).all():  # exact mode: float mode refused it
             raise SingularGram("Gram operator is singular")
         vals = gram._vals.copy()
         vals[:-1] = 1 / gram._vals[:-1]
-        return LinearMap._indexed(gram.codomain, gram.domain, *gram._transposed(vals), **subs)
+        return LinearMap._indexed(gram.codomain, gram.domain, *gram._transposed(vals))
     if t.mode.is_exact:
         try:
             inv = _exact.invert(gram.matrix)
@@ -346,7 +338,7 @@ def _gram_inverse(t: LinearMap) -> LinearMap:
             raise SingularGram("Gram operator is singular") from None
     else:
         inv = np.linalg.inv(gram.matrix)
-    return LinearMap(gram.domain, gram.codomain, inv, **subs)
+    return LinearMap(gram.domain, gram.codomain, inv)
 
 
 def pinv(t: LinearMap) -> LinearMap:

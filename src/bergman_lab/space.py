@@ -37,9 +37,9 @@ class TruncatedSpace:
             self.weights = weights
             self.mode = weights.mode
             self.dim = len(weights) if dim is None else dim
-            if self.dim > len(weights):
+            if not 0 <= self.dim <= len(weights):
                 raise DimensionMismatch(
-                    f"dim {self.dim} exceeds weight sequence length {len(weights)}")
+                    f"dim {self.dim} outside 0 .. weight sequence length {len(weights)}")
             metric = np.asarray(weights.values[: self.dim])
         else:
             if metric is None or mode is None:

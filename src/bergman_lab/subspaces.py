@@ -44,10 +44,10 @@ class Subspace:
 
     ``embedding`` maps the coordinate space into ``ambient``: its columns
     are the basis, metric-orthogonal, and the coordinate space's metric is
-    their squared norms.  ``basis``, ``norms_sq`` and ``coordinate_space()``
-    are read-only views of it, and ``coordinates``, the metric adjoint of
-    the embedding, maps a vector to its coordinates; it is built once, on
-    first read, or with the embedding by :func:`residue_subspace`.
+    their squared norms.  ``basis`` and ``norms_sq`` are read-only views of
+    it, and ``coordinates``, the metric adjoint of the embedding, maps a
+    vector to its coordinates; it is built once, on first read, or with the
+    embedding by :func:`residue_subspace`.
     ``Subspace(ambient, basis, norms_sq)`` builds a dense embedding;
     :meth:`embedded` takes one in either storage form.
 
@@ -92,10 +92,6 @@ class Subspace:
     def norms_sq(self) -> np.ndarray:
         return self.embedding.domain.metric
 
-    def coordinate_space(self) -> TruncatedSpace:
-        """Space of coordinates in this basis; its metric is the squared norms."""
-        return self.embedding.domain
-
     def __repr__(self) -> str:
         tag = f", residues={sorted(self.residues)}" if self.residues is not None else ""
         return f"Subspace(dim={self.dim}, ambient={self.ambient.dim}{tag})"
@@ -111,8 +107,8 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
 
     One loop serves both modes.  Each column is projected off the vectors
     kept before it, in one product ``v - B[:, :k] @ (F[:k] @ v)`` with row i
-    of F the coordinate functional of kept vector i (see
-    :func:`coefficient_functionals`): once in exact mode, which in rational
+    of F the coordinate functional of kept vector i (the rows of F are the
+    matrix of the coordinate map): once in exact mode, which in rational
     arithmetic gives exactly the modified Gram-Schmidt vectors, and twice in
     float mode (CGS2; Giraud, Langou and Rozloznik, 2005).  The column is
     kept when its residual's metric norm is nonzero (exact mode) or greater
@@ -211,18 +207,6 @@ def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> 
     return sub
 
 
-def coefficient_functionals(sub: Subspace) -> np.ndarray:
-    """Matrix of the coordinate functionals: coords(v) = functionals @ v.
-
-    Row j is conj(b_j) scaled entrywise by metric / ||b_j||^2, the matrix of
-    the coordinate map.  The scaling ratio is formed first, in real
-    arithmetic (complex division rounds even x/x), so one-hot monomial bases
-    produce exact 1.0 entries and projections of lattice vectors are exact
-    even in floating point.
-    """
-    return sub.coordinates.matrix
-
-
 def project(sub: Subspace, x):
     """Metric-orthogonal projection onto ``sub``: the coordinates ``F x``
     and the leftover ``x - E F x``, with E the embedding and F the
@@ -258,8 +242,8 @@ def _check_compatible(sub: Subspace, space: TruncatedSpace) -> None:
 
 def truncate(sub: Subspace, dim: int) -> Subspace:
     """Intersection of the subspace with the smaller truncation span{z^n : n < dim}."""
-    if dim > sub.ambient.dim:
-        raise DimensionMismatch("truncate target exceeds the current ambient dimension")
+    if not 0 <= dim <= sub.ambient.dim:
+        raise DimensionMismatch(f"truncate target {dim} outside 0 .. {sub.ambient.dim}")
     if sub.ambient.weights is not None:
         target = TruncatedSpace(sub.ambient.weights, dim)
     else:
@@ -341,7 +325,6 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
     restricted, leftover = project(target, m.compose(sub.embedding))
-    restricted.domain_sub, restricted.codomain_sub = sub, target
     ratios = to_float(leftover.column_norms_sq()) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
     passed = leftover.is_zero() if m.mode.is_exact else residual <= tol
@@ -378,10 +361,9 @@ def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> LinearMap:
     The image of each basis vector is re-expanded in the basis of the
     subspace's extension inside the codomain truncation; the part of the
     image sticking out of the extension is the invariance residual, decided
-    as in :func:`is_invariant`.
+    as in :func:`is_invariant`.  The result acts between coordinate spaces
+    and does not know the subspaces; the caller keeps sub and its extension.
     """
-    if s.domain_sub is not None:
-        raise DimensionMismatch("restrict expects a map between ambient truncations")
     restricted, inv = _restriction_data(s, sub, extend(sub, s.codomain), tol)
     if not inv.passed:
         bound = "is not exactly zero" if s.mode.is_exact else f"exceeds tol {tol:.1e}"
@@ -391,19 +373,18 @@ def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> LinearMap:
     return restricted
 
 
-def wandering(t: LinearMap) -> Subspace:
-    """Wandering part E = t.codomain_sub minus range(t), computed as ker t*.
+def wandering(t: LinearMap, ext: Subspace) -> Subspace:
+    """Wandering part E = ext minus range(t), computed as ker t*.
 
-    ``t`` must be a restricted map (carrying subspace links), typically the
-    shift restricted to a subspace by :func:`restrict`, whose codomain
-    subspace is then the subspace's extension.  The orthogonal complement of
-    range(t) there is the kernel of the metric adjoint of t, so E comes from
-    :func:`kernel` and is expressed in the ambient truncation of t's
-    codomain subspace.
+    ``t`` maps into the coordinates of ``ext``, typically the shift
+    restricted to a subspace by :func:`restrict`, with ``ext`` that
+    subspace's extension into the shift's codomain.  The orthogonal
+    complement of range(t) there is the kernel of the metric adjoint of t,
+    found by :func:`kernel` in those coordinates and carried into ext's
+    ambient truncation by its embedding.  An ``ext`` whose coordinate space
+    is not t's codomain raises DimensionMismatch.
     """
-    if t.codomain_sub is None or t.domain_sub is None:
-        raise DimensionMismatch("wandering needs a restricted map with subspace links")
-    return kernel(t.adjoint())
+    return Subspace.embedded(ext.embedding.compose(kernel(t.adjoint()).embedding))
 
 
 def invariant_closure(e: Subspace, N: int, depth: int) -> Subspace:
@@ -434,14 +415,10 @@ def kernel(m: LinearMap, tol: float = 1e-10) -> Subspace:
     """Subspace {v : ||m v|| <= tol ||v||} in the metric; exact kernel in rational mode.
 
     In float mode ``tol`` bounds the metric singular values of m, so the cut
-    does not depend on the scale of the weights.  When m acts between
-    subspace coordinate spaces the kernel is re-expressed in the ambient
-    truncation of m's domain subspace, through its embedding.
+    does not depend on the scale of the weights.  The kernel lives in m's
+    own domain, also when that is the coordinate space of a subspace.
     """
-    null = null_space(m, tol)
-    if m.domain_sub is not None:
-        null = m.domain_sub.embedding.compose(null)
-    return _span(null)
+    return _span(null_space(m, tol))
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> float:

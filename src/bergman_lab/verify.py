@@ -180,13 +180,17 @@ def _residues_of(spec: CheckSpec) -> tuple[int, ...]:
 
 class Level(NamedTuple):
     """Level j of the tower: the shift from dimension D + jN into D + (j+1)N,
-    its restriction ``t`` to the residue ladder, the left inverse
-    ``pinv(t) = (t* t)^-1 t*``, and the lift chain
-    ``A^(j+1) = lift_j o ... o lift_0`` from level 0's ladder into level j's
-    extension, where ``lift_i = left_inv_i*`` is the norm-expanding lift
-    ``T (T* T)^-1`` of level i.  Spaces and ladders are read off the maps."""
+    the residue ``ladder`` in the shift's domain and its extension ``ext``
+    in the codomain, the shift's restriction ``t`` from the ladder's
+    coordinates into ext's, the left inverse ``pinv(t) = (t* t)^-1 t*``,
+    and the lift chain ``A^(j+1) = lift_j o ... o lift_0`` from level 0's
+    ladder into level j's extension, where ``lift_i = left_inv_i*`` is the
+    norm-expanding lift ``T (T* T)^-1`` of level i.  The maps know only
+    their spaces; the subspaces are the ladder and ext."""
 
     shift: LinearMap
+    ladder: Subspace
+    ext: Subspace
     t: LinearMap
     left_inv: LinearMap
     chain: LinearMap
@@ -196,13 +200,14 @@ class Level(NamedTuple):
 def _tower_cached(N: int, alpha: Scalar, D: int, residues: tuple,
                   mode: ScalarMode, j: int) -> Level:
     s = _shift(N, alpha, D + j * N, mode)
-    t = restrict(s, residue_subspace(s.domain, N, residues))
+    ladder = residue_subspace(s.domain, N, residues)
+    t = restrict(s, ladder)
     left_inv = pinv(t)
     # the lift T (T*T)^-1 is the adjoint of the left inverse (T*T)^-1 T*
     lift = left_inv.adjoint()
     chain = lift if j == 0 else lift.compose(
         _tower_cached(N, alpha, D, residues, mode, j - 1).chain)
-    return Level(s, t, left_inv, chain)
+    return Level(s, ladder, extend(ladder, s.codomain), t, left_inv, chain)
 
 
 def _tower(spec: CheckSpec, j: int = 0) -> Level:
@@ -359,8 +364,7 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
     """P = T pinv(T) is the metric projector onto TH and I - P projects onto E.
 
     The complement projector is compared against one assembled independently
-    from the embedding of the wandering part in the coordinates of T's
-    codomain.
+    from the wandering part ker T*, found in the coordinates of T's codomain.
     """
     level = _tower(spec)
     t = level.t
@@ -372,11 +376,10 @@ def check_range_projector(spec: CheckSpec) -> ReportEntry:
         tg = t.apply(g)
         defects += _column_defects(cod.column_norms_sq(_exact.sub(p.apply(tg), tg)),
                                    cod.column_norms_sq(tg))
-    e = wandering(t)
+    e = kernel(t.adjoint())
     if e.dim > 0:
-        e_coords = project(t.codomain_sub, e.embedding)[0]
-        defects += _column_defects(p.compose(e_coords).column_norms_sq(), e.norms_sq)
-        comp = projector(Subspace.embedded(e_coords))
+        defects += _column_defects(p.compose(e.embedding).column_norms_sq(), e.norms_sq)
+        comp = projector(e)
         defects.append(_map_defect(identity_map(cod) - p - comp))
     return _entry(spec, defects)
 
@@ -413,18 +416,19 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
     Swept over every n = 1..depth.
     """
     levels = _levels(spec)
-    base = levels[0].t.domain_sub
-    if base.dim == 0 and levels[-1].t.codomain_sub.dim == 0:
+    base = levels[0].ladder
+    if base.dim == 0 and levels[-1].ext.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
-    e = wandering(levels[0].t)
+    e = wandering(levels[0].t, levels[0].ext)
     defects = []
     dims_ok = True
     kdims = []
     for n, level in enumerate(levels, start=1):
         # (pinv T)^n = (A^n)* maps level n down to level 0
-        ker = kernel(level.chain.adjoint(), tol=min(spec.tol, 1e-8))
+        top = level.ext
+        ker = Subspace.embedded(top.embedding.compose(
+            kernel(level.chain.adjoint(), tol=min(spec.tol, 1e-8)).embedding))
         expected = n * len(_residues_of(spec))
-        top = level.t.codomain_sub
         dims_ok = dims_ok and ker.dim == expected == top.dim - base.dim
         kdims.append(ker.dim)
         # W_n = E + TE + ... + T^(n-1)E inside level n's ambient truncation
@@ -463,7 +467,7 @@ def check_min_degree(spec: CheckSpec) -> ReportEntry:
         return _entry(spec, [], note="zero subspace, vacuous")
     defects = []
     for m, level in enumerate(levels, start=1):
-        top = level.t.codomain_sub
+        top = level.ext
         cols = top.embedding.compose(level.chain)
         below = TruncatedSpace(metric=np.asarray(top.ambient.metric)[: m * spec.N], mode=spec.mode)
         low = displace(cols, below).matrix
@@ -487,8 +491,7 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
             f"D={spec.D} leaves no safe comparison window for N={spec.N}; raise D"
         )
     level = _tower(spec)
-    t = level.t
-    h = t.domain_sub
+    h = level.ladder
     red = is_reducing(level.shift, h, spec.tol)
     if not red.passed:
         raise NotReducing(
@@ -497,7 +500,7 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
         )
     if h.dim == 0:
         return _entry(spec, [], note="zero subspace, vacuous")
-    e = wandering(t)
+    e = wandering(level.t, level.ext)
     e_base = truncate(e, spec.D)
     dims_ok = e_base.dim == e.dim == len(h.residues)
     k = max_degree(e_base)

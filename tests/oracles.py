@@ -117,8 +117,13 @@ def index_map(domain: TruncatedSpace, codomain: TruncatedSpace, rows, vals) -> L
 
 def dense_copy(m: LinearMap) -> LinearMap:
     """The same map in the dense form, the reference."""
-    return LinearMap(m.domain, m.codomain, m.matrix,
-                     domain_sub=m.domain_sub, codomain_sub=m.codomain_sub)
+    return LinearMap(m.domain, m.codomain, m.matrix)
+
+
+def level_maps(level) -> dict:
+    """The map fields of a tower level, by name: every field but the ladder
+    and its extension, which are subspaces."""
+    return {name: m for name, m in level._asdict().items() if isinstance(m, LinearMap)}
 
 
 def projector_distance(u, v) -> float:

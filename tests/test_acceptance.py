@@ -22,6 +22,7 @@ from bergman_lab import (
     ScalarMode,
     TruncatedSpace,
     WeightParams,
+    extend,
     from_vectors,
     identity_map,
     invariant_closure,
@@ -44,7 +45,7 @@ from bergman_lab import (
 from bergman_lab import cli, verify
 from bergman_lab.operators import LinearMap
 from bergman_lab.space import random_columns
-from bergman_lab.subspaces import Subspace, coefficient_functionals, project
+from bergman_lab.subspaces import Subspace, project
 from bergman_lab.verify import Level, run_suite, smoke_grid
 from oracles import iterated_coeff
 
@@ -148,8 +149,8 @@ def range_and_wandering_projectors(tw: list[Level]):
     p = t.compose(tw[0].left_inv)
     rng = from_vectors(t.codomain, t.matrix)
     p_range = projector(rng).matrix
-    e = wandering(t)
-    e_coords = coefficient_functionals(t.codomain_sub) @ e.basis
+    e = wandering(t, tw[0].ext)
+    e_coords = tw[0].ext.coordinates.matrix @ e.basis
     p_wander = projector(Subspace(t.codomain, e_coords, e.norms_sq)).matrix
     return p, p_range, p_wander
 
@@ -266,15 +267,16 @@ def test_criterion_05_kernel_containment():
             for N in (1, 2, 3):
                 for lam in nonempty_subsets(N):
                     tw = build_tower(N, alpha, D_KERNEL, lam, FLOAT, DEPTH)
-                    e = truncate(wandering(tw[0].t), D_KERNEL)
+                    e = truncate(wandering(tw[0].t, tw[0].ext), D_KERNEL)
                     desc = None
                     for n in range(1, DEPTH + 1):
                         desc = tw[n - 1].left_inv if desc is None \
                             else desc.compose(tw[n - 1].left_inv)
-                        ker = kernel(desc, tol=1e-9)
-                        top = tw[n - 1].t.codomain_sub
+                        top = tw[n - 1].ext
+                        ker = Subspace.embedded(
+                            top.embedding.compose(kernel(desc, tol=1e-9).embedding))
                         assert ker.dim == n * len(lam)
-                        assert ker.dim == top.dim - tw[0].t.domain_sub.dim
+                        assert ker.dim == top.dim - tw[0].ladder.dim
                         d_n = top.ambient.dim
                         cols = np.zeros((d_n, e.dim * n), dtype=np.complex128)
                         for k in range(n):
@@ -297,14 +299,14 @@ def test_criterion_06_minimum_degree_of_lifts():
             for N in EXACT_NS:
                 tw = exact_tower(alpha, N)
                 for m, chain in enumerate(lift_chains(tw), start=1):
-                    ambient = tw[m - 1].t.codomain_sub.basis @ chain.matrix
+                    ambient = tw[m - 1].ext.basis @ chain.matrix
                     low = ambient[: m * N, :]
                     assert not bool((low != 0).any())
         for alpha in FLOAT_ALPHAS:
             for N in FLOAT_NS:
                 tw = float_tower(alpha, N)
                 for m, chain in enumerate(lift_chains(tw), start=1):
-                    ambient = tw[m - 1].t.codomain_sub.basis @ chain.matrix
+                    ambient = tw[m - 1].ext.basis @ chain.matrix
                     low = np.abs(ambient[: m * N, :])
                     assert low.size == 0 or float(low.max()) <= 1e-13
 
@@ -322,7 +324,7 @@ def test_criterion_07_ladder_reconstruction():
                 for lam in nonempty_subsets(N):
                     h = residue_subspace(dom, N, lam)
                     t = restrict(s, h, 1e-8)
-                    e = wandering(t)
+                    e = wandering(t, extend(h, cod))
                     assert e.dim == len(lam)
                     e_base = truncate(e, D_BEURLING)
                     depth = (D_BEURLING - 1 - max_degree(e_base)) // N

@@ -139,6 +139,10 @@ def test_exact_mode_accepts_decimal_alpha(capsys):
       "--dim", "16", "--tol", "-1"), "--tol"),
     (("verify", "--check", "coeff_bounds", "--N", "2", "--alpha", "0.5",
       "--dim", "16", "--depth", "0"), "--depth"),
+    # a negative seed reached default_rng and failed the check with ValueError
+    (("verify", "--check", "lower_bound", "--N", "2", "--alpha", "0.5",
+      "--dim", "8", "--seed", "-3"), "--seed"),
+    (("census", "--N", "2", "--alpha", "1/2", "--dim", "8", "--seed", "-3"), "--seed"),
     (("verify", "--check", "expansive", "--N", "1", "--alpha", "1e300",
       "--dim", "3"), "--alpha"),
     (("beurling", "--N", "1", "--alpha", "1e300", "--dim", "3"), "--alpha"),
@@ -151,7 +155,8 @@ def test_exact_mode_accepts_decimal_alpha(capsys):
       "--dim", "256", "--residues", "0,1"), "--alpha"),
 ], ids=["alpha-text", "alpha-range", "alpha-inf", "alpha-underflow", "coeffs-alpha-inf",
         "weights-dim", "coeffs-N", "residue-range",
-        "residue-text", "verify-dim", "tol-negative", "depth-zero",
+        "residue-text", "verify-dim", "tol-negative", "depth-zero", "seed-negative",
+        "census-seed-negative",
         "verify-alpha-underflow", "beurling-alpha-underflow", "census-alpha-underflow",
         "verify-alpha-underflow-tower", "verify-alpha-subnormal-tower"])
 def test_usage_errors_name_the_flag(capsys, argv, flag):

@@ -130,7 +130,8 @@ def test_index_embeddings_match_their_dense_copies():
                     continue
                 got = restrict(m, sub)
                 assert_same_entries(got.matrix, want.matrix)
-                same_subspace(wandering(got), wandering(want), exact)
+                same_subspace(wandering(got, extend(sub, m.codomain)),
+                              wandering(want, extend(ref, m.codomain)), exact)
                 restricted += 1
             big = extend(sub, cod)
             assert_same_entries(big.basis, extend(ref, cod).basis)
@@ -145,7 +146,7 @@ def test_index_embeddings_match_their_dense_copies():
                 assert (got == 0.0) == (want == 0.0)
                 assert abs(got - want) <= 1e-14 * max(want, 1.0)
         assert restricted >= 1  # the ladder's copy is invariant under the section
-        e = truncate(wandering(restrict(s, ladder)), D)
+        e = truncate(wandering(restrict(s, ladder), extend(ladder, cod)), D)
         depth = (D - 1 - max_degree(e)) // N
         closure = invariant_closure(e, N, depth)
         assert closure.dim == len(residues) * (depth + 1)

@@ -38,7 +38,8 @@ from bergman_lab.operators import (
 )
 from bergman_lab.space import random_columns
 from bergman_lab.verify import _tower_cached
-from oracles import dense_copy, index_map, inner, iterated_coeff, monomial, shift_adjoint
+from oracles import (dense_copy, index_map, inner, iterated_coeff, level_maps, monomial,
+                     shift_adjoint)
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -461,7 +462,7 @@ def _exact_tower_maps():
                 for D, alpha in itertools.product((8, 12), (Fraction(0), Fraction(1, 2))):
                     for j in range(4):
                         level = _tower_cached.__wrapped__(N, alpha, D, residues, EXACT, j)
-                        yield from level._asdict().items()
+                        yield from level_maps(level).items()
 
 
 def test_exact_tower_maps_take_the_index_route():

@@ -149,6 +149,15 @@ def test_coordinate_space_with_explicit_metric():
     assert space.norm_sq(f) == pytest.approx(1.0 + 0.25 * 4.0 + 4.0 * 0.25)
 
 
+@pytest.mark.parametrize("dim", [-3, -1, 6])
+def test_weight_backed_dim_outside_the_sequence_is_refused(dim):
+    # a negative dim built a space with dim -3 and a metric of length 2
+    ws = weight_sequence(WeightParams(0.5, 1, 5), FLOAT)
+    with pytest.raises(DimensionMismatch):
+        TruncatedSpace(ws, dim)
+    assert TruncatedSpace(ws, 0).dim == len(TruncatedSpace(ws, 0).metric) == 0
+
+
 def test_explicit_metric_fixes_dim():
     g = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
     assert TruncatedSpace(metric=g, mode=FLOAT, dim=5).dim == 5

@@ -10,6 +10,7 @@ from bergman_lab import (
     AmbientMismatch,
     BadResidue,
     DepthOverflow,
+    DimensionMismatch,
     NotInvariant,
     ScalarMode,
     TruncatedSpace,
@@ -43,7 +44,6 @@ from bergman_lab.subspaces import (
     RANK_TOL,
     ReducingResult,
     Subspace,
-    coefficient_functionals,
     orthogonalize,
     project,
 )
@@ -520,10 +520,10 @@ def test_projector_idempotent_and_self_adjoint(mode):
     assert np.abs(out - to_float(sub.basis)).max() <= 1e-14
 
 
-def test_coefficient_functionals_one_hot_exact_in_float():
+def test_coordinate_map_one_hot_exact_in_float():
     sp = make_space(2.5, 3, 9)
     sub = residue_subspace(sp, 3, [0, 2])
-    f = coefficient_functionals(sub)
+    f = sub.coordinates.matrix
     eye = f @ sub.basis
     assert (eye == np.eye(sub.dim)).all()
     assert (projector(sub).matrix @ sub.basis == sub.basis).all()
@@ -552,6 +552,20 @@ def test_truncate_tagged_ladder_regrows_pattern():
     assert t.dim == 3
     assert t.residues == frozenset({1})
     assert max_degree(t) == 5
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_truncate_to_a_negative_dimension_is_refused(mode):
+    # truncate(sub, -2) failed inside numpy with "negative dimensions"
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    sp = make_space(alpha, 2, 8, mode)
+    ladder = residue_subspace(sp, 2, [0])
+    for sub in (ladder, Subspace.embedded(ladder.embedding), subspaces.from_vectors(
+            TruncatedSpace(metric=sp.metric, mode=mode), ladder.basis)):
+        for dim in (-2, -1, 9):
+            with pytest.raises(DimensionMismatch):
+                truncate(sub, dim)
+        assert truncate(sub, 0).dim == 0
 
 
 def test_truncate_untagged_intersection():
@@ -768,7 +782,8 @@ def test_ladder_gathers_match_dense_reference(alpha, D):
                     restricted, inv = subspaces._restriction_data(f, sub, target, tol)
                     ref[name] = subspaces._restriction_data(
                         f, _untagged(sub), _untagged(target), tol)
-                    assert restricted.domain_sub is sub and restricted.codomain_sub is target
+                    assert restricted.domain == sub.embedding.domain
+                    assert restricted.codomain == target.embedding.domain
                     assert np.array_equal(restricted.matrix, ref[name][0].matrix)
                     assert inv == ref[name][1]
                 (fwd_coords, fwd), (_, adj) = ref["fwd"], ref["adj"]
@@ -792,7 +807,7 @@ def test_wandering_of_full_space_is_low_degrees():
     s = shift(dom, cod, 3)
     h = residue_subspace(dom, 3, range(3))
     t = restrict(s, h)
-    e = wandering(t)
+    e = wandering(t, extend(h, cod))
     assert e.dim == 3
     cols = np.column_stack([monomial(cod, n) for n in range(3)])
     assert subspace_distance(e, from_vectors(cod, cols)) <= 1e-12
@@ -802,10 +817,31 @@ def test_wandering_of_single_ladder():
     dom, cod = graded_pair(0.5, 2, 10)
     s = shift(dom, cod, 2)
     h = residue_subspace(dom, 2, [1])
-    e = wandering(t := restrict(s, h))
+    e = wandering(t := restrict(s, h), extend(h, cod))
     assert t.matrix.shape == (6, 5)
     assert e.dim == 1
     assert max_degree(e) == 1
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_wandering_refuses_a_subspace_t_does_not_map_into(mode):
+    """wandering(t, ext) reads ext's embedding, so an ext whose coordinate
+    space is not t's codomain is refused: the ladder itself, the extension
+    of another ladder of the same dimension, and the full ladder of the
+    codomain.  The kernel of t* stays in those coordinates."""
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    dom, cod = graded_pair(alpha, 2, 10, mode)
+    h = residue_subspace(dom, 2, [0])
+    t = restrict(shift(dom, cod, 2), h)
+    ext = extend(h, cod)
+    other = extend(residue_subspace(dom, 2, [1]), cod)
+    assert other.dim == ext.dim
+    for wrong in (h, other, residue_subspace(cod, 2, [0, 1])):
+        with pytest.raises(DimensionMismatch):
+            wandering(t, wrong)
+    assert kernel(t.adjoint()).ambient == t.codomain == ext.embedding.domain
+    e = wandering(t, ext)
+    assert e.ambient == cod and e.dim == 1 and max_degree(e) == 0
 
 
 def ladder_wandering_oracle(cod, residues):
@@ -817,7 +853,7 @@ def ladder_wandering_oracle(cod, residues):
 def ladder_wandering(alpha, N, D, residues):
     dom, cod = graded_pair(alpha, N, D)
     h = residue_subspace(dom, N, residues)
-    return wandering(restrict(shift(dom, cod, N), h)), cod
+    return wandering(restrict(shift(dom, cod, N), h), extend(h, cod)), cod
 
 
 @pytest.mark.parametrize("D", [64, 128])
@@ -859,7 +895,7 @@ def test_invariant_closure_recovers_ladder(mode):
     s = shift(dom, cod, 2)
     h = residue_subspace(dom, 2, [0])
     t = restrict(s, h)
-    e = truncate(wandering(t), 12)
+    e = truncate(wandering(t, extend(h, cod)), 12)
     assert e.dim == 1
     depth = (12 - 1 - max_degree(e)) // 2
     closure = invariant_closure(e, 2, depth)

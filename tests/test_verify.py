@@ -16,6 +16,7 @@ from bergman_lab import (
     ReducingResult,
     ScalarMode,
     TruncatedSpace,
+    extend,
     operators,
     restrict,
     wandering,
@@ -40,6 +41,7 @@ from bergman_lab.verify import (
     _tower_cached,
     weights_reach,
 )
+from oracles import level_maps
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -110,8 +112,7 @@ def test_column_defects_measure_only_nonzero_columns(mode):
 
 
 def _scaled(m, c):
-    return operators.LinearMap(m.domain, m.codomain, m.matrix * c,
-                               domain_sub=m.domain_sub, codomain_sub=m.codomain_sub)
+    return operators.LinearMap(m.domain, m.codomain, m.matrix * c)
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -330,8 +331,8 @@ def _count_gram_inverses(monkeypatch) -> list:
 
 def test_gram_inverse_once_per_level(monkeypatch):
     """Each tower level inverts its Gram operator once; the lift reuses pinv,
-    and the lift chain of level j runs from level 0's ladder into level j's
-    extension."""
+    t maps the level's ladder into its extension, and the lift chain of
+    level j runs from level 0's ladder into level j's extension."""
     calls = _count_gram_inverses(monkeypatch)
     _tower_cached.cache_clear()
     try:
@@ -342,8 +343,15 @@ def test_gram_inverse_once_per_level(monkeypatch):
     for j, level in enumerate(levels):
         assert level.shift.domain.dim == 12 + 2 * j
         assert level.shift.codomain.dim == 12 + 2 * (j + 1)
-        assert level.t.domain_sub.ambient == level.shift.domain
-        assert level.t.codomain_sub.ambient == level.shift.codomain
+        assert list(level_maps(level)) == ["shift", "t", "left_inv", "chain"]
+        assert level.ladder.ambient == level.shift.domain
+        assert level.ext.ambient == level.shift.codomain
+        assert level.t.domain == level.ladder.embedding.domain
+        assert level.t.codomain == level.ext.embedding.domain
+        want = extend(level.ladder, level.shift.codomain)
+        assert level.ext.embedding.domain == want.embedding.domain
+        assert np.array_equal(level.ext.basis, want.basis)
+        assert level.ext.residues == want.residues == frozenset({0})
         assert level.left_inv.codomain == level.t.domain
         assert level.left_inv.domain == level.t.codomain
         assert level.chain.domain == levels[0].t.domain
@@ -362,7 +370,7 @@ def test_warm_lift_checks_compose_nothing(monkeypatch, mode):
         spec = spec_for(name, mode=mode, depth=4)
         assert run_check(spec).passed
         tower = {id(m): field for j in range(spec.depth)
-                 for field, m in _tower(spec, j)._asdict().items()}
+                 for field, m in level_maps(_tower(spec, j)).items()}
 
         def recording(self, other, name=name, tower=tower):
             if id(self) in tower or id(other) in tower:
@@ -441,9 +449,9 @@ def test_float_tower_levels_are_real():
     """The weights are real, so float tower maps and wandering bases are float64."""
     for j in range(3):
         level = _tower_cached.__wrapped__(3, 0.5, 12, (0, 2), FLOAT, j)
-        for name, m in level._asdict().items():
+        for name, m in level_maps(level).items():
             assert m.matrix.dtype == np.float64, (j, name)
-        assert wandering(level.t).basis.dtype == np.float64
+        assert wandering(level.t, level.ext).basis.dtype == np.float64
 
 
 @pytest.mark.parametrize("name", ["telescoping", "left_inverse", "expansive"])
