@@ -151,8 +151,10 @@ def mm(a: np.ndarray, b: np.ndarray):
 def column_norms_sq(mat: np.ndarray, metric: np.ndarray, den: int = 1) -> np.ndarray:
     """Squared weighted norm ``sum_i (metric[i] / den) |mat[i, j]|^2`` of every column.
 
-    Float data (where ``den`` is 1) sums each column as one contiguous row
-    of a transposed copy, in the same order at any block width.  Object
+    Float data (where ``den`` is 1) may also be a stack of such blocks, in
+    its last two axes.  It weighs the squared moduli in place and sums each
+    column as one contiguous row of a transposed copy, in the same order at
+    any block width and in any stack.  Object
     data takes an integer metric ``W`` over its common denominator
     ``L = den`` (see :func:`over_common_denominator`; rational entries give
     the same values): the terms ``x.numerator^2 W[i] / x.denominator^2`` of
@@ -161,8 +163,10 @@ def column_norms_sq(mat: np.ndarray, metric: np.ndarray, den: int = 1) -> np.nda
     """
     mat, metric = np.asarray(mat), np.asarray(metric)
     if not _is_exact(mat, metric):
-        rows = np.ascontiguousarray(mat.T)
-        return np.sum(np.abs(rows) ** 2 * metric, axis=1)
+        terms = np.abs(mat)
+        np.square(terms, out=terms)
+        terms *= metric[:, None]
+        return np.ascontiguousarray(np.swapaxes(terms, -1, -2)).sum(axis=-1)
     w = metric.tolist()
     terms = {}
     i_nz, j_nz = np.nonzero(support(mat))
@@ -196,7 +200,9 @@ def metric_scale(x, p, q, p_den: int = 1, q_den: int = 1) -> np.ndarray:
     ``p``, ``q`` and the two denominators, whose ratio is taken once.
     """
     if not _is_exact(x, p, q):
-        return np.conjugate(x) * (p / q)
+        out = np.conjugate(x)
+        out *= p / q
+        return out
     g = math.gcd(p_den, q_den)
     rn, rd = q_den // g, p_den // g
     return _at_nonzeros(lambda a, b, c: Fraction(a.numerator * b.numerator * c.denominator * rn,
@@ -208,9 +214,10 @@ def metric_adjoint(m: np.ndarray, w_out: np.ndarray, w_in: np.ndarray,
                    out_den: int = 1, in_den: int = 1) -> np.ndarray:
     """Metric adjoint G_in^-1 m^H G_out of a matrix between diagonal metrics
     ``w_out / out_den`` and ``w_in / in_den``:
-    ``conj(m).T * (w_out[None, :] / w_in[:, None])``, by :func:`metric_scale`."""
+    ``conj(m).T * (w_out[None, :] / w_in[:, None])``, by :func:`metric_scale`;
+    of each matrix of a stack, held in the last two axes of ``m``."""
     m, w_out, w_in = np.asarray(m), np.asarray(w_out), np.asarray(w_in)
-    return metric_scale(m.T, w_out[None, :], w_in[:, None], out_den, in_den)
+    return metric_scale(np.swapaxes(m, -1, -2), w_out[None, :], w_in[:, None], out_den, in_den)
 
 
 def weighted_sq(x, w, den: int = 1) -> np.ndarray:

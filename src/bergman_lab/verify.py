@@ -201,13 +201,14 @@ def _tower_cached(N: int, alpha: Scalar, D: int, residues: tuple,
                   mode: ScalarMode, j: int) -> Level:
     s = _shift(N, alpha, D + j * N, mode)
     ladder = residue_subspace(s.domain, N, residues)
-    t = restrict(s, ladder)
+    ext = extend(ladder, s.codomain)
+    t = restrict(s, ladder, ext=ext)
     left_inv = pinv(t)
     # the lift T (T*T)^-1 is the adjoint of the left inverse (T*T)^-1 T*
     lift = left_inv.adjoint()
     chain = lift if j == 0 else lift.compose(
         _tower_cached(N, alpha, D, residues, mode, j - 1).chain)
-    return Level(s, ladder, extend(ladder, s.codomain), t, left_inv, chain)
+    return Level(s, ladder, ext, t, left_inv, chain)
 
 
 def _tower(spec: CheckSpec, j: int = 0) -> Level:

@@ -1091,6 +1091,91 @@ def test_reducing_census():
     assert len(rep.random_entries) == 6
 
 
+def _census_reference(s, N, trials, seed, tol=1e-10):
+    """The census subspace by subspace: every ladder and every random control
+    through ``subspaces._reducing``, the reference route."""
+    s_adj = s.adjoint()
+
+    def entry(label, sub):
+        r = subspaces._reducing(s, s_adj, sub, tol)
+        return subspaces.CensusEntry(label, r.residual, r.passed)
+
+    ladders = [entry("{" + ",".join(map(str, combo)) + "}", residue_subspace(s.domain, N, combo))
+               for size in range(N + 1) for combo in itertools.combinations(range(N), size)]
+    controls = [entry(f"random[{i}]", random_subspace(s.domain, 2, i))
+                for i in range(seed, seed + trials)]
+    return subspaces.CensusReport(tuple(ladders), tuple(controls))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_stacked_census_controls_match_the_reference_route(N):
+    """Float censuses test their random controls as one stacked block; each
+    control's entry (verdict, and residual compared with ==) equals the
+    reducing test of its own random_subspace, alpha from near -1 to 200 and
+    D from 3 to 512."""
+    for alpha, D, seed in itertools.product((-0.999, -0.5, 0.0, 2.5, 200.0),
+                                            (3, 32, 256, 512), (0, 1013)):
+        s = shift(*graded_pair(alpha, N, D), N)
+        rep = reducing_census(s, N, seed=seed)
+        assert rep == _census_reference(s, N, 20, seed), (alpha, D, seed)
+        assert rep.all_randoms_fail
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_exact_census_report_is_unchanged(N):
+    """Exact censuses keep the subspace-by-subspace route."""
+    for D, seed in itertools.product((3, 6), (0, 7)):
+        s = shift(*graded_pair(Fraction(1, 2), N, D, EXACT), N)
+        rep = reducing_census(s, N, trials=4, seed=seed)
+        assert rep == _census_reference(s, N, 4, seed)
+        assert rep.passed
+
+
+def test_census_control_with_dependent_columns_takes_the_reference_route(monkeypatch):
+    """A control whose two columns are equal fails the stacked rank rule and
+    is tested through random_subspace, with the entry that route gives; the
+    other controls stay in the block."""
+    seed, twin = 40, 43
+    s = shift(*graded_pair(1.0, 2, 32), 2)
+    plain = _census_reference(s, 2, 6, seed)
+    first, second = np.random.default_rng(twin).integers(0, 2**63 - 1, size=2)
+    draw, built = subspaces.random_columns, []
+    monkeypatch.setattr(subspaces, "random_columns", lambda space, seeds: draw(
+        space, [first if int(x) == second else x for x in seeds]))
+    monkeypatch.setattr(subspaces, "random_subspace", lambda space, dim, i: built.append(i)
+                        or random_subspace(space, dim, i))
+    rep = reducing_census(s, 2, trials=6, seed=seed)
+    assert built == [twin]
+    assert rep == _census_reference(s, 2, 6, seed)
+    changed = [a != b for a, b in zip(rep.random_entries, plain.random_entries)]
+    assert changed == [i == twin for i in range(seed, seed + 6)]
+
+
+@pytest.mark.parametrize("mode,alpha", [(FLOAT, 0.5), (EXACT, Fraction(1, 2))])
+def test_census_of_a_one_dimensional_domain(mode, alpha):
+    """N=1, D=1: a control's two columns span the whole domain, its extension
+    is not invariant, and every control fails; both modes agree with the
+    reference route."""
+    s = shift(*graded_pair(alpha, 1, 1, mode), 1)
+    rep = reducing_census(s, 1, trials=5, seed=3)
+    assert rep == _census_reference(s, 1, 5, 3)
+    assert rep.passed and rep.min_random_residual > 0.5
+
+
+def test_float_census_draws_and_factors_its_controls_once(monkeypatch):
+    """A float census makes one random_columns call and one np.linalg.qr
+    call for all its controls, at any number of controls."""
+    calls = []
+    draw, qr = subspaces.random_columns, np.linalg.qr
+    monkeypatch.setattr(subspaces, "random_columns",
+                        lambda *a: calls.append("draw") or draw(*a))
+    monkeypatch.setattr(np.linalg, "qr", lambda *a: calls.append("qr") or qr(*a))
+    for N, D, trials in ((1, 8, 5), (2, 64, 20), (3, 256, 40)):
+        calls.clear()
+        assert reducing_census(shift(*graded_pair(1.0, N, D), N), N, trials=trials).passed
+        assert calls == ["draw", "qr"], (N, D, trials)
+
+
 def _span_projector(sp, x):
     """Reference metric projector onto the span of full-rank columns, in complex128."""
     x = np.asarray(x, dtype=np.complex128)

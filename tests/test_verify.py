@@ -391,8 +391,7 @@ def test_ladder_towers_reach_no_factorization(monkeypatch, mode, D):
     truncations) is a span of monomials held by an index embedding, so a
     cold run of each of them (N=3, residues {0, 2}, depth 4) reaches no
     orthogonalize, QR, SVD or exact elimination.  census is left out: its
-    random controls are dense subspaces, which take the dense reference
-    route."""
+    random controls are dense subspaces, factored by QR."""
     calls = []
     for owner, name in ((subspaces, "orthogonalize"), (np.linalg, "qr"),
                         (np.linalg, "svd"), (verify._exact, "rref")):
@@ -510,7 +509,7 @@ def test_checks_build_only_the_levels_they_read(monkeypatch):
     calls = _count_gram_inverses(monkeypatch)
     restricts = []
     monkeypatch.setattr(verify, "restrict",
-                        lambda *args: restricts.append(args) or restrict(*args))
+                        lambda *args, **kwargs: restricts.append(args) or restrict(*args, **kwargs))
     _tower_cached.cache_clear()
     assert run_check(spec_for("left_inverse", depth=4)).passed
     assert len(calls) == 1 and len(restricts) == 1
