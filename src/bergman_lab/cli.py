@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -306,8 +307,8 @@ def _check_spec_from_args(parser: argparse.ArgumentParser, args) -> CheckSpec:
     if args.seed < 0:
         parser.error("--seed: must be >= 0")
     tol = args.tol if args.tol is not None else DEFAULT_TOLS[args.check]
-    if tol < 0:
-        parser.error("--tol: must be >= 0")
+    if not 0 <= tol < math.inf:  # NaN and infinity have no JSON form
+        parser.error("--tol: must be >= 0" if tol < 0 else f"--tol: must be finite, got {tol}")
     spec = CheckSpec(args.check, args.N, alpha, args.dim, residues,
                      args.depth, args.seed, mode, tol)
     try:

@@ -95,7 +95,7 @@ class LinearMap:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             d = self.domain.dim
-            mat = self.mode.buffer((self.codomain.dim + 1, d), self._vals)
+            mat = self.mode.zeros((self.codomain.dim + 1, d), self._vals)
             mat[self._rows[:-1], np.arange(d)] = self._vals[:-1]
             mat = mat[:-1]
             mat.flags.writeable = False
@@ -110,7 +110,7 @@ class LinearMap:
         """Index form of the transposed pattern, with ``vals[j]`` at the
         entry that column j's nonzero moves to."""
         rows = np.full(self.codomain.dim + 1, -1)
-        out = self.mode.buffer(self.codomain.dim + 1, vals)
+        out = self.mode.zeros(self.codomain.dim + 1, vals)
         rows[self._rows] = np.arange(self.domain.dim + 1)
         out[self._rows] = vals  # empty columns write their zero to the padding
         rows[-1] = -1
@@ -139,7 +139,7 @@ class LinearMap:
         if self._rows is None:
             return _exact.mm(self._matrix, cols)
         vals = self._vals[:-1] if cols.ndim == 1 else self._vals[:-1, None]
-        out = self.mode.buffer((self.codomain.dim + 1,) + cols.shape[1:], self._vals, cols)
+        out = self.mode.zeros((self.codomain.dim + 1,) + cols.shape[1:], self._vals, cols)
         out[self._rows[:-1]] = _exact.mul(vals, cols)
         return out[:-1]
 
@@ -201,7 +201,7 @@ def unit_map(domain: TruncatedSpace, codomain: TruncatedSpace, rows) -> LinearMa
     """Index map sending the coordinate vector e_j to e_(rows[j]), for
     distinct rows in ``range(codomain.dim)``: shifts, identities, ladder
     embeddings and the kernels of index maps are such maps."""
-    vals = domain.mode.buffer(domain.dim + 1)
+    vals = domain.mode.zeros(domain.dim + 1)
     vals[:-1] = domain.mode.one
     return LinearMap._indexed(domain, codomain,
                               np.append(np.asarray(rows, dtype=np.int64), -1), vals)
@@ -220,7 +220,7 @@ def displace(m: LinearMap, codomain: TruncatedSpace, step: int = 0) -> LinearMap
     larger truncation, the cut to a smaller one, and the shift by z^step
     inside one.  The values are moved, not multiplied."""
     if m._rows is None:
-        out = m.mode.buffer((codomain.dim, m.domain.dim), m._matrix)
+        out = m.mode.zeros((codomain.dim, m.domain.dim), m._matrix)
         lo, hi = max(step, 0), min(codomain.dim, m.codomain.dim + step)
         out[lo:hi] = m._matrix[lo - step: hi - step]
         return LinearMap(m.domain, codomain, out)
@@ -246,7 +246,7 @@ def _require_graded_pair(domain: TruncatedSpace, codomain: TruncatedSpace, step:
             f"codomain dimension must be domain + {step}, got "
             f"{domain.dim} -> {codomain.dim}"
         )
-    if not (np.asarray(codomain.metric)[: domain.dim] == np.asarray(domain.metric)).all():
+    if not codomain.agrees_with(domain):
         raise DimensionMismatch("domain and codomain weights disagree")
 
 

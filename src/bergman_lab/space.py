@@ -84,9 +84,11 @@ class TruncatedSpace:
                 self._scaled = w[: self.dim], den
         return self._scaled
 
-    def norm_sq(self, a: np.ndarray):
-        """Squared weighted norm of a coefficient array; a Fraction in exact mode."""
-        return self.column_norms_sq(np.asarray(a)[:, None])[0]
+    def agrees_with(self, other: "TruncatedSpace") -> bool:
+        """Whether the two spaces share a scalar mode and their metrics agree
+        on the dimensions both have, as two truncations of one weighted space do."""
+        d = min(self.dim, other.dim)
+        return self.mode == other.mode and bool((self.metric[:d] == other.metric[:d]).all())
 
     def column_norms_sq(self, mat: np.ndarray) -> np.ndarray:
         """Squared weighted norm of every column of ``mat`` at once.

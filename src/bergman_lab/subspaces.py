@@ -132,17 +132,16 @@ def _orthonormal_runs(ambient: TruncatedSpace, stack: np.ndarray,
 def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt in the weighted metric: the kept vectors and their squared norms.
 
-    One loop serves both modes.  Each column is projected off the vectors
-    kept before it, in one product ``v - B[:, :k] @ (F[:k] @ v)`` with row i
-    of F the coordinate functional of kept vector i (the rows of F are the
-    matrix of the coordinate map): once in exact mode, which in rational
-    arithmetic gives exactly the modified Gram-Schmidt vectors, and twice in
-    float mode (CGS2; Giraud, Langou and Rozloznik, 2005).  The column is
-    kept when its residual's metric norm is nonzero (exact mode) or greater
-    than ``RANK_TOL`` times the column's own metric norm (float mode).  Float
+    One loop serves both modes.  Each column, as a one-column block, is
+    projected off the subspace of the vectors kept before it by
+    :func:`project`: once in exact mode, which in rational arithmetic gives
+    exactly the modified Gram-Schmidt vectors, and twice in float mode
+    (CGS2; Giraud, Langou and Rozloznik, 2005).  The column is kept when
+    its residual's metric norm is nonzero (exact mode) or greater than
+    ``RANK_TOL`` times the column's own metric norm (float mode).  Float
     mode normalizes the kept vectors; exact mode keeps them unnormalized
-    (square roots leave the rationals) and carries their squared norms.  The
-    loop stops once the basis spans the ambient space.
+    (square roots leave the rationals) and carries their squared norms.
+    The loop stops once the basis spans the ambient space.
 
     Float mode first factors the columns by :func:`_orthonormal_runs`, as
     one block, and keeps its leading run.  When that run covers the
@@ -150,37 +149,27 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
     is the result; otherwise the first failing column is dropped and the
     loop takes the columns after it.
     """
-    w, den = ambient.scaled_metric  # float mode: the metric over 1
     exact = ambient.mode.is_exact
-    k = start = 0
+    kept, start = zero_subspace(ambient), 0
     if not exact:
         cuts = RANK_TOL * np.sqrt(ambient.column_norms_sq(columns))
         q, k = _orthonormal_runs(ambient, columns, cuts)
-        k = int(k)
         if k == q.shape[1]:
             return q, np.ones(k)
-        q, start = q[:, :k], k + 1
-    size = min(columns.shape[1], ambient.dim)
-    basis = ambient.mode.buffer((ambient.dim, size), columns)
-    functionals = ambient.mode.buffer((size, ambient.dim), columns)
-    norms = ambient.mode.zeros(size)
-    if k:
-        basis[:, :k], functionals[:k], norms[:k] = q, np.conjugate(q).T * w, 1.0
+        kept, start = Subspace(ambient, q[:, :k], np.ones(k)), k + 1
     for j in range(start, columns.shape[1]):
-        if k == ambient.dim:
+        if kept.dim == ambient.dim:
             break
-        v = columns[:, j]
+        v = columns[:, j:j + 1]
         for _ in range(1 if exact else 2):
-            v = _exact.sub(v, _exact.mm(basis[:, :k], _exact.mm(functionals[:k], v)))
-        g = ambient.norm_sq(v)
+            v = project(kept, v)[1]
+        g = ambient.column_norms_sq(v)[0]
         if not (g != 0 if exact else np.sqrt(g) > cuts[j]):
             continue
         if not exact:
             v, g = v / np.sqrt(g), 1.0
-        basis[:, k], norms[k] = v, g
-        functionals[k] = _exact.metric_adjoint(v[:, None], w, np.asarray([g]), den)[0]
-        k += 1
-    return basis[:, :k], norms[:k]
+        kept = Subspace(ambient, np.hstack((kept.basis, v)), np.append(kept.norms_sq, g))
+    return kept.basis, kept.norms_sq
 
 
 def from_vectors(ambient: TruncatedSpace, columns: np.ndarray) -> Subspace:
@@ -203,6 +192,12 @@ def residue_degrees(N: int, residues: Iterable[int], dim: int) -> list[int]:
         if not 0 <= k < N:
             raise BadResidue(f"residue {k} outside range(0, {N})")
     return sorted(d for k in res for d in range(k, dim, N))
+
+
+def residue_sets(N: int) -> list[tuple[int, ...]]:
+    """All 2^N sets of residues modulo N, by size and then in
+    lexicographic order, from the empty set to ``range(N)``."""
+    return [combo for size in range(N + 1) for combo in itertools.combinations(range(N), size)]
 
 
 def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> Subspace:
@@ -247,16 +242,6 @@ def projector(sub: Subspace) -> LinearMap:
     return sub.embedding.compose(sub.coordinates)
 
 
-def _check_compatible(sub: Subspace, space: TruncatedSpace) -> None:
-    if sub.ambient.mode != space.mode:
-        raise AmbientMismatch("scalar modes differ")
-    d = min(sub.ambient.dim, space.dim)
-    a = np.asarray(sub.ambient.metric)[:d]
-    b = np.asarray(space.metric)[:d]
-    if not bool((a == b).all()):
-        raise AmbientMismatch("weight sequences disagree on the common truncation")
-
-
 def truncate(sub: Subspace, dim: int) -> Subspace:
     """Intersection of the subspace with the smaller truncation span{z^n : n < dim}."""
     if not 0 <= dim <= sub.ambient.dim:
@@ -280,7 +265,8 @@ def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
     ``operators.null_space`` and cut to the rows below ``space.dim``.  For
     an index embedding these are the columns whose row lies below the cut.
     """
-    _check_compatible(sub, space)
+    if not sub.ambient.agrees_with(space):
+        raise AmbientMismatch("the truncations differ in scalar mode or in their common weights")
     if sub.residues is not None:
         return residue_subspace(space, sub.multiplicity, sub.residues)
     if space.dim >= sub.ambient.dim:
@@ -334,18 +320,19 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
     coordinate map of the target), and the invariance verdict.  The
     leftover ``m E - E_t F_t m E`` is :func:`project`'s, and the residual
     is max_i ||(I - P) m b_i|| / ||b_i|| over its columns, P projecting
-    onto the target.  Exact mode passes only when every leftover norm is
-    exactly zero; float mode when the residual is at most ``tol``.  For an
-    index map and index embeddings every factor is an index map, so nothing
-    is multiplied but one value per column.
+    onto the target.  ``ScalarMode.passes`` decides the verdict: exact mode
+    passes only when the leftover is exactly zero, float mode when the
+    residual is at most ``tol``.  For an index map and index embeddings
+    every factor is an index map, so nothing is multiplied but one value
+    per column.
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
     restricted, leftover = project(target, m.compose(sub.embedding))
     ratios = to_float(leftover.column_norms_sq()) / to_float(np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
-    passed = leftover.is_zero() if m.mode.is_exact else residual <= tol
-    return restricted, InvarianceResult(passed, residual)
+    return restricted, InvarianceResult(m.mode.passes([(residual, leftover.is_zero())], tol),
+                                        residual)
 
 
 def is_invariant(m: LinearMap, sub: Subspace, tol: float = 1e-10) -> InvarianceResult:
@@ -562,8 +549,8 @@ def _random_controls(s: LinearMap, s_adj: LinearMap, seeds: range,
     _stack(exts)[:, :dom.dim] = bases
     fwd = _control_residuals(cod, _stack(s.apply(exts[:dom.dim])), _stack(exts))
     adj = _control_residuals(dom, _stack(s_adj.apply(exts)), bases)
-    return [ReducingResult(bool(f <= tol and a <= tol), float(f), float(a)) if k == 2
-            else _reducing(s, s_adj, random_subspace(dom, 2, i), tol)
+    return [ReducingResult(s.mode.passes([(f, False), (a, False)], tol), float(f), float(a))
+            if k == 2 else _reducing(s, s_adj, random_subspace(dom, 2, i), tol)
             for i, k, f, a in zip(seeds, runs, fwd, adj)]
 
 
@@ -582,14 +569,12 @@ def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
     """
     s_adj = s.adjoint()
     residue_entries = []
-    for size in range(N + 1):
-        for combo in itertools.combinations(range(N), size):
-            sub = residue_subspace(s.domain, N, combo)
-            r = _reducing(s, s_adj, sub, tol)
-            label = "{" + ",".join(map(str, combo)) + "}"
-            residue_entries.append(CensusEntry(label, r.residual, r.passed))
+    for combo in residue_sets(N):
+        r = _reducing(s, s_adj, residue_subspace(s.domain, N, combo), tol)
+        label = "{" + ",".join(map(str, combo)) + "}"
+        residue_entries.append(CensusEntry(label, r.residual, r.passed))
     seeds = range(seed, seed + trials)
-    if s.mode.is_exact or s.domain.dim < 2 or not trials:
+    if s.mode.is_exact or s.domain.dim < 2 or not seeds:
         results = [_reducing(s, s_adj, random_subspace(s.domain, 2, i), tol) for i in seeds]
     else:
         results = _random_controls(s, s_adj, seeds, tol)

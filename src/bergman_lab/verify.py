@@ -19,7 +19,6 @@ only level 0, and the ambient checks use the bare shift and no tower.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -51,6 +50,7 @@ from .subspaces import (
     projector,
     projectors_equal,
     reducing_census,
+    residue_sets,
     residue_subspace,
     restrict,
     subspace_distance,
@@ -261,11 +261,11 @@ def _column_defects(nums_sq, dens_sq) -> list[Defect]:
 
 def _entry(spec: CheckSpec, defects: list[Defect], ok: bool = True,
            note: str = "") -> ReportEntry:
-    """The one verdict rule of every check.
+    """The report entry of every check.
 
-    The residual is the largest defect measure.  Exact mode passes when
-    every defect is exactly zero; float mode when every measure is at most
-    ``spec.tol``.  Both modes also need ``ok``.  A non-finite measure
+    The residual is the largest defect measure, and the verdict is
+    ``ScalarMode.passes`` of the defects at ``spec.tol`` (exact mode: every
+    defect exactly zero), which also needs ``ok``.  A non-finite measure
     makes the residual NaN (or infinite, when no measure is NaN) wherever
     it sits among the defects, and the note names the first one.
     """
@@ -276,11 +276,8 @@ def _entry(spec: CheckSpec, defects: list[Defect], ok: bool = True,
         note = "; ".join(filter(None, [note, f"defect {i} of {len(defects)} is {float(r)}"]))
     else:
         residual = max((r for r, _zero in defects), default=0.0)
-    if spec.mode.is_exact:
-        passed = all(zero for _r, zero in defects)
-    else:
-        passed = all(r <= spec.tol for r, _zero in defects)
-    return ReportEntry(spec, residual, bool(ok and passed), note=note)
+    return ReportEntry(spec, residual, bool(ok and spec.mode.passes(defects, spec.tol)),
+                       note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +568,6 @@ def run_check(spec: CheckSpec) -> ReportEntry:
     return entry
 
 
-def _nonempty_subsets(N: int) -> list[tuple[int, ...]]:
-    out = []
-    for size in range(1, N + 1):
-        out.extend(itertools.combinations(range(N), size))
-    return out
-
-
 FLOAT_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 2.5)
 EXACT_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -593,7 +583,7 @@ def _grid_specs(alphas, mode: ScalarMode, dims: Sequence[int], Ns: Sequence[int]
                     specs.append(CheckSpec(name, N, alpha, D, None, depth,
                                            seed, mode, DEFAULT_TOLS[name]))
                     seed += 1
-                for residues in _nonempty_subsets(N):
+                for residues in residue_sets(N)[1:]:
                     for name in CHECKS:
                         if name in AMBIENT_CHECKS:
                             continue
@@ -631,8 +621,7 @@ def run_suite(specs: Iterable[CheckSpec]) -> VerificationReport:
 
     def exec_key(s: CheckSpec):
         # group checks sharing a tower so the tower cache stays hot
-        res = (0, ()) if s.residues is None else (1, tuple(sorted(s.residues)))
-        return (s.mode.value, s.N, float(s.alpha), str(s.alpha), s.D, res,
-                s.depth, s.name, s.seed)
+        name, *tower, seed, mode = s.sort_key()
+        return (mode, *tower, name, seed)
 
     return VerificationReport([run_check(s) for s in sorted(specs, key=exec_key)])

@@ -44,25 +44,28 @@ class ScalarMode(enum.Enum):
         """The unit scalar of this mode: Fraction(1) or 1.0."""
         return Fraction(1) if self.is_exact else 1.0
 
-    def zeros(self, shape) -> np.ndarray:
-        """Zero array in this mode's storage: Fraction objects or float64.
-
-        Operators and bases built from the weights are real, so float mode
-        stores them as float64; only coefficient columns are complex (see
-        ``space.random_columns``), and numpy promotes mixed products by itself.
-        """
-        return self.buffer(shape)
-
-    def buffer(self, shape, *data: np.ndarray) -> np.ndarray:
-        """Zero array to be filled from ``data``.
+    def zeros(self, shape, *like: np.ndarray) -> np.ndarray:
+        """Zero array in this mode's storage, to be filled from ``like``.
 
         Exact mode stores Fractions.  Float mode takes the dtype that holds
-        every entry of ``data``: float64, or complex128 when any of it is
-        complex, so no imaginary part is ever cast away.
+        every entry of ``like``: float64, or complex128 when any of it is
+        complex, so no imaginary part is ever cast away.  Operators and bases
+        built from the weights are real, so without ``like`` float mode
+        stores float64; only coefficient columns are complex (see
+        ``space.random_columns``), and numpy promotes mixed products by itself.
         """
         if self.is_exact:
             return _exact.zeros(shape)
-        return np.zeros(shape, dtype=np.result_type(np.float64, *data))
+        return np.zeros(shape, dtype=np.result_type(np.float64, *like))
+
+    def passes(self, defects, tol: float) -> bool:
+        """The one verdict rule: whether every defect, a pair (float measure,
+        whether it is exactly zero) of a quantity expected to vanish, does.
+
+        Exact mode passes only when every defect is exactly zero, and never
+        reads ``tol``; float mode when every measure is at most ``tol``.
+        """
+        return all(zero if self.is_exact else measure <= tol for measure, zero in defects)
 
 
 def _validate_alpha(alpha: Scalar) -> None:

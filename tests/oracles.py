@@ -110,7 +110,7 @@ def index_map(domain: TruncatedSpace, codomain: TruncatedSpace, rows, vals) -> L
     """Map in the index form whose column j holds ``vals[j]`` in row ``rows[j]``;
     a column with row -1 is empty, and its value must be zero."""
     rows = np.append(np.asarray(rows, dtype=np.int64), -1)
-    padded = domain.mode.buffer(len(rows), np.asarray(vals))
+    padded = domain.mode.zeros(len(rows), np.asarray(vals))
     padded[:-1] = vals
     return LinearMap._indexed(domain, codomain, rows, padded)
 

@@ -137,6 +137,11 @@ def test_exact_mode_accepts_decimal_alpha(capsys):
       "--dim", "2"), "--dim"),
     (("verify", "--check", "coeff_bounds", "--N", "2", "--alpha", "0.5",
       "--dim", "16", "--tol", "-1"), "--tol"),
+    # NaN and infinity would be written as the JSON-invalid NaN and Infinity
+    (("verify", "--check", "left_inverse", "--N", "2", "--alpha", "0.5",
+      "--dim", "8", "--tol", "nan", "--format", "json"), "--tol"),
+    (("verify", "--check", "left_inverse", "--N", "2", "--alpha", "0.5",
+      "--dim", "8", "--tol", "inf", "--format", "json"), "--tol"),
     (("verify", "--check", "coeff_bounds", "--N", "2", "--alpha", "0.5",
       "--dim", "16", "--depth", "0"), "--depth"),
     # a negative seed reached default_rng and failed the check with ValueError
@@ -155,7 +160,8 @@ def test_exact_mode_accepts_decimal_alpha(capsys):
       "--dim", "256", "--residues", "0,1"), "--alpha"),
 ], ids=["alpha-text", "alpha-range", "alpha-inf", "alpha-underflow", "coeffs-alpha-inf",
         "weights-dim", "coeffs-N", "residue-range",
-        "residue-text", "verify-dim", "tol-negative", "depth-zero", "seed-negative",
+        "residue-text", "verify-dim", "tol-negative", "tol-nan", "tol-inf", "depth-zero",
+        "seed-negative",
         "census-seed-negative",
         "verify-alpha-underflow", "beurling-alpha-underflow", "census-alpha-underflow",
         "verify-alpha-underflow-tower", "verify-alpha-subnormal-tower"])
@@ -163,6 +169,19 @@ def test_usage_errors_name_the_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert flag in err
+
+
+def test_blank_residues_mean_every_residue(capsys):
+    """``--residues ''`` (or only spaces) is the default: every residue class."""
+    argv = ("verify", "--check", "left_inverse", "--N", "2", "--alpha", "0.5",
+            "--dim", "8", "--format", "json")
+    reports = []
+    for extra in ((), ("--residues", ""), ("--residues", "  ")):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        reports.append(strip_wall_ms(out))
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["entries"][0]["params"]["residues"] is None
 
 
 def test_alpha_is_checked_only_as_far_as_the_check_reads(capsys):

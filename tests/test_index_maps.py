@@ -78,7 +78,7 @@ def random_index_map(rng, dom, cod, kind, zeros, rows=None):
         k = int(rng.integers(0, min(dom.dim, cod.dim) + 1))
         rows = np.full(dom.dim, -1)
         rows[rng.permutation(dom.dim)[:k]] = rng.permutation(cod.dim)[:k]
-    vals = dom.mode.buffer(dom.dim, random_values(rng, 0, kind))
+    vals = dom.mode.zeros(dom.dim, random_values(rng, 0, kind))
     live = np.flatnonzero(rows >= 0)
     vals[live] = random_values(rng, len(live), kind)
     if zeros:

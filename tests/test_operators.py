@@ -70,8 +70,8 @@ def test_shift_action_on_monomials():
         expected = monomial(cod, n + 3)
         assert np.array_equal(img, expected)
         c = shift_coeff(3, 1.0, n, FLOAT)
-        assert math.sqrt(cod.norm_sq(img)) == pytest.approx(
-            math.sqrt(c) * math.sqrt(dom.norm_sq(monomial(dom, n))), rel=1e-14)
+        assert math.sqrt(cod.column_norms_sq(img[:, None])[0]) == pytest.approx(
+            math.sqrt(c) * math.sqrt(dom.column_norms_sq(monomial(dom, n)[:, None])[0]), rel=1e-14)
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -284,6 +284,40 @@ def test_singular_values_are_sqrt_coeffs():
     assert np.allclose(got, expected, rtol=1e-13)
     assert operator_norm(s) < 1.0
     assert smallest_singular_value(s) >= (3.0 + 1.0) ** -1 ** 2 - 1e-12
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_shift_refuses_spaces_that_are_not_a_graded_pair(mode):
+    """z^N maps a weight-backed truncation into the one N dimensions larger
+    of the same weights, for N >= 1; any other pair is refused."""
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    dom, cod = spaces(alpha, 2, 6, mode)
+    other = spaces(2 * alpha, 2, 6, mode)[1]
+    coords = TruncatedSpace(metric=np.asarray(dom.metric), mode=mode)
+    refused = {"N < 1": (dom, TruncatedSpace(dom.weights, 6), 0),
+               "coordinate domain": (coords, cod, 2),
+               "coordinate codomain": (dom, TruncatedSpace(metric=np.asarray(cod.metric),
+                                                           mode=mode), 2),
+               "dimension": (dom, TruncatedSpace(cod.weights, 7), 2),
+               "weights": (dom, other, 2),
+               "mode": (dom, spaces(Fraction(1, 2), 2, 6, FLOAT if mode.is_exact else EXACT)[1],
+                        2)}
+    for name, (d, c, N) in refused.items():
+        with pytest.raises(DimensionMismatch):
+            shift(d, c, N)
+            pytest.fail(name)
+    assert shift(dom, cod, 2).domain is dom
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_singular_values_of_a_map_with_a_zero_dimensional_side(mode):
+    """A map from or into a zero-dimensional space has no singular values;
+    its norm and smallest singular value read 0.0."""
+    sp = spaces(Fraction(1) if mode.is_exact else 1.0, 1, 4, mode)[0]
+    empty = TruncatedSpace(metric=np.asarray(sp.metric)[:0], mode=mode)
+    for m in (LinearMap(empty, sp, mode.zeros((4, 0))), LinearMap(sp, empty, mode.zeros((0, 4)))):
+        assert singular_values(m).shape == (0,)
+        assert operator_norm(m) == smallest_singular_value(m) == 0.0
 
 
 def test_sigma_min_above_lower_bound():

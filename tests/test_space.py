@@ -41,10 +41,11 @@ def test_norm_frozen_one_plus_z():
     """||1 + z|| at alpha = 1: omega = (1, 1/3), so norm = sqrt(4/3)."""
     space = make_space(1.0, 8)
     f = np.array([1.0, 1.0] + [0.0] * 6)
-    assert math.sqrt(space.norm_sq(f)) == pytest.approx(1.1547005383792515, rel=1e-15)
+    assert math.sqrt(space.column_norms_sq(f[:, None])[0]) == pytest.approx(
+        1.1547005383792515, rel=1e-15)
     exact_space = make_space(Fraction(1), 8, EXACT)
     g = np.array([Fraction(1), Fraction(1)] + [Fraction(0)] * 6, dtype=object)
-    assert exact_space.norm_sq(g) == Fraction(4, 3)
+    assert exact_space.column_norms_sq(g[:, None])[0] == Fraction(4, 3)
 
 
 def test_inner_frozen():
@@ -107,8 +108,8 @@ def test_parallelogram_exact():
 def test_norm_sq_exact_is_fraction():
     space = make_space(Fraction(0), 6, EXACT)
     f = np.array([Fraction(1, 2)] * 6, dtype=object)
-    assert isinstance(space.norm_sq(f), Fraction)
-    assert space.norm_sq(f) == sum(Fraction(1, 4) * w for w in space.metric)
+    assert isinstance(space.column_norms_sq(f[:, None])[0], Fraction)
+    assert space.column_norms_sq(f[:, None])[0] == sum(Fraction(1, 4) * w for w in space.metric)
 
 
 def test_random_vector_deterministic():
@@ -123,7 +124,7 @@ def test_random_vector_exact_mode_rational():
     space = make_space(Fraction(1), 10, EXACT)
     f = random_columns(space, [7])[:, 0]
     assert all(isinstance(c, Fraction) for c in f)
-    assert space.norm_sq(f) > 0
+    assert space.column_norms_sq(f[:, None])[0] > 0
 
 
 def test_space_equality_by_value():
@@ -137,16 +138,28 @@ def test_space_equality_by_value():
 def test_zero_vector_and_norms():
     space = make_space(2.5, 7)
     z = space.mode.zeros(space.dim)
-    assert math.sqrt(space.norm_sq(z)) == 0.0
-    assert space.norm_sq(z) == 0.0
-    assert math.isclose(math.sqrt(space.norm_sq(monomial(space, 0))), 1.0)
+    assert math.sqrt(space.column_norms_sq(z[:, None])[0]) == 0.0
+    assert space.column_norms_sq(z[:, None])[0] == 0.0
+    assert math.isclose(math.sqrt(space.column_norms_sq(monomial(space, 0)[:, None])[0]), 1.0)
+
+
+def test_spaces_agree_on_their_common_prefix():
+    """Two truncations of one weight sequence agree whatever their sizes; a
+    space with other weights, or in the other mode, does not."""
+    ws = weight_sequence(WeightParams(0.5, 1, 12))
+    short, long = TruncatedSpace(ws, 5), TruncatedSpace(ws, 12)
+    prefix = TruncatedSpace(metric=np.asarray(ws.values[:3]), mode=FLOAT)
+    assert short.agrees_with(long) and long.agrees_with(short) and long.agrees_with(prefix)
+    assert long.agrees_with(TruncatedSpace(ws, 0))
+    assert not short.agrees_with(make_space(1.0, 12))
+    assert not short.agrees_with(make_space(Fraction(1, 2), 12, EXACT))
 
 
 def test_coordinate_space_with_explicit_metric():
     g = np.array([1.0, 0.25, 4.0])
     space = TruncatedSpace(metric=g, mode=FLOAT)
     f = np.array([1.0, 2.0, 0.5])
-    assert space.norm_sq(f) == pytest.approx(1.0 + 0.25 * 4.0 + 4.0 * 0.25)
+    assert space.column_norms_sq(f[:, None])[0] == pytest.approx(1.0 + 0.25 * 4.0 + 4.0 * 0.25)
 
 
 @pytest.mark.parametrize("dim", [-3, -1, 6])
@@ -207,7 +220,7 @@ def test_column_norms_sq_matches_norm_sq(mode):
             else:
                 want = np.sum(space.metric * np.abs(col) ** 2)
                 assert float(g) == float(want)
-            assert space.norm_sq(col) == g
+            assert space.column_norms_sq(b[:, j:j + 1])[0] == g
 
 
 def test_exact_column_norms_sq_skip_zero_entries():

@@ -496,11 +496,28 @@ def test_from_vectors_drops_dependent_columns(mode):
     thirds = {"zero": (a * 0, 2), "sum": (a + b, 2),
               "near": (a + b + eps * monomial(sp, 4), 3 if mode.is_exact else 2)}
     for third, (c, dim) in thirds.items():
-        cols = mode.buffer((5, 3), a, b, c)
+        cols = mode.zeros((5, 3), a, b, c)
         cols[:, 0] = a
         cols[:, 1] = b
         cols[:, 2] = c
         assert from_vectors(sp, cols).dim == dim, third
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_from_vectors_projects_through_project(monkeypatch, mode):
+    """Gram-Schmidt takes each projection from :func:`project`, one column
+    at a time, against the subspace kept so far: on every exact block, and
+    on a float block after a dependent column ends the QR's leading run."""
+    sp = make_space(Fraction(1, 2) if mode.is_exact else 0.5, 1, 6, mode)
+    cols = random_columns(sp, range(4))
+    cols = np.concatenate([cols[:, :2], cols[:, :1], cols[:, 2:]], axis=1)
+    calls, plain = [], subspaces.project
+    monkeypatch.setattr(subspaces, "project", lambda sub, x: calls.append(
+        (sub.dim, np.shape(x))) or plain(sub, x))
+    assert from_vectors(sp, cols).dim == 4
+    per_column = 1 if mode.is_exact else 2
+    kept = [0, 1, 2, 2, 3] if mode.is_exact else [2, 3]  # the QR kept columns 0 and 1
+    assert calls == [(k, (6, 1)) for k in kept for _ in range(per_column)]
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -641,9 +658,9 @@ def test_norms_sq_are_read_only_and_not_shared(mode):
 
 def test_extend_rejects_mismatched_weights():
     a = make_space(0.5, 2, 8)
-    b = make_space(1.0, 2, 10)
-    with pytest.raises(AmbientMismatch):
-        extend(residue_subspace(a, 2, [0]), b)
+    for b in (make_space(1.0, 2, 10), make_space(Fraction(1, 2), 2, 10, EXACT)):
+        with pytest.raises(AmbientMismatch):
+            extend(residue_subspace(a, 2, [0]), b)
 
 
 def test_max_degree():
@@ -1089,6 +1106,26 @@ def test_reducing_census():
     assert rep.min_random_residual > 1e-6
     assert [e.label for e in rep.residue_entries] == ["{}", "{0}", "{1}", "{0,1}"]
     assert len(rep.random_entries) == 6
+
+
+def test_residue_sets_list_every_set_by_size():
+    """All 2^N residue sets, the empty one first and range(N) last, which
+    orders the census's ladders and (without the empty set) the grids."""
+    assert subspaces.residue_sets(1) == [(), (0,)]
+    assert subspaces.residue_sets(3) == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2),
+                                         (0, 1, 2)]
+    assert len(subspaces.residue_sets(5)) == 32
+
+
+@pytest.mark.parametrize("mode,alpha", [(FLOAT, 0.5), (EXACT, Fraction(1, 2))])
+def test_census_with_a_negative_trial_count_has_no_controls(mode, alpha):
+    """A negative trial count, like zero, draws no random control in either
+    mode; float mode used to fail concatenating an empty list of seeds."""
+    s = shift(*graded_pair(alpha, 2, 8, mode), 2)
+    for trials in (0, -2):
+        rep = reducing_census(s, 2, trials=trials, seed=5)
+        assert rep.random_entries == () and len(rep.residue_entries) == 4
+        assert rep.passed and rep.min_random_residual == np.inf
 
 
 def _census_reference(s, N, trials, seed, tol=1e-10):

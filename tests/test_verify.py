@@ -1,6 +1,7 @@
 """Check registry, report schema, grids, and suite determinism."""
 
 import ast
+import dataclasses
 import itertools
 import math
 import re
@@ -96,7 +97,7 @@ def test_norm_identity_detects_coefficient_corruption(monkeypatch):
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_column_defects_measure_only_nonzero_columns(mode):
     """Zero columns are (0.0, True) without a norm (their den may even be 0);
-    the others measure sqrt(norm_sq(col) / den)."""
+    the others measure sqrt(|col|^2 / den)."""
     one = mode.one
     space = TruncatedSpace(metric=np.asarray([one, one / 3, one / 6]), mode=mode)
     cols = space.mode.zeros((3, 4))
@@ -106,7 +107,7 @@ def test_column_defects_measure_only_nonzero_columns(mode):
     got = _column_defects(space.column_norms_sq(cols), dens)
     assert got[0] == got[2] == (0.0, True)
     for j in (1, 3):
-        want = math.sqrt(float(space.norm_sq(cols[:, j])) / float(dens[j]))
+        want = math.sqrt(float(space.column_norms_sq(cols[:, j:j + 1])[0]) / float(dens[j]))
         assert got[j] == (want, False)
     assert _column_defects(space.column_norms_sq(cols[:, :0]), []) == []
 
@@ -583,6 +584,23 @@ def test_census_trial_count_follows_depth():
     assert "10 random controls" in entry.note
 
 
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_census_fails_when_a_random_control_passes(monkeypatch, mode):
+    """A random control that passes the reducing test fails the census with
+    residual 1.0, though every residue ladder passes."""
+    census = verify.reducing_census
+
+    def with_a_passing_control(*args, **kwargs):
+        report = census(*args, **kwargs)
+        first = dataclasses.replace(report.random_entries[0], residual=0.0, passed=True)
+        return dataclasses.replace(report, random_entries=(first,) + report.random_entries[1:])
+
+    monkeypatch.setattr(verify, "reducing_census", with_a_passing_control)
+    entry = run_check(spec_for("census", mode=mode))
+    assert not entry.passed and entry.residual == 1.0
+    assert "min control residual 0.000e+00" in entry.note
+
+
 def test_report_json_schema():
     specs = [spec_for("coeff_bounds"), spec_for("left_inverse", mode=EXACT)]
     report = run_suite(specs)
@@ -613,6 +631,24 @@ def test_report_counts_and_order():
     assert strip_wall_ms(fwd.to_json_obj()) == strip_wall_ms(rev.to_json_obj())
     names = [e.spec.name for e in fwd.sorted_entries()]
     assert names == sorted(names)
+
+
+def test_suite_runs_the_checks_of_one_tower_in_a_row(monkeypatch):
+    """run_suite executes by mode, then by tower parameters, then by name and
+    seed, so the checks sharing a tower run one after another."""
+    ran = []
+    monkeypatch.setattr(verify, "run_check",
+                        lambda spec: ran.append(spec) or verify.ReportEntry(spec, 0.0, True))
+    specs = smoke_grid()
+    run_suite(reversed(specs))
+    assert sorted(ran, key=CheckSpec.sort_key) == sorted(specs, key=CheckSpec.sort_key)
+    towers = [(s.mode.value, s.N, s.alpha, s.D, s.residues, s.depth) for s in ran]
+    runs = [t for i, t in enumerate(towers) if i == 0 or towers[i - 1] != t]
+    assert len(runs) == len(set(runs))
+    assert [t[0] for t in runs] == sorted(t[0] for t in runs)
+    for t in set(runs):
+        names = [(s.name, s.seed) for s, u in zip(ran, towers) if u == t]
+        assert names == sorted(names)
 
 
 def test_suite_deterministic_modulo_wall_ms():

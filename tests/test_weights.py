@@ -169,6 +169,19 @@ def test_scalar_mode_storage(mode, dtype, scalar):
     assert not (z != 0).any() and mode.one == 1
 
 
+def test_passes_decides_exact_verdicts_by_equality_and_float_ones_by_tol():
+    """The verdict rule: exact mode needs every defect exactly zero whatever
+    the tolerance; float mode needs every measure within it, and a NaN
+    measure never is."""
+    zero, tiny, small = (0.0, True), (1e-30, False), (1e-3, False)
+    assert EXACT.passes([zero, zero], 0.0) and EXACT.passes([], 0.0)
+    assert not EXACT.passes([zero, tiny], 1.0)
+    assert FLOAT.passes([zero, tiny], 1e-12) and FLOAT.passes([], 0.0)
+    assert not FLOAT.passes([zero, small], 1e-12)
+    assert FLOAT.passes([small], 1e-3)
+    assert not FLOAT.passes([(math.nan, False)], 1.0)
+
+
 def test_alpha_validation():
     with pytest.raises(InvalidAlpha):
         WeightParams(-1.0, 1, 8)
