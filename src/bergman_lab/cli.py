@@ -40,7 +40,7 @@ from .weights import (
     ScalarMode,
     WeightParams,
     lower_bound,
-    shift_coeff,
+    shift_coeffs,
     weight_sequence,
 )
 
@@ -277,7 +277,7 @@ def _cmd_coeffs(parser: argparse.ArgumentParser, args) -> int:
     if args.dim < 1:
         parser.error("--dim: must be >= 1")
     try:
-        values = [shift_coeff(args.N, alpha, n, mode) for n in range(args.dim)]
+        values = shift_coeffs(args.N, alpha, args.dim, mode)
         bound = lower_bound(args.N, alpha)
     except BergmanLabError as exc:
         parser.error(f"--alpha: {exc}")

@@ -17,6 +17,14 @@ the reference: its spans take :func:`orthogonalize`, and its kernels the SVD
 or exact elimination.  Float bases are normalized; in exact rational mode
 normalization would leave the field, so the squared norms are carried
 instead.
+
+Two tests read a map against a subspace.  Invariance (:func:`is_invariant`,
+:func:`restrict`) asks whether a map sends the subspace into its extension
+in the map's codomain, as the tower's restricted shifts need.  Reducing
+(:func:`is_reducing`, :func:`reducing_census`) compresses the shift to its
+domain, ``S_D = P_D z^N``, and asks whether ``S_D`` and its adjoint send
+the subspace into itself; it extends no subspace, so a residue tag never
+decides it.
 """
 
 from __future__ import annotations
@@ -141,7 +149,9 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
     ``RANK_TOL`` times the column's own metric norm (float mode).  Float
     mode normalizes the kept vectors; exact mode keeps them unnormalized
     (square roots leave the rationals) and carries their squared norms.
-    The loop stops once the basis spans the ambient space.
+    Each kept column adds one row, its own metric adjoint, to the coordinate
+    map of the vectors kept before it, as :func:`residue_subspace` presets
+    a ladder's.  The loop stops once the basis spans the ambient space.
 
     Float mode first factors the columns by :func:`_orthonormal_runs`, as
     one block, and keeps its leading run.  When that run covers the
@@ -168,7 +178,11 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
             continue
         if not exact:
             v, g = v / np.sqrt(g), 1.0
-        kept = Subspace(ambient, np.hstack((kept.basis, v)), np.append(kept.norms_sq, g))
+        grown = Subspace(ambient, np.hstack((kept.basis, v)), np.append(kept.norms_sq, g))
+        row = Subspace(ambient, v, grown.norms_sq[-1:]).coordinates.matrix
+        grown.coordinates = LinearMap(ambient, grown.embedding.domain,
+                                      np.vstack((kept.coordinates.matrix, row)))
+        kept = grown
     return kept.basis, kept.norms_sq
 
 
@@ -341,22 +355,49 @@ def is_invariant(m: LinearMap, sub: Subspace, tol: float = 1e-10) -> InvarianceR
     The residual is max_i ||(I - P) m b_i|| / ||b_i|| over basis vectors,
     where P projects onto the canonical extension of the subspace inside the
     codomain truncation.  In exact mode ``tol`` is unused: the leftover must
-    vanish exactly.
+    vanish exactly.  Unlike :func:`is_reducing`, which stays in m's domain,
+    this reads the codomain, so an untagged subspace is measured against its
+    zero padding (see :func:`extend`); the tower's restricted shifts need
+    that meaning.
     """
     return _restriction_data(m, sub, extend(sub, m.codomain), tol)[1]
 
 
-def _reducing(s: LinearMap, s_adj: LinearMap, sub: Subspace, tol: float) -> ReducingResult:
-    """Does ``s`` map sub into its extension ext, and ``s_adj`` ext into sub?"""
-    ext = extend(sub, s.codomain)
-    fwd = _restriction_data(s, sub, ext, tol)[1]
-    adj = _restriction_data(s_adj, ext, sub, tol)[1]
+def _reducing(c: LinearMap, c_adj: LinearMap, sub: Subspace, tol: float) -> ReducingResult:
+    """Do the square map ``c`` and its metric adjoint ``c_adj`` both map sub
+    into sub?  Both sides are :func:`_restriction_data` with sub as target."""
+    fwd = _restriction_data(c, sub, sub, tol)[1]
+    adj = _restriction_data(c_adj, sub, sub, tol)[1]
     return ReducingResult(fwd.passed and adj.passed, fwd.residual, adj.residual)
 
 
+def _compress(s: LinearMap) -> LinearMap:
+    """The compression ``P_D s`` of s to its domain of dimension D, by
+    ``operators.displace``; s's codomain must be a truncation at least as
+    large that agrees with the domain on their common degrees."""
+    if s.codomain.dim < s.domain.dim or not s.domain.agrees_with(s.codomain):
+        raise AmbientMismatch("the reducing test needs a codomain that extends the domain")
+    return displace(s, s.domain)
+
+
 def is_reducing(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> ReducingResult:
-    """Invariance under the map and under its metric adjoint."""
-    return _reducing(s, s.adjoint(), sub, tol)
+    """Does the subspace reduce the compression ``S_D = P_D s``?
+
+    ``s`` maps a truncation of dimension D into one at least as large, as
+    the shift z^N from D into D + N does, and ``P_D`` cuts its images back
+    to degrees below D.  The subspace reduces ``S_D`` when ``S_D`` and its
+    metric adjoint both map it into itself; each residual is
+    max_i ||(I - P) x_i|| / ||b_i||, P projecting onto the subspace, over
+    the images x_i of its basis vectors b_i.  Everything happens in the
+    domain, and no subspace is extended, so the residue tag never enters
+    the verdict.  For D >= 2N - 1 the reducing subspaces of ``S_D`` are
+    exactly the residue ladders (Stessin and Zhu, "Reducing subspaces of
+    weighted shift operators", Proc. AMS 130 (2002), for the full operator).
+    A codomain smaller than the domain, or one whose metric disagrees with
+    it on their common degrees, raises AmbientMismatch.
+    """
+    c = _compress(s)
+    return _reducing(c, c.adjoint(), sub, tol)
 
 
 def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10,
@@ -367,8 +408,10 @@ def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10,
     subspace's extension inside the codomain truncation, ``ext`` when the
     caller has built it (``extend(sub, s.codomain)``); the part of the
     image sticking out of the extension is the invariance residual, decided
-    as in :func:`is_invariant`.  The result acts between coordinate spaces
-    and does not know the subspaces; the caller keeps sub and its extension.
+    as in :func:`is_invariant`, against the extension and not, as
+    :func:`is_reducing` does, against sub itself.  The result acts between
+    coordinate spaces and does not know the subspaces; the caller keeps sub
+    and its extension.
     """
     ext = extend(sub, s.codomain) if ext is None else ext
     restricted, inv = _restriction_data(s, sub, ext, tol)
@@ -512,72 +555,89 @@ def _stack(block: np.ndarray) -> np.ndarray:
     return block.reshape(block.shape[0], -1, 2).transpose(1, 0, 2)
 
 
-def _control_residuals(space: TruncatedSpace, images: np.ndarray,
-                       bases: np.ndarray) -> np.ndarray:
+def _control_residuals(space: TruncatedSpace, bases: np.ndarray,
+                       *images: np.ndarray) -> list[np.ndarray]:
     """:func:`_restriction_data`'s residual for every control at once.
 
-    ``images`` and ``bases`` are (T, dim, 2) stacks in ``space``, control
-    i's image columns and its metric-orthonormal basis.  The leftover of
-    each control's images off its own span is :func:`project`'s, formed as
-    the dense route forms it, and the residual is the largest metric norm
-    of its columns.
+    ``bases`` is a (T, dim, 2) stack in ``space``, each control's
+    metric-orthonormal basis, and each of ``images`` a stack of the images
+    of those bases under one map into ``space``.  The bases' metric adjoint
+    is formed once.  The leftover of each control's images off its own span
+    is :func:`project`'s, formed as the dense route forms it, and the
+    residual is the largest metric norm of its columns; one array of T
+    residuals is returned per stack of images.
     """
-    coords = _exact.mm(_exact.metric_adjoint(bases, space.metric, np.ones(2)), images)
-    leftover = _exact.mm(bases, coords)
-    np.subtract(images, leftover, out=leftover)
-    return np.sqrt(space.column_norms_sq(leftover)).max(axis=1)
+    coords = _exact.metric_adjoint(bases, space.metric, np.ones(2))
+    out = []
+    for im in images:
+        leftover = _exact.mm(bases, _exact.mm(coords, im))
+        np.subtract(im, leftover, out=leftover)
+        out.append(np.sqrt(space.column_norms_sq(leftover)).max(axis=1))
+    return out
 
 
-def _random_controls(s: LinearMap, s_adj: LinearMap, seeds: range,
+def _random_controls(c: LinearMap, c_adj: LinearMap, seeds: range,
                      tol: float) -> list[ReducingResult]:
-    """The float reducing test of ``random_subspace(s.domain, 2, i)`` for
+    """The float reducing test of ``random_subspace(c.domain, 2, i)`` for
     every i in ``seeds``, as one stacked block.
 
-    The columns of every control are drawn by one :func:`random_columns`
-    call, with the seeds :func:`random_subspace` uses, and orthonormalized
-    by one :func:`_orthonormal_runs` call.  ``s`` maps the block of bases,
-    and ``s_adj`` the block of their zero-padded extensions, in one
-    ``apply`` each; :func:`_control_residuals` measures both sides.  The
-    results are those of :func:`_reducing` on each control, bit for bit.
-    A control whose pair of columns fails the rank rule takes that route.
+    ``c`` is the compression, a square map, and ``c_adj`` its metric
+    adjoint.  The columns of every control are drawn by one
+    :func:`random_columns` call, with the seeds :func:`random_subspace`
+    uses, and orthonormalized by one :func:`_orthonormal_runs` call.  Both
+    maps apply to the same (dim, 2T) block of bases, in one ``apply`` each,
+    and :func:`_control_residuals` measures both sides against the bases.
+    The results are those of :func:`_reducing` on each control, bit for
+    bit.  A control whose pair of columns fails the rank rule takes that
+    route.
     """
-    dom, cod = s.domain, s.codomain
+    dom = c.domain
     cols = _stack(random_columns(dom, np.concatenate([_column_seeds(i, 2) for i in seeds])))
     cuts = RANK_TOL * np.sqrt(dom.column_norms_sq(cols))
     bases, runs = _orthonormal_runs(dom, cols, cuts)
-    exts = np.zeros((cod.dim, len(seeds) * 2), dtype=bases.dtype)  # the bases' block, padded
-    _stack(exts)[:, :dom.dim] = bases
-    fwd = _control_residuals(cod, _stack(s.apply(exts[:dom.dim])), _stack(exts))
-    adj = _control_residuals(dom, _stack(s_adj.apply(exts)), bases)
-    return [ReducingResult(s.mode.passes([(f, False), (a, False)], tol), float(f), float(a))
-            if k == 2 else _reducing(s, s_adj, random_subspace(dom, 2, i), tol)
+    block = bases.transpose(1, 0, 2).reshape(dom.dim, -1)  # _stack's inverse
+    fwd, adj = _control_residuals(dom, bases, _stack(c.apply(block)), _stack(c_adj.apply(block)))
+    return [ReducingResult(c.mode.passes([(f, False), (a, False)], tol), float(f), float(a))
+            if k == 2 else _reducing(c, c_adj, random_subspace(dom, 2, i), tol)
             for i, k, f, a in zip(seeds, runs, fwd, adj)]
 
 
 def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
                     tol: float = 1e-10) -> CensusReport:
-    """Verify that residue ladders, and only they, pass the reducing test.
+    """Verify that residue ladders, and only they, reduce ``S_D = P_D s``.
 
-    All 2^N residue subspaces (including the zero and full ones) must reduce
-    the shift with zero residual; ``trials`` seeded random subspaces must all
-    fail.  Control i is ``random_subspace(s.domain, 2, seed + i)``, two
-    random vectors.  The metric adjoint of ``s`` is formed once for the
-    whole census.  Each ladder, and in exact mode or on a domain of
-    dimension below 2 each control, is tested by itself (the reference
-    route); float controls are tested as one stacked block by
-    :func:`_random_controls`, with the same results.
+    ``s`` is the shift z^N from dimension D into D + N, compressed once to
+    ``S_D`` as :func:`is_reducing` compresses it.  All 2^N residue
+    subspaces (including the zero and full ones) must reduce ``S_D`` with
+    zero residual; ``trials`` seeded random subspaces must all fail.
+    Control i is ``random_subspace(s.domain, 2, seed + i)``, two random
+    vectors.  The metric adjoint of ``S_D`` is formed once for the whole
+    census.  Each ladder, and in exact mode each control, is tested by
+    itself (the reference route); float controls are tested as one stacked
+    block by :func:`_random_controls`, with the same results.
+
+    D < max(3, 2N - 1) raises DepthOverflow.  Below 2N - 1 the monomials
+    z^(N-2) and z^(N-1) share the eigenvalue pair (0, 0) of
+    (``S_D* S_D``, ``S_D S_D*``), so reducing subspaces other than the
+    ladders exist (span{z} at N=3, D=4); at D = 2 a control is the whole
+    domain.
     """
-    s_adj = s.adjoint()
+    need = max(3, 2 * N - 1)
+    if s.domain.dim < need:
+        raise DepthOverflow(f"census needs D >= {need} for N={N}, got D={s.domain.dim}; "
+                            "raise D")
+    c = _compress(s)
+    c_adj = c.adjoint()
     residue_entries = []
     for combo in residue_sets(N):
-        r = _reducing(s, s_adj, residue_subspace(s.domain, N, combo), tol)
+        r = _reducing(c, c_adj, residue_subspace(c.domain, N, combo), tol)
         label = "{" + ",".join(map(str, combo)) + "}"
         residue_entries.append(CensusEntry(label, r.residual, r.passed))
     seeds = range(seed, seed + trials)
-    if s.mode.is_exact or s.domain.dim < 2 or not seeds:
-        results = [_reducing(s, s_adj, random_subspace(s.domain, 2, i), tol) for i in seeds]
+    if c.mode.is_exact or not seeds:
+        results = [_reducing(c, c_adj, random_subspace(c.domain, 2, i), tol) for i in seeds]
     else:
-        results = _random_controls(s, s_adj, seeds, tol)
+        results = _random_controls(c, c_adj, seeds, tol)
     random_entries = [CensusEntry(f"random[{i}]", r.residual, r.passed)
                       for i, r in zip(seeds, results)]
     return CensusReport(tuple(residue_entries), tuple(random_entries))

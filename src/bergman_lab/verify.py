@@ -62,7 +62,7 @@ from .weights import (
     ScalarMode,
     WeightParams,
     lower_bound,
-    shift_coeff,
+    shift_coeffs,
     weight_sequence,
 )
 
@@ -296,8 +296,7 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
     """
     s = _shift(spec.N, spec.alpha, spec.D, spec.mode)
     dom = s.domain
-    coeffs = np.asarray([shift_coeff(spec.N, spec.alpha, n, spec.mode)
-                         for n in range(spec.D)])
+    coeffs = np.asarray(shift_coeffs(spec.N, spec.alpha, spec.D, spec.mode))
     scaled = TruncatedSpace(metric=coeffs * dom.metric, mode=spec.mode)
     randoms = random_columns(dom, range(spec.seed, spec.seed + NUM_RANDOM_VECTORS))
     nums = np.concatenate([s.column_norms_sq(), s.codomain.column_norms_sq(s.apply(randoms))])
@@ -315,7 +314,7 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
 def check_coeff_bounds(spec: CheckSpec) -> ReportEntry:
     """Strict bounds (3 + alpha)^(-N) < C(N, alpha, n) < 1 for every n < D."""
     lo = lower_bound(spec.N, spec.alpha)
-    coeffs = [shift_coeff(spec.N, spec.alpha, n, spec.mode) for n in range(spec.D)]
+    coeffs = shift_coeffs(spec.N, spec.alpha, spec.D, spec.mode)
     # the bounds are strict, so an equality fails in float mode too
     over = [max(float(lo - c), float(c - 1), 0.0) for c in coeffs if not lo < c < 1]
     ties = [f"{which} bound attained in {spec.mode.value} at n={coeffs.index(bound)}"
@@ -342,8 +341,7 @@ def check_lower_bound(spec: CheckSpec) -> ReportEntry:
             defects.append((float(max(short, 0)) / float(den), short <= 0))
     ok = True
     if spec.mode.is_exact:
-        ok = all(shift_coeff(spec.N, spec.alpha, n, spec.mode) > bound
-                 for n in range(spec.D))
+        ok = all(c > bound for c in shift_coeffs(spec.N, spec.alpha, spec.D, spec.mode))
     else:
         short = max(0.0, math.sqrt(float(bound)) - smallest_singular_value(t))
         defects.append((short, short == 0.0))
@@ -453,7 +451,7 @@ def check_expansive(spec: CheckSpec) -> ReportEntry:
         for num, den in zip(nums, dens):
             if den != 0:
                 defects.append((max(0.0, 1.0 - math.sqrt(num / den)), num >= den))
-    coeffs = [shift_coeff(spec.N, spec.alpha, n, spec.mode) for n in range(spec.D)]
+    coeffs = shift_coeffs(spec.N, spec.alpha, spec.D, spec.mode)
     over = [float(c - 1) for c in coeffs if not c <= 1]
     return _entry(spec, defects + [(r, False) for r in over], not over)
 

@@ -162,6 +162,13 @@ def weight_sequence(params: WeightParams, mode: ScalarMode = ScalarMode.FLOAT64)
     return WeightSequence(params, mode, values)
 
 
+def _telescope(N: int, alpha: Scalar, n: int, one: Scalar) -> Scalar:
+    out = one
+    for j in range(N):
+        out = out * (n + j + 1) / (n + j + 2 + alpha)
+    return out
+
+
 def shift_coeff(N: int, alpha: Scalar, n: int, mode: ScalarMode = ScalarMode.FLOAT64) -> Scalar:
     """Norm ratio ||z^(N+n)||^2 / ||z^n||^2 = omega_{n+N} / omega_n.
 
@@ -173,11 +180,17 @@ def shift_coeff(N: int, alpha: Scalar, n: int, mode: ScalarMode = ScalarMode.FLO
     """
     if N < 1 or n < 0:
         raise ValueError(f"need N >= 1 and n >= 0, got N={N}, n={n}")
+    return _telescope(N, coerce_alpha(alpha, mode), n, mode.one)
+
+
+def shift_coeffs(N: int, alpha: Scalar, D: int,
+                 mode: ScalarMode = ScalarMode.FLOAT64) -> list[Scalar]:
+    """The coefficients ``[shift_coeff(N, alpha, n, mode) for n in range(D)]``,
+    each by the same telescoping product, with alpha validated once."""
+    if N < 1 or D < 0:
+        raise ValueError(f"need N >= 1 and D >= 0, got N={N}, D={D}")
     alpha = coerce_alpha(alpha, mode)
-    out = mode.one
-    for j in range(N):
-        out = out * (n + j + 1) / (n + j + 2 + alpha)
-    return out
+    return [_telescope(N, alpha, n, mode.one) for n in range(D)]
 
 
 def lower_bound(N: int, alpha: Scalar) -> Scalar:

@@ -362,17 +362,17 @@ def test_criterion_09_mutation_sensitivity():
     def body():
         clean = run_suite(smoke_grid())
         assert clean.all_passed
-        true_coeff = verify.shift_coeff
+        true_coeffs = verify.shift_coeffs
 
-        def corrupted(N, alpha, n, mode=ScalarMode.FLOAT64):
-            c = true_coeff(N, alpha, n, mode)
-            return c + 1e-6 if n == 5 else c
+        def corrupted(N, alpha, D, mode=ScalarMode.FLOAT64):
+            return [c + 1e-6 if n == 5 else c
+                    for n, c in enumerate(true_coeffs(N, alpha, D, mode))]
 
-        verify.shift_coeff = corrupted
+        verify.shift_coeffs = corrupted
         try:
             sabotaged = run_suite(smoke_grid())
         finally:
-            verify.shift_coeff = true_coeff
+            verify.shift_coeffs = true_coeffs
         assert sabotaged.failed >= 1
         flipped = {e.spec.name for e in sabotaged.entries if not e.passed}
         assert "norm_identity" in flipped

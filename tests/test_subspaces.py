@@ -38,7 +38,7 @@ from bergman_lab import (
     zero_subspace,
 )
 import bergman_lab.subspaces as subspaces
-from bergman_lab.operators import LinearMap, to_float
+from bergman_lab.operators import LinearMap, displace, to_float
 from bergman_lab.space import random_columns
 from bergman_lab.subspaces import (
     RANK_TOL,
@@ -449,6 +449,27 @@ def test_orthogonalize_stops_at_a_full_basis(monkeypatch, mode):
     assert_orthonormal(sp, basis, norms, 1e-12)
 
 
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_orthogonalize_grows_the_coordinate_map_by_one_row(monkeypatch, mode):
+    """Each kept vector adds its own row to the coordinate map of the ones
+    kept before it: every metric adjoint orthogonalize forms is of one
+    column (of none, for the empty start in exact mode), D of them in all,
+    and the basis is Gram-Schmidt's.  The first column is repeated, so float
+    mode leaves its factorization after one column."""
+    D = 12
+    sp = make_space(Fraction(1, 2) if mode.is_exact else 0.5, 1, D, mode)
+    cols = random_columns(sp, range(D + 3))
+    cols = np.concatenate([cols[:, :1], cols], axis=1)
+    widths, adjoint = [], subspaces._exact.metric_adjoint
+    monkeypatch.setattr(subspaces._exact, "metric_adjoint",
+                        lambda m, *a: widths.append(m.shape[-1]) or adjoint(m, *a))
+    basis, norms = orthogonalize(sp, cols)
+    assert basis.shape == (D, D)
+    assert max(widths) == 1 and sum(widths) == D
+    monkeypatch.undo()
+    assert_matches_reference(sp, cols, 1e-12)
+
+
 def test_orthogonalize_rank_rule_complex_columns():
     """Complex dependent columns, a complex multiple included, are dropped as
     Gram-Schmidt drops them."""
@@ -742,22 +763,86 @@ def test_reducing_measures_adjoint_against_the_subspace(monkeypatch, mode):
 
 
 def test_untagged_ladder_copy_reduces_exactly():
-    """A ladder's basis without its residue tag reduces the square finite
-    section of z^N with both residuals exactly 0.  Under the graded shift
-    into D + N only the adjoint half is exactly 0: the zero-padded
-    extension of an untagged subspace lacks the ladder's top degrees."""
-    dom, cod = graded_pair(Fraction(1, 2), 2, 10, EXACT)
+    """The reducing test reads no residue tag: for every ladder at N 1-3, in
+    both modes, its untagged copy gets the ladder's result, both residuals
+    exactly 0, under the graded shift into D + N and under its square
+    finite section alike."""
+    for mode, N in itertools.product((FLOAT, EXACT), (1, 2, 3)):
+        dom, cod = graded_pair(Fraction(1, 2) if mode.is_exact else 0.5, N, 10, mode)
+        s = shift(dom, cod, N)
+        for m in (s, LinearMap(dom, dom, s.matrix[:10])):
+            for residues in subspaces.residue_sets(N):
+                ladder = residue_subspace(dom, N, residues)
+                r = is_reducing(m, _untagged(ladder))
+                assert r == is_reducing(m, ladder) == ReducingResult(True, 0.0, 0.0), (
+                    mode, N, residues)
+
+
+def _padded_reducing(s, sub, tol=1e-10):
+    """The reducing test through the codomain, the reference the compression
+    replaced: s maps sub into its extension ext in s's codomain (zero
+    padding for an untagged subspace), and s's metric adjoint maps ext into
+    sub."""
+    ext = extend(sub, s.codomain)
+    fwd = subspaces._restriction_data(s, sub, ext, tol)[1]
+    adj = subspaces._restriction_data(s.adjoint(), ext, sub, tol)[1]
+    return ReducingResult(fwd.passed and adj.passed, fwd.residual, adj.residual)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_compression_keeps_the_adjoint_residual_and_lowers_the_forward_one(mode):
+    """On untagged subspaces, the compression test's adjoint residual equals
+    the zero-padded route's, and its forward residual is at most that
+    route's: the padded leftover also holds the images' degrees >= D, the
+    part P_D cuts away.  Ladders get residual 0 either way."""
+    alphas = (Fraction(0), Fraction(1, 2)) if mode.is_exact else (-0.9, 0.5, 200.0)
+    for alpha, N, D in itertools.product(alphas, (1, 2, 3), (6, 13)):
+        dom, cod = graded_pair(alpha, N, D, mode)
+        s = shift(dom, cod, N)
+        for dim, seed in ((1, 0), (2, 1), (3, 2), (D - 1, 3)):
+            sub = random_subspace(dom, dim, seed)
+            got, want = is_reducing(s, sub), _padded_reducing(s, sub)
+            assert got.residual_adjoint == want.residual_adjoint, (alpha, N, D, dim)
+            assert got.residual_forward <= want.residual_forward, (alpha, N, D, dim)
+            assert not got.passed
+        ladder = residue_subspace(dom, N, [0])
+        assert is_reducing(s, ladder) == _padded_reducing(s, ladder) == ReducingResult(
+            True, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_reducing_test_stays_in_the_domain(monkeypatch, mode):
+    """is_reducing and reducing_census compress the shift to its domain:
+    they make no extend call, and every map they form, the shift's
+    compression and its adjoint included, acts between spaces of dimension
+    at most D."""
+    D = 9
+    dom, cod = graded_pair(Fraction(1, 2) if mode.is_exact else 0.5, 2, D, mode)
     s = shift(dom, cod, 2)
-    section = LinearMap(dom, dom, s.matrix[:10])
-    for k in range(2):
-        ladder = residue_subspace(dom, 2, [k])
-        copy = Subspace(dom, ladder.basis, ladder.norms_sq)
-        r = is_reducing(section, copy)
-        assert r.passed
-        assert r.residual_forward == r.residual_adjoint == 0.0
-        r = is_reducing(s, copy)
-        assert not r.passed
-        assert r.residual_adjoint == 0.0
+    subs = (residue_subspace(dom, 2, [1]), random_subspace(dom, 2, seed=4))
+    calls, dims = [], []
+    counted, bind = subspaces.extend, LinearMap._bind
+    monkeypatch.setattr(subspaces, "extend", lambda *a: calls.append(a) or counted(*a))
+    monkeypatch.setattr(LinearMap, "_bind", lambda m, domain, codomain: dims.append(
+        (domain.dim, codomain.dim)) or bind(m, domain, codomain))
+    results = [is_reducing(s, sub) for sub in subs]
+    report = reducing_census(s, 2, trials=3, seed=2)
+    assert calls == []
+    assert dims and max(max(d) for d in dims) == D
+    assert results[0].passed and not results[1].passed and report.passed
+
+
+def test_is_reducing_refuses_a_codomain_that_does_not_extend_the_domain():
+    """P_D needs the codomain to be a truncation at least as large that
+    agrees with the domain: a smaller codomain, or one with other weights,
+    is refused."""
+    dom, cod = graded_pair(0.5, 2, 8)
+    h = residue_subspace(cod, 2, [0])
+    with pytest.raises(AmbientMismatch):
+        is_reducing(shift(dom, cod, 2).adjoint(), h)
+    other = make_space(1.0, 2, 10)
+    with pytest.raises(AmbientMismatch):
+        is_reducing(LinearMap(dom, other, np.zeros((10, 8))), residue_subspace(dom, 2, [0]))
 
 
 def _untagged(sub):
@@ -780,8 +865,9 @@ def test_ladder_gathers_match_dense_reference(alpha, D):
     """A map applied to a ladder is a column gather and a projection onto a
     ladder a row gather; coordinates and verdicts equal those of the dense
     products on the untagged copy, entry for entry.  Both directions of the
-    reducing test, is_invariant and restrict are covered, with the shift and
-    with a dense random map whose leftover is nonzero."""
+    zero-padded reducing test, is_invariant and restrict are covered, with
+    the shift and with a dense random map whose leftover is nonzero, and the
+    reducing test on the compression P_D m equals its dense route."""
     mode = EXACT if isinstance(alpha, Fraction) else FLOAT
     tol = 1e-10
     for N in (1, 2, 3):
@@ -804,8 +890,14 @@ def test_ladder_gathers_match_dense_reference(alpha, D):
                     assert np.array_equal(restricted.matrix, ref[name][0].matrix)
                     assert inv == ref[name][1]
                 (fwd_coords, fwd), (_, adj) = ref["fwd"], ref["adj"]
-                assert subspaces._reducing(m, m_adj, h, tol) == ReducingResult(
-                    fwd.passed and adj.passed, fwd.residual, adj.residual)
+                c = displace(m, dom)  # the compression P_D m
+                c_adj = c.adjoint()
+                sides = [subspaces._restriction_data(f, _untagged(h), _untagged(h), tol)[1]
+                         for f in (c, c_adj)]
+                want = ReducingResult(sides[0].passed and sides[1].passed,
+                                      sides[0].residual, sides[1].residual)
+                assert subspaces._reducing(c, c_adj, h, tol) == want
+                assert is_reducing(m, h, tol) == want
                 assert is_invariant(m, h, tol) == fwd
                 if fwd.passed:
                     assert np.array_equal(restrict(m, h, tol).matrix, fwd_coords.matrix)
@@ -1130,11 +1222,13 @@ def test_census_with_a_negative_trial_count_has_no_controls(mode, alpha):
 
 def _census_reference(s, N, trials, seed, tol=1e-10):
     """The census subspace by subspace: every ladder and every random control
-    through ``subspaces._reducing``, the reference route."""
-    s_adj = s.adjoint()
+    through ``subspaces._reducing`` on the compression P_D s, the reference
+    route."""
+    c = displace(s, s.domain)
+    c_adj = c.adjoint()
 
     def entry(label, sub):
-        r = subspaces._reducing(s, s_adj, sub, tol)
+        r = subspaces._reducing(c, c_adj, sub, tol)
         return subspaces.CensusEntry(label, r.residual, r.passed)
 
     ladders = [entry("{" + ",".join(map(str, combo)) + "}", residue_subspace(s.domain, N, combo))
@@ -1149,9 +1243,10 @@ def test_stacked_census_controls_match_the_reference_route(N):
     """Float censuses test their random controls as one stacked block; each
     control's entry (verdict, and residual compared with ==) equals the
     reducing test of its own random_subspace, alpha from near -1 to 200 and
-    D from 3 to 512."""
+    D from the census's least, max(3, 2N - 1), to 512."""
+    dims = (3, 32, 256, 512) if N < 3 else (32, 256, 512)
     for alpha, D, seed in itertools.product((-0.999, -0.5, 0.0, 2.5, 200.0),
-                                            (3, 32, 256, 512), (0, 1013)):
+                                            dims, (0, 1013)):
         s = shift(*graded_pair(alpha, N, D), N)
         rep = reducing_census(s, N, seed=seed)
         assert rep == _census_reference(s, N, 20, seed), (alpha, D, seed)
@@ -1189,14 +1284,28 @@ def test_census_control_with_dependent_columns_takes_the_reference_route(monkeyp
 
 
 @pytest.mark.parametrize("mode,alpha", [(FLOAT, 0.5), (EXACT, Fraction(1, 2))])
-def test_census_of_a_one_dimensional_domain(mode, alpha):
-    """N=1, D=1: a control's two columns span the whole domain, its extension
-    is not invariant, and every control fails; both modes agree with the
-    reference route."""
-    s = shift(*graded_pair(alpha, 1, 1, mode), 1)
-    rep = reducing_census(s, 1, trials=5, seed=3)
-    assert rep == _census_reference(s, 1, 5, 3)
-    assert rep.passed and rep.min_random_residual > 0.5
+def test_census_refuses_a_domain_below_its_rule(mode, alpha):
+    """The census needs D >= max(3, 2N - 1): at D = 2 a control's two
+    columns are the whole domain, and below 2N - 1 reducing subspaces other
+    than the ladders exist.  Smaller domains raise DepthOverflow; the least
+    allowed one runs and passes."""
+    for N, D in ((1, 1), (1, 2), (3, 3), (3, 4)):
+        s = shift(*graded_pair(alpha, N, D, mode), N)
+        with pytest.raises(DepthOverflow, match=f"D >= {max(3, 2 * N - 1)}"):
+            reducing_census(s, N, trials=5, seed=3)
+    for N, D in ((1, 3), (3, 5)):
+        s = shift(*graded_pair(alpha, N, D, mode), N)
+        assert reducing_census(s, N, trials=5, seed=3).passed
+
+
+def test_span_of_z_reduces_a_section_below_the_census_rule():
+    """N=3, D=4: z^1 and z^2 both lie in the kernels of S_D and S_D*, so
+    span{z}, which is no ladder, reduces the compression of z^3; at
+    D = 2N - 1 = 5 it does not."""
+    for D, reduces in ((4, True), (5, False)):
+        dom, cod = graded_pair(Fraction(1, 2), 3, D, EXACT)
+        z = Subspace(dom, monomial(dom, 1)[:, None], np.asarray(dom.metric)[1:2])
+        assert is_reducing(shift(dom, cod, 3), z).passed is reduces, D
 
 
 def test_float_census_draws_and_factors_its_controls_once(monkeypatch):

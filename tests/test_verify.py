@@ -82,13 +82,12 @@ def test_each_check_passes_exact(name):
 
 def test_norm_identity_detects_coefficient_corruption(monkeypatch):
     import bergman_lab.verify as verify
-    true_coeff = verify.shift_coeff
+    true_coeffs = verify.shift_coeffs
 
-    def corrupted(N, alpha, n, mode):
-        c = true_coeff(N, alpha, n, mode)
-        return c + 1e-6 if n == 3 else c
+    def corrupted(N, alpha, D, mode):
+        return [c + 1e-6 if n == 3 else c for n, c in enumerate(true_coeffs(N, alpha, D, mode))]
 
-    monkeypatch.setattr(verify, "shift_coeff", corrupted)
+    monkeypatch.setattr(verify, "shift_coeffs", corrupted)
     entry = run_check(spec_for("norm_identity"))
     assert not entry.passed
     assert entry.residual > 1e-10

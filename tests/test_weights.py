@@ -15,6 +15,7 @@ from bergman_lab import (
     coerce_alpha,
     lower_bound,
     shift_coeff,
+    shift_coeffs,
     weight_sequence,
 )
 from oracles import iterated_coeff
@@ -123,6 +124,25 @@ def test_shift_coeff_frozen():
     # N = 2, alpha = 0 telescopes to (n + 1) / (n + 3)
     for n in range(10):
         assert shift_coeff(2, Fraction(0), n, EXACT) == Fraction(n + 1, n + 3)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_shift_coeffs_sweep_shift_coeff(mode):
+    """shift_coeffs(N, alpha, D) is shift_coeff at n = 0 .. D-1, entry for
+    entry, and validates alpha and mode as shift_coeff does."""
+    alphas = ((Fraction(0), Fraction(1, 2), Fraction(-9, 10)) if mode.is_exact
+              else (-0.999, 0.5, 200.0))
+    for alpha, N, D in ((a, N, D) for a in alphas for N in (1, 2, 3) for D in (0, 1, 17)):
+        got = shift_coeffs(N, alpha, D, mode)
+        assert got == [shift_coeff(N, alpha, n, mode) for n in range(D)], (alpha, N, D)
+        assert all(type(c) is type(mode.one) for c in got)
+    with pytest.raises(InvalidAlpha):
+        shift_coeffs(2, -1, 4, mode)
+    with pytest.raises(ValueError):
+        shift_coeffs(0, Fraction(1, 2), 4, mode)
+    if mode.is_exact:
+        with pytest.raises(ModeMismatch):
+            shift_coeffs(2, 0.5, 4, mode)
 
 
 @pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 1.0, 2.5, 10.0])
