@@ -9,9 +9,11 @@ coordinate map, in whichever storage form the embedding has.
 In the monomial basis z^N is a weighted shift, so the subspaces built from
 residue ladders are spans of monomials: the ladders themselves, the
 wandering parts ``ker T*``, kernels of index maps, their orbits, extensions
-and truncations.  Their embeddings are index maps (see
-``operators.LinearMap``), orthogonal by construction, and taking their span
-needs no factorization (``operators.index_span``).  A dense embedding, as
+and truncations.  A ladder is built in any truncation by
+:func:`residue_subspace`; once built it is a subspace like any other, and
+moves between truncations by its embedding alone.  Their embeddings are
+index maps (see ``operators.LinearMap``), orthogonal by construction, and
+taking their span needs no factorization (``operators.index_span``).  A dense embedding, as
 ``Subspace(ambient, basis, norms_sq)`` and :func:`from_vectors` build, is
 the reference: its spans take :func:`orthogonalize`, and its kernels the SVD
 or exact elimination.  Float bases are normalized; in exact rational mode
@@ -19,12 +21,12 @@ normalization would leave the field, so the squared norms are carried
 instead.
 
 Two tests read a map against a subspace.  Invariance (:func:`is_invariant`,
-:func:`restrict`) asks whether a map sends the subspace into its extension
-in the map's codomain, as the tower's restricted shifts need.  Reducing
+:func:`restrict`) asks whether a map sends the subspace into a target
+subspace of the map's codomain, which the caller names; the tower's
+restricted shifts take the ladder of the codomain.  Reducing
 (:func:`is_reducing`, :func:`reducing_census`) compresses the shift to its
 domain, ``S_D = P_D z^N``, and asks whether ``S_D`` and its adjoint send
-the subspace into itself; it extends no subspace, so a residue tag never
-decides it.
+the subspace into itself; it extends no subspace.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -57,11 +59,8 @@ class Subspace:
     vector to its coordinates; it is built once, on first read, or with the
     embedding by :func:`residue_subspace`.
     ``Subspace(ambient, basis, norms_sq)`` builds a dense embedding;
-    :meth:`embedded` takes one in either storage form.
-
-    The residue tag (``residues`` and ``multiplicity``, None for an untagged
-    subspace) is set only by :func:`residue_subspace`, and lets
-    :func:`extend` regrow the ladder in another truncation.
+    :meth:`embedded` takes one in either storage form.  Nothing else is
+    held: two subspaces with equal embeddings behave alike everywhere.
     """
 
     def __init__(self, ambient: TruncatedSpace, basis: np.ndarray, norms_sq: np.ndarray):
@@ -80,8 +79,6 @@ class Subspace:
     def _embed(self, embedding: LinearMap) -> None:
         self.embedding = embedding
         self.ambient = embedding.codomain
-        self.residues: Optional[frozenset] = None
-        self.multiplicity: Optional[int] = None
 
     @functools.cached_property
     def coordinates(self) -> LinearMap:
@@ -101,8 +98,7 @@ class Subspace:
         return self.embedding.domain.metric
 
     def __repr__(self) -> str:
-        tag = f", residues={sorted(self.residues)}" if self.residues is not None else ""
-        return f"Subspace(dim={self.dim}, ambient={self.ambient.dim}{tag})"
+        return f"Subspace(dim={self.dim}, ambient={self.ambient.dim})"
 
 
 def zero_subspace(ambient: TruncatedSpace) -> Subspace:
@@ -224,12 +220,11 @@ def residue_subspace(space: TruncatedSpace, N: int, residues: Iterable[int]) -> 
     """
     if space.weights is None:
         raise AmbientMismatch("residue subspaces need a weight-backed ambient space")
-    residues = frozenset(residues)
     degrees = residue_degrees(N, residues, space.dim)
     coords = TruncatedSpace(metric=np.asarray(space.metric)[degrees], mode=space.mode)
     embedding = unit_map(coords, space, degrees)
     sub = Subspace.embedded(embedding)
-    sub.coordinates, sub.residues, sub.multiplicity = transpose(embedding), residues, N
+    sub.coordinates = transpose(embedding)
     return sub
 
 
@@ -269,20 +264,20 @@ def truncate(sub: Subspace, dim: int) -> Subspace:
 
 
 def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
-    """Canonical extension of the subspace into another truncation.
+    """The subspace carried into another truncation by its embedding.
 
-    The one routine that moves a subspace between truncations.  Residue-tagged
-    subspaces regrow their monomial pattern.  Untagged ones are displaced
-    into a truncation at least as large (zero padding, ``operators.displace``),
-    and intersected with a smaller one: the span of the basis combinations
-    whose coefficients of degree ``>= space.dim`` all vanish, decided by
-    ``operators.null_space`` and cut to the rows below ``space.dim``.  For
-    an index embedding these are the columns whose row lies below the cut.
+    The one routine that moves a subspace between truncations, and it reads
+    only the embedding.  Into a truncation at least as large the subspace is
+    displaced (zero padding, ``operators.displace``), so a ladder's extension
+    is not the larger ladder; :func:`residue_subspace` builds that.  Into a
+    smaller one it is intersected with it: the span of the basis
+    combinations whose coefficients of degree ``>= space.dim`` all vanish,
+    decided by ``operators.null_space`` and cut to the rows below
+    ``space.dim``.  For an index embedding these are the columns whose row
+    lies below the cut.
     """
     if not sub.ambient.agrees_with(space):
         raise AmbientMismatch("the truncations differ in scalar mode or in their common weights")
-    if sub.residues is not None:
-        return residue_subspace(space, sub.multiplicity, sub.residues)
     if space.dim >= sub.ambient.dim:
         return Subspace.embedded(displace(sub.embedding, space))
     above = TruncatedSpace(metric=np.asarray(sub.ambient.metric)[space.dim:], mode=space.mode)
@@ -349,18 +344,19 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
                                         residual)
 
 
-def is_invariant(m: LinearMap, sub: Subspace, tol: float = 1e-10) -> InvarianceResult:
-    """Does m map the subspace into its extension in m's codomain?
+def is_invariant(m: LinearMap, sub: Subspace, target: Subspace,
+                 tol: float = 1e-10) -> InvarianceResult:
+    """Does m map the subspace into ``target``, a subspace of m's codomain?
 
     The residual is max_i ||(I - P) m b_i|| / ||b_i|| over basis vectors,
-    where P projects onto the canonical extension of the subspace inside the
-    codomain truncation.  In exact mode ``tol`` is unused: the leftover must
-    vanish exactly.  Unlike :func:`is_reducing`, which stays in m's domain,
-    this reads the codomain, so an untagged subspace is measured against its
-    zero padding (see :func:`extend`); the tower's restricted shifts need
-    that meaning.
+    where P projects onto the target.  In exact mode ``tol`` is unused: the
+    leftover must vanish exactly.  The shift z^N maps a ladder into the
+    ladder of its codomain, ``residue_subspace(m.codomain, N, residues)``,
+    and not into the ladder's zero padding ``extend(sub, m.codomain)``.
+    Unlike :func:`is_reducing`, which stays in m's domain, this reads the
+    codomain.
     """
-    return _restriction_data(m, sub, extend(sub, m.codomain), tol)[1]
+    return _restriction_data(m, sub, target, tol)[1]
 
 
 def _reducing(c: LinearMap, c_adj: LinearMap, sub: Subspace, tol: float) -> ReducingResult:
@@ -389,9 +385,8 @@ def is_reducing(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> ReducingResu
     metric adjoint both map it into itself; each residual is
     max_i ||(I - P) x_i|| / ||b_i||, P projecting onto the subspace, over
     the images x_i of its basis vectors b_i.  Everything happens in the
-    domain, and no subspace is extended, so the residue tag never enters
-    the verdict.  For D >= 2N - 1 the reducing subspaces of ``S_D`` are
-    exactly the residue ladders (Stessin and Zhu, "Reducing subspaces of
+    domain, and no subspace is extended.  For D >= 2N - 1 the reducing
+    subspaces of ``S_D`` are exactly the residue ladders (Stessin and Zhu, "Reducing subspaces of
     weighted shift operators", Proc. AMS 130 (2002), for the full operator).
     A codomain smaller than the domain, or one whose metric disagrees with
     it on their common degrees, raises AmbientMismatch.
@@ -400,21 +395,18 @@ def is_reducing(s: LinearMap, sub: Subspace, tol: float = 1e-10) -> ReducingResu
     return _reducing(c, c.adjoint(), sub, tol)
 
 
-def restrict(s: LinearMap, sub: Subspace, tol: float = 1e-10,
-             ext: Optional[Subspace] = None) -> LinearMap:
-    """Express a map on an invariant subspace in that subspace's coordinates.
+def restrict(s: LinearMap, sub: Subspace, target: Subspace, tol: float = 1e-10) -> LinearMap:
+    """Express a map from sub into ``target`` in their coordinates.
 
-    The image of each basis vector is re-expanded in the basis of the
-    subspace's extension inside the codomain truncation, ``ext`` when the
-    caller has built it (``extend(sub, s.codomain)``); the part of the
-    image sticking out of the extension is the invariance residual, decided
-    as in :func:`is_invariant`, against the extension and not, as
-    :func:`is_reducing` does, against sub itself.  The result acts between
-    coordinate spaces and does not know the subspaces; the caller keeps sub
-    and its extension.
+    ``target`` is a subspace of s's codomain that s must map sub into; for
+    the shift and a ladder it is the ladder of the codomain.  The image of
+    each basis vector of sub is re-expanded in the basis of the target; the
+    part of the image sticking out of it is the invariance residual, decided
+    as in :func:`is_invariant`, and a failing one raises NotInvariant.  The
+    result acts between coordinate spaces and does not know the subspaces;
+    the caller keeps sub and the target.
     """
-    ext = extend(sub, s.codomain) if ext is None else ext
-    restricted, inv = _restriction_data(s, sub, ext, tol)
+    restricted, inv = _restriction_data(s, sub, target, tol)
     if not inv.passed:
         bound = "is not exactly zero" if s.mode.is_exact else f"exceeds tol {tol:.1e}"
         raise NotInvariant(
@@ -427,12 +419,12 @@ def wandering(t: LinearMap, ext: Subspace) -> Subspace:
     """Wandering part E = ext minus range(t), computed as ker t*.
 
     ``t`` maps into the coordinates of ``ext``, typically the shift
-    restricted to a subspace by :func:`restrict`, with ``ext`` that
-    subspace's extension into the shift's codomain.  The orthogonal
-    complement of range(t) there is the kernel of the metric adjoint of t,
-    found by :func:`kernel` in those coordinates and carried into ext's
-    ambient truncation by its embedding.  An ``ext`` whose coordinate space
-    is not t's codomain raises DimensionMismatch.
+    restricted to a subspace by :func:`restrict`, with ``ext`` the target
+    it was restricted into.  The orthogonal complement of range(t) there is
+    the kernel of the metric adjoint of t, found by :func:`kernel` in those
+    coordinates and carried into ext's ambient truncation by its embedding.
+    An ``ext`` whose coordinate space is not t's codomain raises
+    DimensionMismatch.
     """
     return Subspace.embedded(ext.embedding.compose(kernel(t.adjoint()).embedding))
 
@@ -481,8 +473,8 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
     Van Loan, *Matrix Computations*, 4th ed., section 2.5.3): the metric
     operator norm of :func:`project`'s leftover map ``E_U - E_V F_V E_U``,
     whose domain metric is U's squared norms.  An exactly zero leftover
-    (U inside V, as for a ladder and its untagged copy) gives 0.0 without
-    a norm.
+    (U inside V, as for a ladder and a copy of its embedding) gives 0.0
+    without a norm.
     """
     if u.ambient != v.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
@@ -510,7 +502,7 @@ def _column_seeds(seed: int, dim: int) -> np.ndarray:
 
 
 def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:
-    """Span of ``dim`` deterministic pseudo-random vectors (untagged)."""
+    """Span of ``dim`` deterministic pseudo-random vectors."""
     return from_vectors(space, random_columns(space, _column_seeds(seed, dim)))
 
 

@@ -7,13 +7,14 @@ identities of the norm-expanding lift, the telescoping projector sum, kernel
 containment, norm expansivity, the vanishing-order of iterated lifts, and
 the reconstruction itself (the Beurling-type property) on residue ladders.
 
-Checks run on a graded tower: the base truncation of dimension D at level 0,
-and at level j the extension of the subspace inside dimension D + j*N.  The
-shift maps level j into level j + 1 exactly, so in exact rational mode every
-identity is decided exactly; in float mode the residuals are metric operator
-norms compared against the tolerance of the check.  Levels are built and
-cached one at a time, on first read: a check that reads only level 0 builds
-only level 0, and the ambient checks use the bare shift and no tower.
+Checks run on a graded tower: the residue ladder of the base truncation of
+dimension D at level 0, and at level j the same ladder in dimension D + j*N,
+built there by ``residue_subspace``.  The shift maps level j into level
+j + 1 exactly, so in exact rational mode every identity is decided exactly;
+in float mode the residuals are metric operator norms compared against the
+tolerance of the check.  Levels are built and cached one at a time, on
+first read: a check that reads only level 0 builds only level 0, and the
+ambient checks use the bare shift and no tower.
 """
 
 from __future__ import annotations
@@ -48,12 +49,10 @@ from .subspaces import (
     max_degree,
     project,
     projector,
-    projectors_equal,
     reducing_census,
     residue_sets,
     residue_subspace,
     restrict,
-    subspace_distance,
     truncate,
     wandering,
 )
@@ -180,13 +179,14 @@ def _residues_of(spec: CheckSpec) -> tuple[int, ...]:
 
 class Level(NamedTuple):
     """Level j of the tower: the shift from dimension D + jN into D + (j+1)N,
-    the residue ``ladder`` in the shift's domain and its extension ``ext``
-    in the codomain, the shift's restriction ``t`` from the ladder's
-    coordinates into ext's, the left inverse ``pinv(t) = (t* t)^-1 t*``,
-    and the lift chain ``A^(j+1) = lift_j o ... o lift_0`` from level 0's
-    ladder into level j's extension, where ``lift_i = left_inv_i*`` is the
-    norm-expanding lift ``T (T* T)^-1`` of level i.  The maps know only
-    their spaces; the subspaces are the ladder and ext."""
+    the residue ``ladder`` in the shift's domain, ``ext``, the ladder of the
+    same residues in the codomain, which the shift maps the ladder into, the
+    shift's restriction ``t`` from the ladder's coordinates into ext's, the
+    left inverse ``pinv(t) = (t* t)^-1 t*``, and the lift chain
+    ``A^(j+1) = lift_j o ... o lift_0`` from level 0's ladder into level j's
+    ext, where ``lift_i = left_inv_i*`` is the norm-expanding lift
+    ``T (T* T)^-1`` of level i.  The maps know only their spaces; the
+    subspaces are the ladder and ext."""
 
     shift: LinearMap
     ladder: Subspace
@@ -201,8 +201,8 @@ def _tower_cached(N: int, alpha: Scalar, D: int, residues: tuple,
                   mode: ScalarMode, j: int) -> Level:
     s = _shift(N, alpha, D + j * N, mode)
     ladder = residue_subspace(s.domain, N, residues)
-    ext = extend(ladder, s.codomain)
-    t = restrict(s, ladder, ext=ext)
+    ext = residue_subspace(s.codomain, N, residues)
+    t = restrict(s, ladder, ext)
     left_inv = pinv(t)
     # the lift T (T*T)^-1 is the adjoint of the left inverse (T*T)^-1 T*
     lift = left_inv.adjoint()
@@ -498,7 +498,7 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
         return _entry(spec, [], note="zero subspace, vacuous")
     e = wandering(level.t, level.ext)
     e_base = truncate(e, spec.D)
-    dims_ok = e_base.dim == e.dim == len(h.residues)
+    dims_ok = e_base.dim == e.dim == len(_residues_of(spec))
     k = max_degree(e_base)
     # keep only the combinations of E that vanish above degree k, so rounding
     # noise there is not amplified along the orbit
@@ -507,15 +507,18 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
     closure = invariant_closure(e_base, spec.N, depth)
     safe = spec.D - spec.N
     c_safe = truncate(closure, safe)
-    h_safe = truncate(h, safe)
-    # the distance is a float measure; only exact mode can decide equality
-    equal = spec.mode.is_exact and projectors_equal(c_safe, h_safe)
+    h_safe = residue_subspace(c_safe.ambient, spec.N, _residues_of(spec))
+    # equal dimensions and C inside H mean C = H; the defect is the metric
+    # norm of C's leftover off H, the sine of the largest principal angle
+    defect = (_map_defect(project(h_safe, c_safe.embedding)[1]) if c_safe.dim == h_safe.dim
+              else (1.0, False))
     note = f"depth={depth}, dim E={e.dim}, safe degrees < {safe}"
-    return _entry(spec, [(subspace_distance(c_safe, h_safe), equal)], dims_ok, note=note)
+    return _entry(spec, [defect], dims_ok, note=note)
 
 
 def check_census(spec: CheckSpec) -> ReportEntry:
-    """All residue ladders reduce the shift with zero residual; random controls fail."""
+    """All residue ladders reduce the compression ``S_D = P_D z^N`` with zero
+    residual; random controls fail."""
     trials = max(1, min(spec.depth, 8)) * 5
     s = _shift(spec.N, spec.alpha, spec.D, spec.mode)
     report = reducing_census(s, spec.N, trials=trials, seed=spec.seed, tol=spec.tol)

@@ -22,7 +22,6 @@ from bergman_lab import (
     ScalarMode,
     TruncatedSpace,
     WeightParams,
-    extend,
     from_vectors,
     identity_map,
     invariant_closure,
@@ -323,15 +322,16 @@ def test_criterion_07_ladder_reconstruction():
                 s = shift(dom, cod, N)
                 for lam in nonempty_subsets(N):
                     h = residue_subspace(dom, N, lam)
-                    t = restrict(s, h, 1e-8)
-                    e = wandering(t, extend(h, cod))
+                    hc = residue_subspace(cod, N, lam)
+                    t = restrict(s, h, hc, 1e-8)
+                    e = wandering(t, hc)
                     assert e.dim == len(lam)
                     e_base = truncate(e, D_BEURLING)
                     depth = (D_BEURLING - 1 - max_degree(e_base)) // N
                     closure = invariant_closure(e_base, N, depth)
                     safe = D_BEURLING - N
                     dist = subspace_distance(truncate(closure, safe),
-                                             truncate(h, safe))
+                                             residue_subspace(TruncatedSpace(ws, safe), N, lam))
                     assert dist <= 1e-10
 
     _report(7, "residue ladders regrow from their wandering parts at D=64",

@@ -56,7 +56,7 @@ def dense_copy(sub: Subspace) -> Subspace:
 
 
 def random_index_subspace(rng, sp: TruncatedSpace, k: int) -> Subspace:
-    """Untagged span of k monomials at random degrees, with random nonzero
+    """Span of k monomials at random degrees, with random nonzero
     values; its coordinate metric is their squared norms."""
     rows = rng.permutation(sp.dim)[:k]
     w = np.asarray(sp.metric)[rows]
@@ -105,7 +105,7 @@ def test_index_embeddings_match_their_dense_copies():
         section = displace(s, dom)  # the square finite section P_D z^N
         residues = [r for r in range(N) if rng.random() < 0.6] or [0]
         ladder = residue_subspace(dom, N, residues)
-        subs = [Subspace.embedded(ladder.embedding),  # the ladder's untagged copy
+        subs = [Subspace.embedded(ladder.embedding),  # a copy of the ladder's embedding
                 random_index_subspace(rng, dom, int(rng.integers(0, D + 1)))]
         x = random_columns(dom, range(3)) if exact else rng.standard_normal((D, 3))
         restricted = 0
@@ -118,20 +118,21 @@ def test_index_embeddings_match_their_dense_copies():
                 assert_same_entries(got.matrix, want.matrix)
             for m in (s, s.adjoint(), section, section.adjoint()):
                 if m.domain == dom:
-                    assert is_invariant(m, sub) == is_invariant(m, ref)
+                    assert (is_invariant(m, sub, extend(sub, m.codomain))
+                            == is_invariant(m, ref, extend(ref, m.codomain)))
             assert is_reducing(s, sub) == is_reducing(s, ref)
             assert is_reducing(section, sub) == is_reducing(section, ref)
             for m in (s, section):
+                padded, ref_padded = extend(sub, m.codomain), extend(ref, m.codomain)
                 try:
-                    want = restrict(m, ref)
+                    want = restrict(m, ref, ref_padded)
                 except NotInvariant:
                     with pytest.raises(NotInvariant):
-                        restrict(m, sub)
+                        restrict(m, sub, padded)
                     continue
-                got = restrict(m, sub)
+                got = restrict(m, sub, padded)
                 assert_same_entries(got.matrix, want.matrix)
-                same_subspace(wandering(got, extend(sub, m.codomain)),
-                              wandering(want, extend(ref, m.codomain)), exact)
+                same_subspace(wandering(got, padded), wandering(want, ref_padded), exact)
                 restricted += 1
             big = extend(sub, cod)
             assert_same_entries(big.basis, extend(ref, cod).basis)
@@ -146,7 +147,8 @@ def test_index_embeddings_match_their_dense_copies():
                 assert (got == 0.0) == (want == 0.0)
                 assert abs(got - want) <= 1e-14 * max(want, 1.0)
         assert restricted >= 1  # the ladder's copy is invariant under the section
-        e = truncate(wandering(restrict(s, ladder), extend(ladder, cod)), D)
+        hc = residue_subspace(cod, N, residues)
+        e = truncate(wandering(restrict(s, ladder, hc), hc), D)
         depth = (D - 1 - max_degree(e)) // N
         closure = invariant_closure(e, N, depth)
         assert closure.dim == len(residues) * (depth + 1)

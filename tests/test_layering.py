@@ -65,3 +65,30 @@ def test_only_operators_names_the_index_storage_form():
             named += [f"{path.stem}:{node.lineno} names {name}"
                       for name in sorted(names & INDEX_FORM_NAMES)]
     assert named == []
+
+
+def imported_names(tree: ast.AST) -> dict:
+    """The names the module binds by import, with the line of each import;
+    ``from __future__`` imports bind none."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    return bound
+
+
+def test_modules_use_every_name_they_import():
+    """Every name a module imports is read in that module.  The package's
+    ``__init__`` is skipped: its imports are the re-exports."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}:{line} imports {name}"
+                   for name, line in sorted(imported_names(tree).items()) if name not in read]
+    assert unused == []

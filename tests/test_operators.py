@@ -14,6 +14,7 @@ from bergman_lab import (
     SingularGram,
     TruncatedSpace,
     WeightParams,
+    extend,
     from_vectors,
     identity_map,
     operator_norm,
@@ -181,7 +182,7 @@ def test_restrict_full_space_is_shift(mode):
     dom, cod = spaces(alpha, 2, 8, mode)
     s = shift(dom, cod, 2)
     h = residue_subspace(dom, 2, range(2))
-    t = restrict(s, h)
+    t = restrict(s, h, residue_subspace(cod, 2, range(2)))
     assert (t.matrix == s.matrix).all()
     assert np.array_equal(np.asarray(t.domain.metric), np.asarray(dom.metric))
 
@@ -191,7 +192,7 @@ def test_restrict_single_residue_ladder():
     dom, cod = spaces(0.5, 2, 6)
     s = shift(dom, cod, 2)
     h = residue_subspace(dom, 2, (0,))
-    t = restrict(s, h)
+    t = restrict(s, h, residue_subspace(cod, 2, (0,)))
     assert t.matrix.shape == (4, 3)
     expected = np.zeros((4, 3), dtype=complex)
     expected[1, 0] = expected[2, 1] = expected[3, 2] = 1.0
@@ -205,7 +206,7 @@ def test_restrict_preserves_norm():
     dom, cod = spaces(2.5, 3, 12)
     s = shift(dom, cod, 3)
     h = residue_subspace(dom, 3, (1,))
-    t = restrict(s, h)
+    t = restrict(s, h, residue_subspace(cod, 3, (1,)))
     g = random_columns(t.domain, range(5))
     ambient = h.basis @ g
     got = t.codomain.column_norms_sq(t.apply(g))
@@ -218,14 +219,15 @@ def test_restrict_rejects_non_invariant():
     s = shift(dom, cod, 2)
     bad = from_vectors(dom, np.array([[1.0, ], [1.0, ], [0, ], [0, ], [0, ], [0, ]]))
     with pytest.raises(NotInvariant):
-        restrict(s, bad)
+        restrict(s, bad, extend(bad, cod))
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_pinv_is_left_inverse(mode):
     alpha = Fraction(1, 2) if mode.is_exact else 0.5
     dom, cod = spaces(alpha, 2, 10, mode)
-    t = restrict(shift(dom, cod, 2), residue_subspace(dom, 2, (0, 1)))
+    t = restrict(shift(dom, cod, 2), residue_subspace(dom, 2, (0, 1)),
+                 residue_subspace(cod, 2, (0, 1)))
     left = pinv(t).compose(t)
     eye = identity_map(t.domain)
     if mode.is_exact:
@@ -237,7 +239,8 @@ def test_pinv_is_left_inverse(mode):
 def test_pinv_adjoint_frozen_action():
     """For N = 1, alpha = 0 the lift sends 1 to 2z: 1/C(1,0,0) = 2."""
     dom, cod = spaces(Fraction(0), 1, 6, EXACT)
-    t = restrict(shift(dom, cod, 1), residue_subspace(dom, 1, range(1)))
+    t = restrict(shift(dom, cod, 1), residue_subspace(dom, 1, range(1)),
+                 residue_subspace(cod, 1, range(1)))
     a = pinv(t).adjoint()
     img = a.matrix[:, 0]
     expected = np.array([Fraction(0), Fraction(2)] + [Fraction(0)] * 5, dtype=object)
@@ -248,7 +251,8 @@ def test_pinv_adjoint_frozen_action():
 def test_pinv_adjoint_is_t_times_gram_inverse(residues):
     """The adjoint of the left inverse is exactly T (T* T)^(-1), entry for entry."""
     dom, cod = spaces(Fraction(1, 2), 2, 12, EXACT)
-    t = restrict(shift(dom, cod, 2), residue_subspace(dom, 2, residues))
+    t = restrict(shift(dom, cod, 2), residue_subspace(dom, 2, residues),
+                 residue_subspace(cod, 2, residues))
     lift = pinv(t).adjoint()
     direct = t.compose(_gram_inverse(t))
     assert lift.matrix.shape == direct.matrix.shape
@@ -265,7 +269,8 @@ def test_pinv_adjoint_iterates_match_iterated_coeff(m):
     chain = None
     for j in range(m):
         full = residue_subspace(levels[j], N, range(N))
-        t = restrict(shift(levels[j], levels[j + 1], N), full)
+        t = restrict(shift(levels[j], levels[j + 1], N), full,
+                     residue_subspace(levels[j + 1], N, range(N)))
         lift = pinv(t).adjoint()
         chain = lift if chain is None else lift.compose(chain)
     for n in range(D):
@@ -324,7 +329,8 @@ def test_sigma_min_above_lower_bound():
     for alpha in (-0.5, 0.0, 2.5):
         for N in (1, 2, 3):
             dom, cod = spaces(alpha, N, 24)
-            t = restrict(shift(dom, cod, N), residue_subspace(dom, N, (0,)))
+            t = restrict(shift(dom, cod, N), residue_subspace(dom, N, (0,)),
+                         residue_subspace(cod, N, (0,)))
             assert smallest_singular_value(t) >= (3.0 + alpha) ** (-N / 2.0) - 1e-12
 
 

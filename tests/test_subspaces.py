@@ -81,8 +81,9 @@ def test_residue_ladder_basis():
     assert (h.basis == expected).all()
     w = np.asarray(sp.metric)
     assert (np.asarray(h.norms_sq) == w[[0, 2, 4]]).all()
-    assert h.residues == frozenset({0})
-    assert h.multiplicity == 2
+    # a ladder is its embedding alone: it carries no residue tag
+    assert not hasattr(h, "residues") and not hasattr(h, "multiplicity")
+    assert repr(h) == "Subspace(dim=3, ambient=6)"
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -112,17 +113,16 @@ def test_residue_degrees_and_bad_residue():
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_residue_subspace_reads_a_one_shot_iterable_once(mode):
-    """An iterator of residues builds the same ladder as a list: same tag,
-    basis and reducing verdict (it used to be consumed before the tag was
-    read, leaving an empty tag on a nonempty ladder)."""
+    """An iterator of residues builds the same ladder as a list: same
+    degrees, basis and reducing verdict, so residue_subspace reads the
+    residues once."""
     alpha = Fraction(1, 2) if mode.is_exact else 0.5
     dom, cod = graded_pair(alpha, 2, 10, mode)
     s = shift(dom, cod, 2)
     for residues in ([0], [1], [0, 1], []):
         want = residue_subspace(dom, 2, list(residues))
         got = residue_subspace(dom, 2, (r for r in residues))
-        assert got.residues == want.residues == frozenset(residues)
-        assert got.multiplicity == want.multiplicity == 2
+        assert got.dim == want.dim == len(residue_degrees(2, residues, 10))
         assert (np.flatnonzero(got.basis.any(axis=1)).tolist()
                 == residue_degrees(2, residues, 10))
         assert got.basis.dtype == want.basis.dtype
@@ -572,7 +572,7 @@ def test_project_lattice_vectors_exactly():
     ladder = residue_subspace(sp, 2, [0])
     inside = monomial(sp, 4)
     outside = monomial(sp, 3)
-    # the ladder takes the row gather, its untagged copy the dense products
+    # the ladder takes the row gather, its dense copy the dense products
     for sub in (ladder, Subspace(sp, ladder.basis, ladder.norms_sq)):
         coords, leftover = project(sub, inside)
         assert (sub.basis @ coords == inside).all()
@@ -582,14 +582,17 @@ def test_project_lattice_vectors_exactly():
         assert (leftover == outside).all()
 
 
-def test_truncate_tagged_ladder_regrows_pattern():
+def test_truncate_ladder_keeps_the_rungs_below_the_cut():
+    """truncate reads only the embedding: a ladder cut to degrees < 6 is
+    its intersection with that truncation, span{z, z^3, z^5}, the ladder
+    of the smaller truncation."""
     sp = make_space(1.0, 2, 10)
     h = residue_subspace(sp, 2, [1])
     t = truncate(h, 6)
     assert t.ambient.dim == 6
     assert t.dim == 3
-    assert t.residues == frozenset({1})
     assert max_degree(t) == 5
+    assert subspace_distance(t, residue_subspace(t.ambient, 2, [1])) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -606,7 +609,7 @@ def test_truncate_to_a_negative_dimension_is_refused(mode):
         assert truncate(sub, 0).dim == 0
 
 
-def test_truncate_untagged_intersection():
+def test_truncate_dense_intersection():
     sp = make_space(0.0, 1, 8)
     e0 = monomial(sp, 0)
     e5 = monomial(sp, 5)
@@ -638,8 +641,11 @@ def test_extend_roundtrip(mode):
     small, big = TruncatedSpace(ws, 8), TruncatedSpace(ws, 12)
     h = residue_subspace(small, 2, [0])
     ext = extend(h, big)
-    assert ext.dim == 6
-    assert ext.residues == frozenset({0})
+    # extend reads only the embedding: the ladder's zero padding, span{1, z^2,
+    # z^4, z^6}, and not the ladder of the larger truncation
+    assert ext.dim == 4 < residue_subspace(big, 2, [0]).dim == 6
+    assert (ext.basis[:8] == h.basis).all() and (ext.basis[8:] == 0).all()
+    assert (np.asarray(ext.norms_sq) == np.asarray(h.norms_sq)).all()
     one = monomial(small, 0)
     sub = from_vectors(small, one[:, None])
     padded = extend(sub, big)
@@ -650,6 +656,25 @@ def test_extend_roundtrip(mode):
         assert projectors_equal(back, sub)
     else:
         assert subspace_distance(back, sub) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_extend_and_truncate_read_only_the_embedding(mode, N):
+    """A ladder and a copy of its embedding, Subspace.embedded(ladder.embedding),
+    move between truncations alike, entry for entry: extend into a larger
+    truncation and truncate into a smaller one."""
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    ws = weight_sequence(WeightParams(alpha, N, 20), mode)
+    sp, big = TruncatedSpace(ws, 13), TruncatedSpace(ws, 20)
+    for residues in subspaces.residue_sets(N):
+        ladder = residue_subspace(sp, N, residues)
+        copy = Subspace.embedded(ladder.embedding)
+        for got, want in ((extend(ladder, big), extend(copy, big)),
+                          (truncate(ladder, 7), truncate(copy, 7))):
+            assert got.ambient == want.ambient, (N, residues)
+            assert_same_entries(got.basis, want.basis)
+            assert_same_entries(got.norms_sq, want.norms_sq)
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -698,16 +723,42 @@ def test_is_invariant_ladder_exactly():
     dom, cod = graded_pair(0.5, 2, 10)
     s = shift(dom, cod, 2)
     h = residue_subspace(dom, 2, [0])
-    res = is_invariant(s, h)
+    res = is_invariant(s, h, residue_subspace(cod, 2, [0]))
     assert res.passed
     assert res.residual == 0.0
     c = dom.mode.zeros(dom.dim)
     c[0] = 1.0
     c[1] = 1.0
     bad = from_vectors(dom, c[:, None])
-    res = is_invariant(s, bad)
+    res = is_invariant(s, bad, extend(bad, cod))
     assert not res.passed
     assert res.residual > 0.1
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_shift_maps_a_ladder_into_the_codomain_ladder(mode, N):
+    """Against the target residue_subspace(cod, N, residues) a ladder is
+    invariant under the shift with residual exactly 0.0, and restrict
+    returns the map: re-embedded by the target, it is the shift on the
+    ladder, entry for entry.  Against its zero padding extend(ladder, cod)
+    a nonempty ladder is not invariant: its top rungs shift past degree D."""
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    dom, cod = graded_pair(alpha, N, 11, mode)
+    s = shift(dom, cod, N)
+    for residues in subspaces.residue_sets(N)[1:]:
+        ladder = residue_subspace(dom, N, residues)
+        target = residue_subspace(cod, N, residues)
+        assert is_invariant(s, ladder, target) == subspaces.InvarianceResult(True, 0.0)
+        t = restrict(s, ladder, target)
+        assert (t.domain, t.codomain) == (ladder.embedding.domain, target.embedding.domain)
+        assert_same_entries(target.embedding.compose(t).matrix,
+                            s.compose(ladder.embedding).matrix)
+        padded = extend(ladder, cod)
+        res = is_invariant(s, ladder, padded)
+        assert not res.passed and res.residual > 0.1, (N, residues)
+        with pytest.raises(NotInvariant):
+            restrict(s, ladder, padded)
 
 
 def test_exact_invariance_ignores_float_tolerance():
@@ -717,12 +768,12 @@ def test_exact_invariance_ignores_float_tolerance():
     m[1, 0] = Fraction(1, 10**14)
     near_identity = LinearMap(dom, dom, m)
     h = residue_subspace(dom, 2, [0])
-    res = is_invariant(near_identity, h)
+    res = is_invariant(near_identity, h, h)
     assert not res.passed
     assert 0.0 < res.residual <= 1e-10
     assert not is_reducing(near_identity, h).passed
     with pytest.raises(NotInvariant):
-        restrict(near_identity, h)
+        restrict(near_identity, h, h)
 
 
 @pytest.mark.parametrize("alpha,N", [(0.0, 2), (2.5, 3)])
@@ -740,10 +791,10 @@ def test_is_reducing_ladder_zero_residual(alpha, N):
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_reducing_measures_adjoint_against_the_subspace(monkeypatch, mode):
-    """The adjoint half of an untagged subspace is measured against the
-    subspace itself, so is_reducing makes no truncate call; its residual is
-    the one of the route through the truncated extension (to 1e-14 in float
-    mode, exactly in exact mode)."""
+    """The adjoint half of a subspace is measured against the subspace
+    itself, so is_reducing makes no truncate call; its residual is the one
+    of the route through the truncated extension (to 1e-14 in float mode,
+    exactly in exact mode)."""
     dom, cod = graded_pair(Fraction(1, 2) if mode.is_exact else 0.5, 2, 10, mode)
     s = shift(dom, cod, 2)
     sub = random_subspace(dom, 2, seed=3)
@@ -754,7 +805,8 @@ def test_reducing_measures_adjoint_against_the_subspace(monkeypatch, mode):
     r = is_reducing(s, sub)
     assert calls == []
     monkeypatch.undo()
-    via_truncate = is_invariant(s.adjoint(), extend(sub, s.codomain)).residual
+    ext = extend(sub, s.codomain)
+    via_truncate = is_invariant(s.adjoint(), ext, truncate(ext, dom.dim)).residual
     assert r.residual_adjoint > 1e-6
     if mode.is_exact:
         assert r.residual_adjoint == via_truncate
@@ -762,9 +814,9 @@ def test_reducing_measures_adjoint_against_the_subspace(monkeypatch, mode):
         assert abs(r.residual_adjoint - via_truncate) <= 1e-14
 
 
-def test_untagged_ladder_copy_reduces_exactly():
-    """The reducing test reads no residue tag: for every ladder at N 1-3, in
-    both modes, its untagged copy gets the ladder's result, both residuals
+def test_dense_ladder_copy_reduces_exactly():
+    """The reducing test reads only the embedding: for every ladder at N 1-3,
+    in both modes, its dense copy gets the ladder's result, both residuals
     exactly 0, under the graded shift into D + N and under its square
     finite section alike."""
     for mode, N in itertools.product((FLOAT, EXACT), (1, 2, 3)):
@@ -773,17 +825,16 @@ def test_untagged_ladder_copy_reduces_exactly():
         for m in (s, LinearMap(dom, dom, s.matrix[:10])):
             for residues in subspaces.residue_sets(N):
                 ladder = residue_subspace(dom, N, residues)
-                r = is_reducing(m, _untagged(ladder))
+                r = is_reducing(m, _dense_copy(ladder))
                 assert r == is_reducing(m, ladder) == ReducingResult(True, 0.0, 0.0), (
                     mode, N, residues)
 
 
-def _padded_reducing(s, sub, tol=1e-10):
+def _padded_reducing(s, sub, ext, tol=1e-10):
     """The reducing test through the codomain, the reference the compression
-    replaced: s maps sub into its extension ext in s's codomain (zero
-    padding for an untagged subspace), and s's metric adjoint maps ext into
-    sub."""
-    ext = extend(sub, s.codomain)
+    replaced: s maps sub into ext, a subspace of s's codomain (sub's zero
+    padding, or for a ladder the ladder of the codomain), and s's metric
+    adjoint maps ext into sub."""
     fwd = subspaces._restriction_data(s, sub, ext, tol)[1]
     adj = subspaces._restriction_data(s.adjoint(), ext, sub, tol)[1]
     return ReducingResult(fwd.passed and adj.passed, fwd.residual, adj.residual)
@@ -791,23 +842,24 @@ def _padded_reducing(s, sub, tol=1e-10):
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_compression_keeps_the_adjoint_residual_and_lowers_the_forward_one(mode):
-    """On untagged subspaces, the compression test's adjoint residual equals
+    """On random subspaces, the compression test's adjoint residual equals
     the zero-padded route's, and its forward residual is at most that
     route's: the padded leftover also holds the images' degrees >= D, the
-    part P_D cuts away.  Ladders get residual 0 either way."""
+    part P_D cuts away.  A ladder gets residual 0 on the compression and on
+    the route through the ladder of the codomain."""
     alphas = (Fraction(0), Fraction(1, 2)) if mode.is_exact else (-0.9, 0.5, 200.0)
     for alpha, N, D in itertools.product(alphas, (1, 2, 3), (6, 13)):
         dom, cod = graded_pair(alpha, N, D, mode)
         s = shift(dom, cod, N)
         for dim, seed in ((1, 0), (2, 1), (3, 2), (D - 1, 3)):
             sub = random_subspace(dom, dim, seed)
-            got, want = is_reducing(s, sub), _padded_reducing(s, sub)
+            got, want = is_reducing(s, sub), _padded_reducing(s, sub, extend(sub, cod))
             assert got.residual_adjoint == want.residual_adjoint, (alpha, N, D, dim)
             assert got.residual_forward <= want.residual_forward, (alpha, N, D, dim)
             assert not got.passed
         ladder = residue_subspace(dom, N, [0])
-        assert is_reducing(s, ladder) == _padded_reducing(s, ladder) == ReducingResult(
-            True, 0.0, 0.0)
+        assert is_reducing(s, ladder) == _padded_reducing(
+            s, ladder, residue_subspace(cod, N, [0])) == ReducingResult(True, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -845,7 +897,8 @@ def test_is_reducing_refuses_a_codomain_that_does_not_extend_the_domain():
         is_reducing(LinearMap(dom, other, np.zeros((10, 8))), residue_subspace(dom, 2, [0]))
 
 
-def _untagged(sub):
+def _dense_copy(sub):
+    """The same subspace with a dense embedding, the reference."""
     return Subspace(sub.ambient, sub.basis, sub.norms_sq)
 
 
@@ -864,8 +917,9 @@ def _random_matrix(rows, cols, mode, seed):
 def test_ladder_gathers_match_dense_reference(alpha, D):
     """A map applied to a ladder is a column gather and a projection onto a
     ladder a row gather; coordinates and verdicts equal those of the dense
-    products on the untagged copy, entry for entry.  Both directions of the
-    zero-padded reducing test, is_invariant and restrict are covered, with
+    products on the dense copy, entry for entry.  Both directions of the
+    reducing test through the codomain ladder, is_invariant and restrict
+    are covered, with
     the shift and with a dense random map whose leftover is nonzero, and the
     reducing test on the compression P_D m equals its dense route."""
     mode = EXACT if isinstance(alpha, Fraction) else FLOAT
@@ -879,12 +933,12 @@ def test_ladder_gathers_match_dense_reference(alpha, D):
             for residues in itertools.chain.from_iterable(
                     itertools.combinations(range(N), k) for k in range(N + 1)):
                 h = residue_subspace(dom, N, residues)
-                ext = extend(h, cod)
+                ext = residue_subspace(cod, N, residues)
                 ref = {}
                 for name, f, sub, target in (("fwd", m, h, ext), ("adj", m_adj, ext, h)):
                     restricted, inv = subspaces._restriction_data(f, sub, target, tol)
                     ref[name] = subspaces._restriction_data(
-                        f, _untagged(sub), _untagged(target), tol)
+                        f, _dense_copy(sub), _dense_copy(target), tol)
                     assert restricted.domain == sub.embedding.domain
                     assert restricted.codomain == target.embedding.domain
                     assert np.array_equal(restricted.matrix, ref[name][0].matrix)
@@ -892,21 +946,21 @@ def test_ladder_gathers_match_dense_reference(alpha, D):
                 (fwd_coords, fwd), (_, adj) = ref["fwd"], ref["adj"]
                 c = displace(m, dom)  # the compression P_D m
                 c_adj = c.adjoint()
-                sides = [subspaces._restriction_data(f, _untagged(h), _untagged(h), tol)[1]
+                sides = [subspaces._restriction_data(f, _dense_copy(h), _dense_copy(h), tol)[1]
                          for f in (c, c_adj)]
                 want = ReducingResult(sides[0].passed and sides[1].passed,
                                       sides[0].residual, sides[1].residual)
                 assert subspaces._reducing(c, c_adj, h, tol) == want
                 assert is_reducing(m, h, tol) == want
-                assert is_invariant(m, h, tol) == fwd
+                assert is_invariant(m, h, ext, tol) == fwd
                 if fwd.passed:
-                    assert np.array_equal(restrict(m, h, tol).matrix, fwd_coords.matrix)
+                    assert np.array_equal(restrict(m, h, ext, tol).matrix, fwd_coords.matrix)
                 else:
                     with pytest.raises(NotInvariant):
-                        restrict(m, h, tol)
+                        restrict(m, h, ext, tol)
                 if m is dense and 0 < h.dim < D:
                     assert fwd.residual > 1e-6 and adj.residual > 1e-6
-                got, want = project(ext, x), project(_untagged(ext), x)
+                got, want = project(ext, x), project(_dense_copy(ext), x)
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
 
@@ -915,8 +969,8 @@ def test_wandering_of_full_space_is_low_degrees():
     dom, cod = graded_pair(1.0, 3, 12)
     s = shift(dom, cod, 3)
     h = residue_subspace(dom, 3, range(3))
-    t = restrict(s, h)
-    e = wandering(t, extend(h, cod))
+    ext = residue_subspace(cod, 3, range(3))
+    e = wandering(restrict(s, h, ext), ext)
     assert e.dim == 3
     cols = np.column_stack([monomial(cod, n) for n in range(3)])
     assert subspace_distance(e, from_vectors(cod, cols)) <= 1e-12
@@ -926,7 +980,8 @@ def test_wandering_of_single_ladder():
     dom, cod = graded_pair(0.5, 2, 10)
     s = shift(dom, cod, 2)
     h = residue_subspace(dom, 2, [1])
-    e = wandering(t := restrict(s, h), extend(h, cod))
+    ext = residue_subspace(cod, 2, [1])
+    e = wandering(t := restrict(s, h, ext), ext)
     assert t.matrix.shape == (6, 5)
     assert e.dim == 1
     assert max_degree(e) == 1
@@ -935,15 +990,15 @@ def test_wandering_of_single_ladder():
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_wandering_refuses_a_subspace_t_does_not_map_into(mode):
     """wandering(t, ext) reads ext's embedding, so an ext whose coordinate
-    space is not t's codomain is refused: the ladder itself, the extension
-    of another ladder of the same dimension, and the full ladder of the
-    codomain.  The kernel of t* stays in those coordinates."""
+    space is not t's codomain is refused: the ladder itself, another
+    ladder of the codomain of the same dimension, and the full ladder of
+    the codomain.  The kernel of t* stays in those coordinates."""
     alpha = Fraction(1, 2) if mode.is_exact else 0.5
     dom, cod = graded_pair(alpha, 2, 10, mode)
     h = residue_subspace(dom, 2, [0])
-    t = restrict(shift(dom, cod, 2), h)
-    ext = extend(h, cod)
-    other = extend(residue_subspace(dom, 2, [1]), cod)
+    ext = residue_subspace(cod, 2, [0])
+    t = restrict(shift(dom, cod, 2), h, ext)
+    other = residue_subspace(cod, 2, [1])
     assert other.dim == ext.dim
     for wrong in (h, other, residue_subspace(cod, 2, [0, 1])):
         with pytest.raises(DimensionMismatch):
@@ -961,8 +1016,8 @@ def ladder_wandering_oracle(cod, residues):
 
 def ladder_wandering(alpha, N, D, residues):
     dom, cod = graded_pair(alpha, N, D)
-    h = residue_subspace(dom, N, residues)
-    return wandering(restrict(shift(dom, cod, N), h), extend(h, cod)), cod
+    h, ext = residue_subspace(dom, N, residues), residue_subspace(cod, N, residues)
+    return wandering(restrict(shift(dom, cod, N), h, ext), ext), cod
 
 
 @pytest.mark.parametrize("D", [64, 128])
@@ -1002,9 +1057,8 @@ def test_invariant_closure_recovers_ladder(mode):
     alpha = Fraction(1, 2) if mode.is_exact else 0.5
     dom, cod = graded_pair(alpha, 2, 12, mode)
     s = shift(dom, cod, 2)
-    h = residue_subspace(dom, 2, [0])
-    t = restrict(s, h)
-    e = truncate(wandering(t, extend(h, cod)), 12)
+    h, ext = residue_subspace(dom, 2, [0]), residue_subspace(cod, 2, [0])
+    e = truncate(wandering(restrict(s, h, ext), ext), 12)
     assert e.dim == 1
     depth = (12 - 1 - max_degree(e)) // 2
     closure = invariant_closure(e, 2, depth)
@@ -1113,10 +1167,10 @@ def test_subspace_distance_exact_and_degenerate():
         bent[1, 0] = bent[7, 2] = Fraction(1, 3) if mode.is_exact else 1 / 3
         pairs = [(from_vectors(sp, bent), h), (h, from_vectors(sp, bent)),
                  (random_subspace(sp, 3, seed=1), random_subspace(sp, 3, seed=2)),
-                 (h, _untagged(h)), (h, residue_subspace(sp, 2, [1]))]
+                 (h, _dense_copy(h)), (h, residue_subspace(sp, 2, [1]))]
         for u, v in pairs:
             assert abs(subspace_distance(u, v) - projector_distance(u, v)) <= 1e-12
-        assert subspace_distance(h, _untagged(h)) == 0.0
+        assert subspace_distance(h, _dense_copy(h)) == 0.0
         full, empty, zero = (residue_subspace(sp, 2, [0, 1]), residue_subspace(sp, 2, []),
                              zero_subspace(sp))
         for u, v in ((h, full), (full, h), (zero, h), (h, empty),
@@ -1127,7 +1181,7 @@ def test_subspace_distance_exact_and_degenerate():
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_subspace_distance_skips_the_svd_on_a_zero_leftover(monkeypatch, mode):
-    """A ladder against its untagged copy leaves an exactly zero block, so
+    """A ladder against its dense copy leaves an exactly zero block, so
     the distance is 0.0 with no SVD taken; nonzero dense leftovers still
     take it and agree with the projector difference (tests/oracles.py)."""
     alpha = Fraction(1, 2) if mode.is_exact else 0.5
@@ -1137,7 +1191,7 @@ def test_subspace_distance_skips_the_svd_on_a_zero_leftover(monkeypatch, mode):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: taken.append(1) or svd(*a, **kw))
     for residues in ([0], [1, 2], [0, 1, 2]):
         h = residue_subspace(sp, 3, residues)
-        for u, v in ((h, _untagged(h)), (_untagged(h), h)):
+        for u, v in ((h, _dense_copy(h)), (_dense_copy(h), h)):
             taken.clear()
             assert subspace_distance(u, v) == 0.0
             assert not taken

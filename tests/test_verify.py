@@ -17,8 +17,8 @@ from bergman_lab import (
     ReducingResult,
     ScalarMode,
     TruncatedSpace,
-    extend,
     operators,
+    residue_subspace,
     restrict,
     wandering,
 )
@@ -43,6 +43,7 @@ from bergman_lab.verify import (
     weights_reach,
 )
 from oracles import level_maps
+from test_index_maps import assert_same_entries
 
 FLOAT = ScalarMode.FLOAT64
 EXACT = ScalarMode.EXACT_RATIONAL
@@ -331,8 +332,9 @@ def _count_gram_inverses(monkeypatch) -> list:
 
 def test_gram_inverse_once_per_level(monkeypatch):
     """Each tower level inverts its Gram operator once; the lift reuses pinv,
-    t maps the level's ladder into its extension, and the lift chain of
-    level j runs from level 0's ladder into level j's extension."""
+    t maps the level's ladder into ext, the ladder of the same residues in
+    the codomain, and the lift chain of level j runs from level 0's ladder
+    into level j's ext."""
     calls = _count_gram_inverses(monkeypatch)
     _tower_cached.cache_clear()
     try:
@@ -348,10 +350,11 @@ def test_gram_inverse_once_per_level(monkeypatch):
         assert level.ext.ambient == level.shift.codomain
         assert level.t.domain == level.ladder.embedding.domain
         assert level.t.codomain == level.ext.embedding.domain
-        want = extend(level.ladder, level.shift.codomain)
+        want = residue_subspace(level.shift.codomain, 2, (0,))
         assert level.ext.embedding.domain == want.embedding.domain
-        assert np.array_equal(level.ext.basis, want.basis)
-        assert level.ext.residues == want.residues == frozenset({0})
+        assert_same_entries(level.ext.basis, want.basis)
+        assert_same_entries(level.ext.norms_sq, want.norms_sq)
+        assert_same_entries(level.ext.coordinates.matrix, want.coordinates.matrix)
         assert level.left_inv.codomain == level.t.domain
         assert level.left_inv.domain == level.t.codomain
         assert level.chain.domain == levels[0].t.domain
