@@ -390,22 +390,15 @@ def index_span(m: LinearMap) -> "LinearMap | None":
 
     The nonzero columns of an index map hit distinct rows, so they are
     orthogonal in the codomain's diagonal metric by construction, and the
-    empty ones are dropped.  Exact mode keeps the values and carries the
-    squared norms ``|v|^2 w[row]`` as the coordinate metric.  Float mode
-    normalizes each value to ``phase / sqrt(w[row])``, the vector a
-    Gram-Schmidt step reaches up to rounding, with coordinate metric 1.
+    empty ones are dropped.  In both modes the values are kept and the
+    squared norms ``|v|^2 w[row]`` are the coordinate metric.
     """
     if m._rows is None:
         return None
     pick = np.append(np.flatnonzero(_exact.support(m._vals[:-1])), -1)
     rows, vals = m._rows[pick], m._vals[pick]
     w, den = m.codomain.scaled_metric
-    w = w[rows[:-1]]
-    if m.mode.is_exact:
-        norms = _exact.weighted_sq(vals[:-1], w, den)
-    else:
-        vals[:-1] = vals[:-1] / np.abs(vals[:-1]) / np.sqrt(w)
-        norms = np.ones(len(w))
+    norms = _exact.weighted_sq(vals[:-1], w[rows[:-1]], den)
     return LinearMap._indexed(TruncatedSpace(metric=norms, mode=m.mode), m.codomain, rows, vals)
 
 

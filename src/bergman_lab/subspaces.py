@@ -13,10 +13,12 @@ and truncations.  A ladder is built in any truncation by
 :func:`residue_subspace`; once built it is a subspace like any other, and
 moves between truncations by its embedding alone.  Their embeddings are
 index maps (see ``operators.LinearMap``), orthogonal by construction, and
-taking their span needs no factorization (``operators.index_span``).  A dense embedding, as
-``Subspace(ambient, basis, norms_sq)`` and :func:`from_vectors` build, is
-the reference: its spans take :func:`orthogonalize`, and its kernels the SVD
-or exact elimination.  Float bases are normalized; in exact rational mode
+taking their span needs no factorization (``operators.index_span``): in
+both modes they keep their entries and carry their squared norms.  A dense
+embedding, as ``Subspace(ambient, basis, norms_sq)`` and
+:func:`from_vectors` build, is the reference: its spans take
+:func:`orthogonalize`, and its kernels the SVD or exact elimination.  Only
+Gram-Schmidt output is normalized, in float mode; in exact rational mode
 normalization would leave the field, so the squared norms are carried
 instead.
 
@@ -41,7 +43,7 @@ import numpy as np
 from . import _exact
 from .errors import AmbientMismatch, BadResidue, DepthOverflow, DimensionMismatch, NotInvariant
 from .operators import (LinearMap, displace, hstack, index_span, null_space, operator_norm,
-                        to_float, transpose, unit_map)
+                        to_float, transpose, unit_map, weighted_matrix)
 from .space import TruncatedSpace, random_columns
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
@@ -288,19 +290,18 @@ def extend(sub: Subspace, space: TruncatedSpace) -> Subspace:
 def max_degree(sub: Subspace) -> int:
     """Largest degree carrying a nonnegligible coefficient; -1 for the zero subspace.
 
-    Both modes take each degree's largest coefficient |b_n|.  Exact mode
-    keeps every nonzero one.  Float mode measures them in metric units,
-    |b_n| sqrt(omega_n), and cuts at 1e-12 times the largest, so the
-    decision is scale-free.
+    Exact mode keeps every degree where some basis vector has a nonzero
+    coefficient.  Float mode keeps a degree where some basis vector's
+    coefficient, in metric units, exceeds 1e-12 times that vector's own
+    metric norm: an entry of ``operators.weighted_matrix`` of the embedding
+    above 1e-12, as the columns of that matrix have unit norm.  The
+    decision depends neither on the weights' scale nor on the basis's.
     """
-    if sub.dim == 0:
-        return -1
-    amax = np.abs(sub.basis).max(axis=1)
-    cut = 0
-    if not sub.ambient.mode.is_exact:
-        amax = amax * np.sqrt(np.asarray(sub.ambient.metric))
-        cut = 1e-12 * amax.max()
-    rows = np.flatnonzero(amax > cut)
+    if sub.ambient.mode.is_exact:
+        live = _exact.support(sub.basis)
+    else:
+        live = np.abs(weighted_matrix(sub.embedding)) > 1e-12
+    rows = np.flatnonzero(live.any(axis=1))
     return int(rows.max()) if len(rows) else -1
 
 

@@ -409,7 +409,9 @@ def check_telescoping(spec: CheckSpec) -> ReportEntry:
 def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
     """ker (pinv T)^n sits inside E + TE + ... + T^(n-1)E, with dim n * |residues|.
 
-    Swept over every n = 1..depth.
+    Swept over every n = 1..depth.  Since ``(pinv T)^n = (A^n)*``, its
+    kernel is the wandering part of the lift chain A^n in level n's ext,
+    ``wandering(level.chain, level.ext)``, found as E itself is.
     """
     levels = _levels(spec)
     base = levels[0].ladder
@@ -422,8 +424,7 @@ def check_kernel_containment(spec: CheckSpec) -> ReportEntry:
     for n, level in enumerate(levels, start=1):
         # (pinv T)^n = (A^n)* maps level n down to level 0
         top = level.ext
-        ker = Subspace.embedded(top.embedding.compose(
-            kernel(level.chain.adjoint(), tol=min(spec.tol, 1e-8)).embedding))
+        ker = wandering(level.chain, top)
         expected = n * len(_residues_of(spec))
         dims_ok = dims_ok and ker.dim == expected == top.dim - base.dim
         kdims.append(ker.dim)
@@ -479,8 +480,9 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
     """A reducing subspace is recovered from its wandering part.
 
     The closure of {T^j E} at the maximal depth the grading supports is
-    compared with the subspace itself on the safe degrees < D - N, where the
-    orbit construction is complete.
+    compared with the subspace H itself on the safe degrees < D - N, where
+    the orbit construction is complete: both are cut there by ``truncate``,
+    so the comparison reads H's embedding and not how H was built.
     """
     if spec.D < 2 * spec.N:
         raise DepthOverflow(
@@ -507,7 +509,7 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
     closure = invariant_closure(e_base, spec.N, depth)
     safe = spec.D - spec.N
     c_safe = truncate(closure, safe)
-    h_safe = residue_subspace(c_safe.ambient, spec.N, _residues_of(spec))
+    h_safe = truncate(h, safe)
     # equal dimensions and C inside H mean C = H; the defect is the metric
     # norm of C's leftover off H, the sine of the largest principal angle
     defect = (_map_defect(project(h_safe, c_safe.embedding)[1]) if c_safe.dim == h_safe.dim

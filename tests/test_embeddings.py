@@ -9,11 +9,11 @@ projections, invariance and reducing verdicts and residuals, restrictions
 and zero-padded extensions, and for ``projectors_equal``.
 
 Where the dense route factors (a truncation's null space by SVD, a span by
-Householder QR), the index route normalizes each value to
-``phase / sqrt(w[row])`` instead, the vector the factorization reaches up
-to its rounding.  There the results are equal in exact mode and within
-``subspace_distance`` 1e-14 in float mode, with equal dimensions, and the
-distances of ``subspace_distance`` itself agree to 1e-14.
+Householder QR), it normalizes its float vectors, while the index route
+keeps each value and carries its squared norm.  There the results are
+equal in exact mode and within ``subspace_distance`` 1e-14 in float mode,
+with equal dimensions, and the distances of ``subspace_distance`` itself
+agree to 1e-14.
 """
 
 from fractions import Fraction

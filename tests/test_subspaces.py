@@ -719,6 +719,32 @@ def test_max_degree():
     assert max_degree(from_vectors(sp, c[:, None])) == 3
 
 
+LARGE_ALPHA_LADDERS = [(200, 256, 254), (50, 256, 254), (1000, 64, 62)]
+
+
+def large_alpha_ladder(alpha, D, mode):
+    sp = make_space(Fraction(alpha) if mode.is_exact else float(alpha), 2, D, mode)
+    return residue_subspace(sp, 2, [0])
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("alpha,D,top", LARGE_ALPHA_LADDERS)
+def test_max_degree_measures_each_column_against_its_own_norm(mode, alpha, D, top):
+    """A ladder's top rung counts however small its weight: a cut at 1e-12
+    of the largest weighted row over the whole basis stopped at degrees
+    16, 34 and 10 here in float mode."""
+    assert max_degree(large_alpha_ladder(alpha, D, mode)) == top
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("alpha,D", [case[:2] for case in LARGE_ALPHA_LADDERS])
+def test_invariant_closure_of_a_full_ladder_overflows(mode, alpha, D):
+    """z^2 moves the top rung out of the truncation, so depth 1 overflows
+    in both modes instead of dropping that rung's image."""
+    with pytest.raises(DepthOverflow):
+        invariant_closure(large_alpha_ladder(alpha, D, mode), 2, 1)
+
+
 def test_is_invariant_ladder_exactly():
     dom, cod = graded_pair(0.5, 2, 10)
     s = shift(dom, cod, 2)

@@ -17,9 +17,12 @@ from bergman_lab import (
     ReducingResult,
     ScalarMode,
     TruncatedSpace,
+    invariant_closure,
+    max_degree,
     operators,
     residue_subspace,
     restrict,
+    truncate,
     wandering,
 )
 import bergman_lab.subspaces as subspaces
@@ -239,9 +242,9 @@ def test_beurling_rejects_non_reducing_subspace(monkeypatch):
 
 @pytest.mark.parametrize("D,alpha", [(256, 2.5), (128, 4.0), (64, 6.0)])
 def test_beurling_float_large_d(D, alpha):
-    """max_degree cuts in metric units, so rounding noise in the top degrees,
-    large in raw coefficients where 1/sqrt(omega_n) amplifies it, does not
-    shorten the closure depth."""
+    """max_degree measures each basis vector's coefficients in metric units
+    against that vector's own norm, so neither small weights in the top
+    degrees nor the scale of the basis shorten the closure depth."""
     spec = CheckSpec("beurling", 2, alpha, D, (0,), 4, 0, FLOAT, DEFAULT_TOLS["beurling"])
     entry = run_check(spec)
     assert entry.passed, entry.note
@@ -504,6 +507,44 @@ def test_kernel_containment_float_large_alpha(D, alpha, residues):
     spec = CheckSpec("kernel_containment", 3, alpha, D, residues, mode=FLOAT, tol=1e-9)
     entry = run_check(spec)
     assert entry.passed, (entry.residual, entry.note)
+
+
+def index_subspaces(N, residues, mode):
+    """The index-embedded subspaces of levels 0-2 of the tower at alpha 1/2,
+    D=16: the wandering parts ``ker t*`` and ``ker (A^n)*``, the ext ladder
+    cut back to degrees below 16, and the orbit of the wandering part."""
+    alpha = Fraction(1, 2) if mode.is_exact else 0.5
+    out = []
+    for j in range(3):
+        level = _tower_cached(N, alpha, 16, residues, mode, j)
+        e = wandering(level.t, level.ext)
+        depth = (e.ambient.dim - 1 - max_degree(e)) // N
+        out += [e, wandering(level.chain, level.ext), truncate(level.ext, 16),
+                invariant_closure(e, N, depth)]
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_index_subspaces_agree_across_modes(N):
+    """alpha 1/2 is dyadic, so both modes start from the same number; an
+    index subspace keeps its entries in both modes, so the float basis is
+    the exact one converted, and only the squared norms round."""
+    for residues in ((0,), tuple(range(N))):
+        pairs = zip(index_subspaces(N, residues, FLOAT), index_subspaces(N, residues, EXACT))
+        for got, want in pairs:
+            assert got.embedding._rows is not None and want.embedding._rows is not None
+            assert_same_entries(got.basis, operators.to_float(want.basis))
+            exact_norms = operators.to_float(np.asarray(want.norms_sq))
+            assert np.all(np.abs(got.norms_sq - exact_norms) <= 1e-15 * exact_norms)
+
+
+def test_float_kernel_containment_is_exact_on_the_smoke_grid():
+    """``ker (A^n)*`` and the orbit of E are index subspaces with the same
+    unit entries, so the leftover of one off the other is exactly zero.
+    Index maps call no BLAS, so the zero holds on every platform."""
+    specs = [s for s in smoke_grid() if s.name == "kernel_containment" and not s.mode.is_exact]
+    assert len(specs) == 8
+    assert [run_check(s).residual for s in specs] == [0.0] * len(specs)
 
 
 def test_checks_build_only_the_levels_they_read(monkeypatch):
