@@ -128,7 +128,7 @@ def _report_csv(report: VerificationReport) -> str:
     rows = []
     for e in report.sorted_entries():
         s = e.spec
-        residues = "" if s.residues is None else ";".join(map(str, sorted(s.residues)))
+        residues = "" if s.residues is None else ";".join(map(str, s.residues))
         rows.append([
             s.name, s.N, _alpha_str(s.alpha), s.D, residues, s.depth, s.seed,
             s.mode.value, repr(float(e.residual)), repr(float(s.tol)),
@@ -143,7 +143,7 @@ def _report_text(report: VerificationReport) -> str:
     for e in report.sorted_entries():
         s = e.spec
         status = "PASS" if e.passed else "FAIL"
-        residues = "-" if s.residues is None else "{" + ",".join(map(str, sorted(s.residues))) + "}"
+        residues = "-" if s.residues is None else "{" + ",".join(map(str, s.residues)) + "}"
         extra = " [exact]" if e.exact else ""
         note = f"  ({e.note})" if e.note else ""
         lines.append(

@@ -58,8 +58,8 @@ class LinearMap:
     and by the Gram inverse.  Any other result is dense.  Both forms give
     the values of the dense expressions: an entry of a product is the one
     product of two nonzero factors that the dense sum adds zeros to,
-    computed by itself, and a product with a dense right factor is the left
-    factor's :meth:`apply` to its matrix.  No map is inspected for its
+    computed by itself, and a product with a dense factor is the left
+    factor's :meth:`apply` to the right factor's matrix.  No map is inspected for its
     structure; ``matrix`` is built from the index form on first read and
     kept.
     """
@@ -119,23 +119,16 @@ class LinearMap:
     def apply(self, cols: np.ndarray) -> np.ndarray:
         """Image of a coefficient array: one vector, or a block of columns.
 
-        A real float64 map maps complex columns as two real products, of
-        the real and of the imaginary parts, instead of being cast whole to
-        complex128.
+        One product for every map and every dtype: a dense map's matrix
+        product, or an index map's one elementwise product of its values
+        with the gathered rows, whatever the dtypes of the map and the
+        columns (a real map applied to complex columns gives complex128).
         """
         cols = np.asarray(cols)
         if cols.ndim not in (1, 2) or cols.shape[0] != self.domain.dim:
             raise DimensionMismatch(
                 f"expected {self.domain.dim} rows of coefficients, got shape {cols.shape}"
             )
-        data = self._matrix if self._rows is None else self._vals
-        if data.dtype == np.float64 and cols.dtype.kind == "c":
-            out = self._product(cols.real).astype(np.complex128)
-            out.imag = self._product(cols.imag)
-            return out
-        return self._product(cols)
-
-    def _product(self, cols: np.ndarray) -> np.ndarray:
         if self._rows is None:
             return _exact.mm(self._matrix, cols)
         vals = self._vals[:-1] if cols.ndim == 1 else self._vals[:-1, None]
@@ -168,10 +161,8 @@ class LinearMap:
         """self after other."""
         if other.codomain != self.domain:
             raise DimensionMismatch("composition needs other.codomain == self.domain")
-        if other._rows is None:
+        if other._rows is None or self._rows is None:
             return LinearMap(other.domain, self.codomain, self.apply(other.matrix))
-        if self._rows is None:
-            return LinearMap(other.domain, self.codomain, _exact.mm(self.matrix, other.matrix))
         return LinearMap._indexed(other.domain, self.codomain, self._rows[other._rows],
                                   _exact.mul(self._vals[other._rows], other._vals))
 
@@ -395,11 +386,11 @@ def index_span(m: LinearMap) -> "LinearMap | None":
     """
     if m._rows is None:
         return None
-    pick = np.append(np.flatnonzero(_exact.support(m._vals[:-1])), -1)
-    rows, vals = m._rows[pick], m._vals[pick]
-    w, den = m.codomain.scaled_metric
-    norms = _exact.weighted_sq(vals[:-1], w[rows[:-1]], den)
-    return LinearMap._indexed(TruncatedSpace(metric=norms, mode=m.mode), m.codomain, rows, vals)
+    keep = _exact.support(m._vals[:-1])
+    pick = np.append(np.flatnonzero(keep), -1)
+    norms = m.column_norms_sq()[keep]
+    return LinearMap._indexed(TruncatedSpace(metric=norms, mode=m.mode), m.codomain,
+                              m._rows[pick], m._vals[pick])
 
 
 def hstack(maps) -> LinearMap:

@@ -330,16 +330,18 @@ def _restriction_data(m: LinearMap, sub: Subspace, target: Subspace, tol: float)
     coordinate map of the target), and the invariance verdict.  The
     leftover ``m E - E_t F_t m E`` is :func:`project`'s, and the residual
     is max_i ||(I - P) m b_i|| / ||b_i|| over its columns, P projecting
-    onto the target.  ``ScalarMode.passes`` decides the verdict: exact mode
-    passes only when the leftover is exactly zero, float mode when the
-    residual is at most ``tol``.  For an index map and index embeddings
-    every factor is an index map, so nothing is multiplied but one value
-    per column.
+    onto the target.  Each ratio of squared norms is formed in the mode's
+    own arithmetic and then converted to float, so exact norms below
+    float64's range give their true ratio, not 0/0.  ``ScalarMode.passes``
+    decides the verdict: exact mode passes only when the leftover is exactly
+    zero, float mode when the residual is at most ``tol``.  For an index
+    map and index embeddings every factor is an index map, so nothing is
+    multiplied but one value per column.
     """
     if sub.ambient != m.domain:
         raise AmbientMismatch("subspace does not live in the map's domain")
     restricted, leftover = project(target, m.compose(sub.embedding))
-    ratios = to_float(leftover.column_norms_sq()) / to_float(np.asarray(sub.norms_sq))
+    ratios = to_float(leftover.column_norms_sq() / np.asarray(sub.norms_sq))
     residual = float(np.sqrt(ratios).max(initial=0.0))
     return restricted, InvarianceResult(m.mode.passes([(residual, leftover.is_zero())], tol),
                                         residual)
@@ -508,15 +510,13 @@ def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:
 
 
 @dataclass(frozen=True)
-class CensusEntry:
-    label: str
-    residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class CensusReport:
-    """Outcome of sweeping all residue subspaces plus random controls."""
+    """Outcome of sweeping all residue subspaces plus random controls.
+
+    ``residue_entries`` holds the :class:`ReducingResult` of each ladder,
+    in :func:`residue_sets` order, and ``random_entries`` that of each
+    random control, in seed order.
+    """
 
     residue_entries: tuple
     random_entries: tuple
@@ -580,9 +580,10 @@ def _random_controls(c: LinearMap, c_adj: LinearMap, seeds: range,
     uses, and orthonormalized by one :func:`_orthonormal_runs` call.  Both
     maps apply to the same (dim, 2T) block of bases, in one ``apply`` each,
     and :func:`_control_residuals` measures both sides against the bases.
-    The results are those of :func:`_reducing` on each control, bit for
-    bit.  A control whose pair of columns fails the rank rule takes that
-    route.
+    The results, in seed order, are the ``ReducingResult`` of
+    :func:`_reducing` on each control, bit for bit, and the census keeps
+    them as they are.  A control whose pair of columns fails the rank
+    rule takes that route.
     """
     dom = c.domain
     cols = _stack(random_columns(dom, np.concatenate([_column_seeds(i, 2) for i in seeds])))
@@ -607,7 +608,9 @@ def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
     vectors.  The metric adjoint of ``S_D`` is formed once for the whole
     census.  Each ladder, and in exact mode each control, is tested by
     itself (the reference route); float controls are tested as one stacked
-    block by :func:`_random_controls`, with the same results.
+    block by :func:`_random_controls`, with the same results.  The report
+    holds the :class:`ReducingResult` of every ladder, in
+    :func:`residue_sets` order, and of every control, in seed order.
 
     D < max(3, 2N - 1) raises DepthOverflow.  Below 2N - 1 the monomials
     z^(N-2) and z^(N-1) share the eigenvalue pair (0, 0) of
@@ -621,16 +624,11 @@ def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
                             "raise D")
     c = _compress(s)
     c_adj = c.adjoint()
-    residue_entries = []
-    for combo in residue_sets(N):
-        r = _reducing(c, c_adj, residue_subspace(c.domain, N, combo), tol)
-        label = "{" + ",".join(map(str, combo)) + "}"
-        residue_entries.append(CensusEntry(label, r.residual, r.passed))
+    residue_entries = tuple(_reducing(c, c_adj, residue_subspace(c.domain, N, combo), tol)
+                            for combo in residue_sets(N))
     seeds = range(seed, seed + trials)
     if c.mode.is_exact or not seeds:
-        results = [_reducing(c, c_adj, random_subspace(c.domain, 2, i), tol) for i in seeds]
+        controls = [_reducing(c, c_adj, random_subspace(c.domain, 2, i), tol) for i in seeds]
     else:
-        results = _random_controls(c, c_adj, seeds, tol)
-    random_entries = [CensusEntry(f"random[{i}]", r.residual, r.passed)
-                      for i, r in zip(seeds, results)]
-    return CensusReport(tuple(residue_entries), tuple(random_entries))
+        controls = _random_controls(c, c_adj, seeds, tol)
+    return CensusReport(residue_entries, tuple(controls))

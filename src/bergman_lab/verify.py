@@ -73,7 +73,11 @@ NUM_RANDOM_VECTORS = 20
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """Fully deterministic description of one check run."""
+    """Fully deterministic description of one check run.
+
+    ``residues`` is stored in its normal form, the sorted tuple of distinct
+    residues, so specs naming the same set are equal and share a tower.
+    """
 
     name: str
     N: int
@@ -85,8 +89,12 @@ class CheckSpec:
     mode: ScalarMode = ScalarMode.FLOAT64
     tol: float = 1e-10
 
+    def __post_init__(self):
+        if self.residues is not None:
+            object.__setattr__(self, "residues", tuple(sorted(set(self.residues))))
+
     def sort_key(self):
-        res = (0, ()) if self.residues is None else (1, tuple(sorted(self.residues)))
+        res = (0, ()) if self.residues is None else (1, self.residues)
         return (
             self.name,
             self.N,
@@ -147,7 +155,7 @@ class VerificationReport:
                     "N": s.N,
                     "alpha": _scalar_json(s.alpha),
                     "D": s.D,
-                    "residues": None if s.residues is None else sorted(s.residues),
+                    "residues": None if s.residues is None else list(s.residues),
                     "depth": s.depth,
                     "seed": s.seed,
                     "mode": s.mode.value,
@@ -253,9 +261,10 @@ def _column_defects(nums_sq, dens_sq) -> list[Defect]:
     ``nums_sq`` relative to its entry of ``dens_sq``.
 
     A column whose norm is 0 is (0.0, True) and its entry of ``dens_sq`` is
-    not read.
+    not read.  The ratio is formed in the mode's own arithmetic and then
+    converted to float, as ``subspaces._restriction_data`` forms its own.
     """
-    return [(0.0, True) if num == 0 else (math.sqrt(float(num) / float(den)), False)
+    return [(0.0, True) if num == 0 else (math.sqrt(float(num / den)), False)
             for num, den in zip(nums_sq, dens_sq)]
 
 
@@ -307,7 +316,7 @@ def check_norm_identity(spec: CheckSpec) -> ReportEntry:
         if den == 0:
             continue
         diff = num - rhs
-        defects.append((0.0, True) if diff == 0 else (abs(float(diff)) / float(den), False))
+        defects.append((0.0, True) if diff == 0 else (abs(float(diff / den)), False))
     return _entry(spec, defects)
 
 
@@ -338,7 +347,7 @@ def check_lower_bound(spec: CheckSpec) -> ReportEntry:
     for num, den in zip(nums, t.domain.column_norms_sq(g)):
         if den != 0:
             short = bound * den - num
-            defects.append((float(max(short, 0)) / float(den), short <= 0))
+            defects.append((0.0, True) if short <= 0 else (float(short / den), False))
     ok = True
     if spec.mode.is_exact:
         ok = all(c > bound for c in shift_coeffs(spec.N, spec.alpha, spec.D, spec.mode))
@@ -482,7 +491,11 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
     The closure of {T^j E} at the maximal depth the grading supports is
     compared with the subspace H itself on the safe degrees < D - N, where
     the orbit construction is complete: both are cut there by ``truncate``,
-    so the comparison reads H's embedding and not how H was built.
+    so the comparison reads H's embedding and not how H was built.  E is
+    not cut above its ``max_degree`` k before the orbit is taken: it is
+    ``ext.embedding`` after the kernel of ``t*``, both index maps, so its
+    embedding is an index map whose every entry above degree k is an exact
+    zero, and no rounding noise there could be amplified along the orbit.
     """
     if spec.D < 2 * spec.N:
         raise DepthOverflow(
@@ -502,9 +515,6 @@ def check_beurling(spec: CheckSpec) -> ReportEntry:
     e_base = truncate(e, spec.D)
     dims_ok = e_base.dim == e.dim == len(_residues_of(spec))
     k = max_degree(e_base)
-    # keep only the combinations of E that vanish above degree k, so rounding
-    # noise there is not amplified along the orbit
-    e_base = extend(truncate(e_base, k + 1), h.ambient)
     depth = (spec.D - 1 - k) // spec.N
     closure = invariant_closure(e_base, spec.N, depth)
     safe = spec.D - spec.N

@@ -11,7 +11,7 @@ import pytest
 
 import bergman_lab
 from bergman_lab import LinearMap, ScalarMode, TruncatedSpace, _exact
-from bergman_lab.verify import DEFAULT_TOLS, CheckSpec, run_check
+from bergman_lab.verify import AMBIENT_CHECKS, CHECKS, DEFAULT_TOLS, CheckSpec, run_check
 from oracles import ReadLogged
 
 PACKAGE = Path(bergman_lab.__file__).resolve().parent
@@ -242,6 +242,21 @@ def test_exact_checks_pass_at_dimension_64(name):
     denominators pass at D = 64, where sums over products of denominators
     made them take seconds."""
     spec = CheckSpec(name, 2, Fraction(1, 2), 64, (0,), 4, 0,
+                     ScalarMode.EXACT_RATIONAL, DEFAULT_TOLS[name])
+    entry = run_check(spec)
+    assert entry.passed and entry.residual == 0.0, entry.note
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_exact_checks_pass_where_the_weights_underflow_float64(name):
+    """At N=2, alpha = 10^7, D=64 a ladder's squared norms omega_n fall
+    below 1e-308, so converting a leftover's squared norm and the basis
+    norm to float separately made 0/0: the census reported a NaN defect and
+    every tower check failed on the warning, which pytest's
+    error::RuntimeWarning filter raises.  Residuals are divided in exact
+    arithmetic and then converted, so every check passes with residual 0.0."""
+    residues = None if name in AMBIENT_CHECKS else (0,)
+    spec = CheckSpec(name, 2, Fraction(10**7), 64, residues, 4, 0,
                      ScalarMode.EXACT_RATIONAL, DEFAULT_TOLS[name])
     entry = run_check(spec)
     assert entry.passed and entry.residual == 0.0, entry.note

@@ -5,7 +5,10 @@ A map stored by index (a partial weighted permutation, see
 adjoints, applies, sums and differences, Gram inverses and kernels entry
 for entry (real float64 maps bit for bit, up to the sign of a zero, on real
 and complex columns; exact data as equal Fractions), and singular values
-within the rounding of LAPACK.
+within the rounding of LAPACK.  Both forms apply a real map to complex
+columns as one complex product; each entry of the dense product adds only
+zeros to the one product the index form computes, so they still agree bit
+for bit.
 
 Complex-valued maps, which the package never builds (its float operators
 are real), match within one rounding per product: BLAS evaluates a complex

@@ -147,21 +147,20 @@ def test_apply_is_the_exact_product(mode):
                 m.apply(cols)
 
 
-def test_real_map_applies_complex_columns_as_two_real_products():
-    """A float64 matrix maps complex columns by two real products: the real
-    and imaginary parts of the image are the real products entry for entry,
-    and the image agrees with the complex128 product to rounding."""
+def test_dense_real_map_applies_complex_columns_as_one_product():
+    """A dense float64 map applied to complex columns is the one complex128
+    product ``m.matrix @ cols``, entry for entry, for a block, one column and
+    an empty block."""
     dom, cod = spaces(0.5, 2, 40)
     rng = np.random.default_rng(7)
     m = LinearMap(dom, cod, rng.uniform(-1.0, 1.0, (cod.dim, dom.dim)))
     block = random_columns(dom, range(3))
+    assert block.dtype == np.complex128
     for cols in (block, block[:, 0], block[:, :0]):
         got = m.apply(cols)
         assert got.dtype == np.complex128
-        assert np.array_equal(got.real, m.matrix @ cols.real)
-        assert np.array_equal(got.imag, m.matrix @ cols.imag)
-        want = m.matrix.astype(np.complex128) @ cols
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+        assert got.shape == (cod.dim,) + cols.shape[1:]
+        assert np.array_equal(got, m.matrix @ cols)
 
 
 def test_compose_and_identity():

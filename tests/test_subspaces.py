@@ -1267,17 +1267,21 @@ def test_random_subspace_deterministic():
     assert subspace_distance(a, c) > 1e-3
 
 
-def test_reducing_census():
+def test_reducing_census(monkeypatch):
+    """The report holds each ladder's ReducingResult, in residue_sets order."""
     dom, cod = graded_pair(0.5, 2, 12)
     s = shift(dom, cod, 2)
+    built = []
+    monkeypatch.setattr(subspaces, "residue_subspace", lambda space, N, combo: built.append(
+        combo) or residue_subspace(space, N, combo))
     rep = reducing_census(s, 2, trials=6, seed=11)
+    assert built == subspaces.residue_sets(2)
     assert rep.passed
     assert rep.all_residues_reduce
     assert rep.all_randoms_fail
     assert rep.max_residue_residual == 0.0
     assert rep.min_random_residual > 1e-6
-    assert [e.label for e in rep.residue_entries] == ["{}", "{0}", "{1}", "{0,1}"]
-    assert len(rep.random_entries) == 6
+    assert len(rep.residue_entries) == 4 and len(rep.random_entries) == 6
 
 
 def test_residue_sets_list_every_set_by_size():
@@ -1301,19 +1305,15 @@ def test_census_with_a_negative_trial_count_has_no_controls(mode, alpha):
 
 
 def _census_reference(s, N, trials, seed, tol=1e-10):
-    """The census subspace by subspace: every ladder and every random control
-    through ``subspaces._reducing`` on the compression P_D s, the reference
-    route."""
+    """The census subspace by subspace: the ``ReducingResult`` of every ladder
+    and every random control through ``subspaces._reducing`` on the
+    compression P_D s, the reference route.  Comparing reports with ==
+    holds both residuals of every entry equal, not only their maximum."""
     c = displace(s, s.domain)
     c_adj = c.adjoint()
-
-    def entry(label, sub):
-        r = subspaces._reducing(c, c_adj, sub, tol)
-        return subspaces.CensusEntry(label, r.residual, r.passed)
-
-    ladders = [entry("{" + ",".join(map(str, combo)) + "}", residue_subspace(s.domain, N, combo))
+    ladders = [subspaces._reducing(c, c_adj, residue_subspace(s.domain, N, combo), tol)
                for size in range(N + 1) for combo in itertools.combinations(range(N), size)]
-    controls = [entry(f"random[{i}]", random_subspace(s.domain, 2, i))
+    controls = [subspaces._reducing(c, c_adj, random_subspace(s.domain, 2, i), tol)
                 for i in range(seed, seed + trials)]
     return subspaces.CensusReport(tuple(ladders), tuple(controls))
 
@@ -1333,10 +1333,12 @@ def test_stacked_census_controls_match_the_reference_route(N):
         assert rep.all_randoms_fail
 
 
-@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 3])
 def test_exact_census_report_is_unchanged(N):
-    """Exact censuses keep the subspace-by-subspace route."""
-    for D, seed in itertools.product((3, 6), (0, 7)):
+    """Exact censuses keep the subspace-by-subspace route, from the census's
+    least D (3, and 5 at N = 3) to the exact grid's D = 16."""
+    dims = {1: (3, 6, 16), 2: (3, 6, 16), 3: (5, 6, 16)}[N]
+    for D, seed in itertools.product(dims, (0, 7)):
         s = shift(*graded_pair(Fraction(1, 2), N, D, EXACT), N)
         rep = reducing_census(s, N, trials=4, seed=seed)
         assert rep == _census_reference(s, N, 4, seed)

@@ -321,6 +321,29 @@ def test_tower_shared_between_checks():
     assert c is not a
 
 
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_residue_sets_have_one_normal_form(mode):
+    """A spec stores its residues as the sorted tuple of distinct residues
+    (N=2, D=16, depth 3): a duplicate or a list gives the entries of the
+    plain set, and an unsorted set those of the sorted one, on the same
+    tower.  A duplicate used to count twice in the dimension checks of
+    kernel_containment and beurling, and a list failed with TypeError."""
+
+    def entries(residues):
+        return [(e.spec, e.residual, e.passed, e.note)
+                for e in (run_check(spec_for(name, mode=mode, D=16, residues=residues))
+                          for name in CHECKS if name not in AMBIENT_CHECKS)]
+
+    assert spec_for("beurling", residues=[1, 0, 1]).residues == (0, 1)
+    plain = entries((0,))
+    assert all(passed for _spec, _r, passed, _note in plain)
+    assert entries((0, 0)) == plain and entries([0]) == plain
+    ordered = entries((0, 1))
+    misses = _tower_cached.cache_info().misses
+    assert entries((1, 0)) == ordered
+    assert _tower_cached.cache_info().misses == misses
+
+
 def _count_gram_inverses(monkeypatch) -> list:
     calls = []
     gram_inverse = operators._gram_inverse
@@ -635,7 +658,8 @@ def test_census_fails_when_a_random_control_passes(monkeypatch, mode):
 
     def with_a_passing_control(*args, **kwargs):
         report = census(*args, **kwargs)
-        first = dataclasses.replace(report.random_entries[0], residual=0.0, passed=True)
+        first = dataclasses.replace(report.random_entries[0], passed=True,
+                                    residual_forward=0.0, residual_adjoint=0.0)
         return dataclasses.replace(report, random_entries=(first,) + report.random_entries[1:])
 
     monkeypatch.setattr(verify, "reducing_census", with_a_passing_control)
