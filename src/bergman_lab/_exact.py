@@ -6,7 +6,8 @@ adjoints (:func:`metric_adjoint`), sums and differences (:func:`add`,
 :func:`sub`), nonzero scans (:func:`support`), and the elementwise
 kernels of maps stored by index (:func:`mul`, :func:`metric_scale`,
 :func:`weighted_sq`; see ``operators.LinearMap``).  On float data each of
-them evaluates the plain numpy expression.
+them evaluates the plain numpy expression.  :func:`integer_sums` sums
+weighted integer columns in Python integers.
 
 On object data they read only nonzero entries: shifts, residue ladders and
 lifts have one nonzero per column, so almost every dense product would be a
@@ -146,6 +147,14 @@ def mm(a: np.ndarray, b: np.ndarray):
                 terms.setdefault(i * width + j, []).append((xn * yn, xd * yd))
     out = _assemble((a2.shape[0], width), terms)
     return out[0 if a.ndim == 1 else slice(None), 0 if b.ndim == 1 else slice(None)]
+
+
+def integer_sums(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``weights @ cols`` in Python integers: ``sum_j weights[j] cols[j, c]``
+    for every column c, for integer weights (Python ints, as
+    :func:`over_common_denominator` gives them) and fixed-width integer
+    columns, which are converted to Python ints first, so no sum wraps."""
+    return np.asarray(weights, dtype=object) @ np.asarray(cols).astype(object)
 
 
 def column_norms_sq(mat: np.ndarray, metric: np.ndarray, den: int = 1) -> np.ndarray:

@@ -368,12 +368,41 @@ def null_space(m: LinearMap, tol: float) -> LinearMap:
             rank = int(np.sum(s > tol))
             cols = vt[rank:].conj().T / np.sqrt(np.asarray(m.domain.metric))[:, None]
         return LinearMap(_unit_space(cols.shape[1], m.mode), m.domain, cols)
-    if m.mode.is_exact:
-        live = _exact.support(m._vals[:-1])
-    else:
-        live = np.abs(_weighted_values(m)[:-1]) > tol
-    null = np.flatnonzero(~live)
+    null = np.flatnonzero(~_live_columns(m, tol))
     return unit_map(_unit_space(len(null), m.mode), m.domain, null)
+
+
+def _live_columns(m: LinearMap, tol: float) -> np.ndarray:
+    """Which columns of an index map hold a nonzero (exact mode) or a
+    weighted entry (see :func:`_weighted_values`) above ``tol`` (float mode)."""
+    if m.mode.is_exact:
+        return _exact.support(m._vals[:-1])
+    return np.abs(_weighted_values(m)[:-1]) > tol
+
+
+def live_rows(m: LinearMap, tol: float) -> np.ndarray:
+    """The rows, in increasing order, that hold a nonzero entry (exact
+    mode) or an entry of :func:`weighted_matrix` above ``tol`` in absolute
+    value (float mode).
+
+    An index map reads its weighted entries from :func:`_weighted_values`,
+    the same IEEE products and quotients, one per column; a dense map scans
+    its matrix or :func:`weighted_matrix`, the reference.
+    """
+    if m._rows is None:
+        live = _exact.support(m.matrix) if m.mode.is_exact else np.abs(weighted_matrix(m)) > tol
+        return np.flatnonzero(live.any(axis=1))
+    return np.sort(m._rows[:-1][_live_columns(m, tol)])
+
+
+def index_entries(m: LinearMap) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
+    """The nonzero entries of an index map as ``(columns, rows, values)``,
+    in increasing column order; None for a dense map.  No two entries
+    share a row or a column."""
+    if m._rows is None:
+        return None
+    cols = np.flatnonzero(_exact.support(m._vals[:-1]))
+    return cols, m._rows[cols], m._vals[cols]
 
 
 def index_span(m: LinearMap) -> "LinearMap | None":

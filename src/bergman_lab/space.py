@@ -102,25 +102,40 @@ class TruncatedSpace:
         return _exact.column_norms_sq(mat, *self.scaled_metric)
 
 
+def random_numerators(dim: int, seeds: Iterable[int]) -> np.ndarray:
+    """The integers k of the exact random columns k / 2^16, as int64: one
+    column of ``dim`` integers in [-2^16, 2^16] per seed, each drawn from
+    its own ``default_rng(seed)``.  The one home of the exact seed-to-bits
+    rule: :func:`random_columns` divides these by 2^16, and
+    ``subspaces.reducing_census`` tests its exact controls on them directly.
+    """
+    seeds = [int(s) for s in seeds]
+    out = np.empty((dim, len(seeds)), dtype=np.int64)
+    for j, seed in enumerate(seeds):
+        out[:, j] = np.random.default_rng(seed).integers(-_EXACT_DENOM, _EXACT_DENOM + 1,
+                                                         size=dim)
+    return out
+
+
 def random_columns(space: TruncatedSpace, seeds: Iterable[int]) -> np.ndarray:
     """Deterministic pseudo-random columns, one per seed, uniform on a box.
 
     Each column comes from its own ``default_rng(seed)``.  Float mode draws
     complex coefficients, the column's real part and then its imaginary
     part, each uniform on [-1, 1].  Exact mode draws real rational
-    coefficients on the dyadic grid k / 2^16 over the same interval, so
-    identities evaluated on these columns stay inside the rational field.
+    coefficients on the dyadic grid k / 2^16 over the same interval, the
+    integers k of :func:`random_numerators`, so identities evaluated on
+    these columns stay inside the rational field.
     """
     seeds = [int(s) for s in seeds]
-    shape = (space.dim, len(seeds))
-    exact = space.mode.is_exact
-    cols = space.mode.zeros(shape) if exact else np.zeros(shape, dtype=np.complex128)
+    if space.mode.is_exact:
+        ints = random_numerators(space.dim, seeds)
+        cols = space.mode.zeros(ints.size)
+        cols[:] = [Fraction(k, _EXACT_DENOM) for k in ints.ravel().tolist()]
+        return cols.reshape(ints.shape)
+    cols = np.zeros((space.dim, len(seeds)), dtype=np.complex128)
     for j, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        if exact:
-            ints = rng.integers(-_EXACT_DENOM, _EXACT_DENOM + 1, size=space.dim)
-            cols[:, j] = [Fraction(int(k), _EXACT_DENOM) for k in ints]
-        else:
-            cols[:, j].real = rng.uniform(-1.0, 1.0, size=space.dim)
-            cols[:, j].imag = rng.uniform(-1.0, 1.0, size=space.dim)
+        cols[:, j].real = rng.uniform(-1.0, 1.0, size=space.dim)
+        cols[:, j].imag = rng.uniform(-1.0, 1.0, size=space.dim)
     return cols

@@ -35,16 +35,18 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 from . import _exact
 from .errors import AmbientMismatch, BadResidue, DepthOverflow, DimensionMismatch, NotInvariant
-from .operators import (LinearMap, displace, hstack, index_span, null_space, operator_norm,
-                        to_float, transpose, unit_map, weighted_matrix)
-from .space import TruncatedSpace, random_columns
+from .operators import (LinearMap, displace, hstack, index_entries, index_span, live_rows,
+                        null_space, operator_norm, to_float, transpose, unit_map)
+from .space import TruncatedSpace, random_columns, random_numerators
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
 #: metric singular values that decides which directions :func:`truncate` keeps.
@@ -296,13 +298,11 @@ def max_degree(sub: Subspace) -> int:
     metric norm: an entry of ``operators.weighted_matrix`` of the embedding
     above 1e-12, as the columns of that matrix have unit norm.  The
     decision depends neither on the weights' scale nor on the basis's.
+    ``operators.live_rows`` reads an index embedding's entries one per
+    column, without the dense matrix.
     """
-    if sub.ambient.mode.is_exact:
-        live = _exact.support(sub.basis)
-    else:
-        live = np.abs(weighted_matrix(sub.embedding)) > 1e-12
-    rows = np.flatnonzero(live.any(axis=1))
-    return int(rows.max()) if len(rows) else -1
+    rows = live_rows(sub.embedding, 1e-12)
+    return int(rows[-1]) if len(rows) else -1
 
 
 @dataclass(frozen=True)
@@ -504,6 +504,12 @@ def _column_seeds(seed: int, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 2**63 - 1, size=dim)
 
 
+def _control_seeds(seeds: range) -> np.ndarray:
+    """The column seeds of census controls ``random_subspace(space, 2, i)``
+    for every i in ``seeds``, two per control, in seed order."""
+    return np.concatenate([_column_seeds(i, 2) for i in seeds])
+
+
 def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:
     """Span of ``dim`` deterministic pseudo-random vectors."""
     return from_vectors(space, random_columns(space, _column_seeds(seed, dim)))
@@ -572,7 +578,8 @@ def _control_residuals(space: TruncatedSpace, bases: np.ndarray,
 def _random_controls(c: LinearMap, c_adj: LinearMap, seeds: range,
                      tol: float) -> list[ReducingResult]:
     """The float reducing test of ``random_subspace(c.domain, 2, i)`` for
-    every i in ``seeds``, as one stacked block.
+    every i in ``seeds``, as one stacked block; :func:`_exact_controls` is
+    its exact twin.
 
     ``c`` is the compression, a square map, and ``c_adj`` its metric
     adjoint.  The columns of every control are drawn by one
@@ -586,7 +593,7 @@ def _random_controls(c: LinearMap, c_adj: LinearMap, seeds: range,
     rule takes that route.
     """
     dom = c.domain
-    cols = _stack(random_columns(dom, np.concatenate([_column_seeds(i, 2) for i in seeds])))
+    cols = _stack(random_columns(dom, _control_seeds(seeds)))
     cuts = RANK_TOL * np.sqrt(dom.column_norms_sq(cols))
     bases, runs = _orthonormal_runs(dom, cols, cuts)
     block = bases.transpose(1, 0, 2).reshape(dom.dim, -1)  # _stack's inverse
@@ -594,6 +601,88 @@ def _random_controls(c: LinearMap, c_adj: LinearMap, seeds: range,
     return [ReducingResult(c.mode.passes([(f, False), (a, False)], tol), float(f), float(a))
             if k == 2 else _reducing(c, c_adj, random_subspace(dom, 2, i), tol)
             for i, k, f, a in zip(seeds, runs, fwd, adj)]
+
+
+def _pair_sums(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_j weights[j] x[j, t, a] y[j, t, b]`` for every control t and
+    pair (a, b), as a (T, 2, 2) array of Python ints.  ``weights`` holds
+    Python ints and ``x``, ``y`` are (n, T, 2) stacks of the int64
+    numerators of :func:`random_numerators`, whose products fit in int64."""
+    prods = x[..., :, None] * y[..., None, :]
+    return _exact.integer_sums(weights, prods.reshape(len(weights), -1)).reshape(-1, 2, 2)
+
+
+def _gram_residual(cross, images, den: int, basis, norms) -> tuple[float, bool]:
+    """One side of one control's reducing test, from its integer Gram data.
+
+    ``cross[a][b]`` is ``<m K_a, K_b>`` times ``den``, and ``images[a][b]``
+    is ``<m K_a, m K_b>`` times ``den^2``, both in the integer metric.
+    ``basis`` holds the coefficients of the orthogonal basis b_i in K_1, K_2
+    and ``norms`` the |b_i|^2.  Residual i is
+    ``(|m b_i|^2 - sum_k <m b_i, b_k>^2 / |b_k|^2) / |b_i|^2``, made one
+    Fraction and converted to float as :func:`_restriction_data` does.
+    Returns the largest residual's square root and whether every leftover
+    is exactly zero.
+    """
+    def form(m, u, v):
+        return sum(u[a] * m[a][b] * v[b] for a in (0, 1) for b in (0, 1))
+
+    n1, n2 = norms
+    nums = [form(images, u, u) * n1 * n2 - form(cross, u, basis[0]) ** 2 * n2
+            - form(cross, u, basis[1]) ** 2 * n1 for u in basis]
+    ratios = [float(Fraction(num, den * den * n1 * n2 * n)) for num, n in zip(nums, norms)]
+    return math.sqrt(max(ratios)), not any(nums)
+
+
+def _exact_controls(c: LinearMap, c_adj: LinearMap, seeds: range,
+                    tol: float) -> list[ReducingResult]:
+    """The exact reducing test of ``random_subspace(c.domain, 2, i)`` for
+    every i in ``seeds``, from integer Gram data: the exact twin of
+    :func:`_random_controls`.
+
+    Control i's columns are ``K_a / 2^16``, with K_1, K_2 the integers that
+    one :func:`random_numerators` call draws for all controls, with the
+    seeds :func:`random_subspace` uses, and the metric is ``W / L``
+    (``scaled_metric``).  Both scalings cancel in each residual ratio, so
+    the test runs on integers: the Gram matrix G of K_1, K_2 in W; for each
+    side m, the values of ``c`` or ``c_adj`` over their common denominator
+    d, ``V / d``, give the weights ``W[row] V`` and ``W[row] V^2`` of
+    ``<m K_a, K_b>`` and ``<m K_a, m K_b>``, sums over m's nonzeros; and
+    Gram-Schmidt gives ``b_1 = K_1`` and ``b_2 = G_11 K_2 - G_12 K_1``.
+    :func:`_gram_residual` forms each residual as one rational, the one the
+    reference route forms, so the results, in seed order, are the
+    ``ReducingResult`` of :func:`_reducing` on each control, bit for bit,
+    and no ``Fraction`` array, :func:`orthogonalize` or :func:`project` is
+    needed.  A control with dependent columns (``|b_1|^2`` or ``|b_2|^2``
+    zero), and every control of a compression in dense form, takes that
+    reference route.
+    """
+    dom = c.domain
+    entries = [index_entries(m) for m in (c, c_adj)]
+    if None in entries:
+        return [_reducing(c, c_adj, random_subspace(dom, 2, i), tol) for i in seeds]
+    k = random_numerators(dom.dim, _control_seeds(seeds))
+    k = k.reshape(dom.dim, -1, 2)  # (D, T, 2): one pair of columns per control
+    w = dom.scaled_metric[0]
+    gram = _pair_sums(w, k, k).tolist()
+    sides = []
+    for cols, rows, vals in entries:
+        v, den = _exact.over_common_denominator(vals)
+        p = w[rows] * v
+        sides.append((_pair_sums(p, k[cols], k[rows]).tolist(),
+                      _pair_sums(p * v, k[cols], k[cols]).tolist(), den))
+    out = []
+    for t, i in enumerate(seeds):
+        (g11, g12), (_, g22) = gram[t]
+        norms = (g11, g11 * (g11 * g22 - g12 * g12))
+        if not all(norms):
+            out.append(_reducing(c, c_adj, random_subspace(dom, 2, i), tol))
+            continue
+        basis = ((1, 0), (-g12, g11))
+        (f, f_zero), (a, a_zero) = (_gram_residual(cross[t], images[t], den, basis, norms)
+                                    for cross, images, den in sides)
+        out.append(ReducingResult(c.mode.passes([(f, f_zero), (a, a_zero)], tol), f, a))
+    return out
 
 
 def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
@@ -606,9 +695,11 @@ def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
     zero residual; ``trials`` seeded random subspaces must all fail.
     Control i is ``random_subspace(s.domain, 2, seed + i)``, two random
     vectors.  The metric adjoint of ``S_D`` is formed once for the whole
-    census.  Each ladder, and in exact mode each control, is tested by
-    itself (the reference route); float controls are tested as one stacked
-    block by :func:`_random_controls`, with the same results.  The report
+    census.  Each ladder is tested by itself (the reference route).  The
+    controls are tested all at once, with the same results: float ones as
+    one stacked block by :func:`_random_controls`, exact ones from integer
+    Gram data by :func:`_exact_controls`, with no Gram-Schmidt and no
+    projection.  The report
     holds the :class:`ReducingResult` of every ladder, in
     :func:`residue_sets` order, and of every control, in seed order.
 
@@ -627,8 +718,7 @@ def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
     residue_entries = tuple(_reducing(c, c_adj, residue_subspace(c.domain, N, combo), tol)
                             for combo in residue_sets(N))
     seeds = range(seed, seed + trials)
-    if c.mode.is_exact or not seeds:
-        controls = [_reducing(c, c_adj, random_subspace(c.domain, 2, i), tol) for i in seeds]
-    else:
-        controls = _random_controls(c, c_adj, seeds, tol)
+    controls = ()
+    if seeds:
+        controls = (_exact_controls if c.mode.is_exact else _random_controls)(c, c_adj, seeds, tol)
     return CensusReport(residue_entries, tuple(controls))

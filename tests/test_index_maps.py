@@ -2,8 +2,8 @@
 
 A map stored by index (a partial weighted permutation, see
 ``operators.LinearMap``) must give what its dense copy gives: compositions,
-adjoints, applies, sums and differences, Gram inverses and kernels entry
-for entry (real float64 maps bit for bit, up to the sign of a zero, on real
+adjoints, applies, sums and differences, Gram inverses, kernels, live
+rows and nonzero entries entry for entry (real float64 maps bit for bit, up to the sign of a zero, on real
 and complex columns; exact data as equal Fractions), and singular values
 within the rounding of LAPACK.  Both forms apply a real map to complex
 columns as one complex product; each entry of the dense product adds only
@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from bergman_lab import ScalarMode, SingularGram, TruncatedSpace, singular_values
-from bergman_lab.operators import _gram_inverse, null_space
+from bergman_lab._exact import support
+from bergman_lab.operators import _gram_inverse, index_entries, live_rows, null_space
 from bergman_lab.space import random_columns
 from oracles import dense_copy, index_map
 
@@ -156,6 +157,14 @@ def test_index_maps_match_their_dense_copies():
             same_products(inv.matrix, _gram_inverse(df).matrix)
         got, ref = null_space(f, 1e-10), null_space(df, 1e-10)
         assert got._rows is not None and ref._rows is None
+        # live rows read one weighted entry per column, the same IEEE values
+        # as the dense weighted matrix; the nonzeros are the stored values
+        for tol in (0.0, 1e-10, 1.0):
+            assert (live_rows(f, tol) == live_rows(df, tol)).all()
+        cols, rows, vals = index_entries(f)
+        assert index_entries(df) is None
+        assert len(cols) == np.count_nonzero(support(want))
+        assert_same_entries(vals, want[rows, cols])
         if kind == "exact":
             assert_same_entries(got.matrix, ref.matrix)
         else:

@@ -13,7 +13,7 @@ from bergman_lab import (
     WeightParams,
     weight_sequence,
 )
-from bergman_lab.space import random_columns
+from bergman_lab.space import random_columns, random_numerators
 from oracles import ReadLogged, monomial, random_vector
 
 FLOAT = ScalarMode.FLOAT64
@@ -195,6 +195,19 @@ def test_random_columns_stack_random_vectors(mode):
             assert all(type(x) is Fraction for x in cols[:, j])
     for empty in ([], np.asarray([], dtype=np.int64)):
         assert random_columns(space, empty).shape == (9, 0)
+
+
+def test_exact_random_columns_are_the_shared_integers_over_2_16():
+    """The exact draw has one rule: random_numerators gives the integers k
+    in [-2^16, 2^16], and random_columns the columns k / 2^16."""
+    space = make_space(Fraction(1, 2), 9, EXACT)
+    seeds = [5, 6, 2**40, 7]
+    ints = random_numerators(space.dim, np.asarray(seeds))
+    assert ints.dtype == np.int64 and ints.shape == (9, 4)
+    assert np.abs(ints).max() <= 2**16
+    want = [[Fraction(k, 2**16) for k in row] for row in ints.tolist()]
+    assert random_columns(space, seeds).tolist() == want
+    assert random_numerators(0, seeds).shape == (0, 4)
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])

@@ -37,6 +37,8 @@ from bergman_lab import (
     weight_sequence,
     zero_subspace,
 )
+import bergman_lab.operators as operators
+import bergman_lab.space as space_module
 import bergman_lab.subspaces as subspaces
 from bergman_lab.operators import LinearMap, displace, to_float
 from bergman_lab.space import random_columns
@@ -737,6 +739,20 @@ def test_max_degree_measures_each_column_against_its_own_norm(mode, alpha, D, to
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("alpha,D,top", LARGE_ALPHA_LADDERS)
+def test_max_degree_of_an_index_embedding_matches_its_dense_copy(monkeypatch, mode, alpha,
+                                                                 D, top):
+    """max_degree reads an index embedding's weighted entries one per
+    column, without building operators.weighted_matrix; a dense copy of the
+    embedding scans that matrix, the reference, and gives the same degree."""
+    ladder = large_alpha_ladder(alpha, D, mode)
+    dense = Subspace(ladder.ambient, ladder.basis, ladder.norms_sq)
+    assert max_degree(dense) == top
+    monkeypatch.setattr(operators, "weighted_matrix", None)
+    assert max_degree(ladder) == top
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
 @pytest.mark.parametrize("alpha,D", [case[:2] for case in LARGE_ALPHA_LADDERS])
 def test_invariant_closure_of_a_full_ladder_overflows(mode, alpha, D):
     """z^2 moves the top rung out of the truncation, so depth 1 overflows
@@ -1333,16 +1349,62 @@ def test_stacked_census_controls_match_the_reference_route(N):
         assert rep.all_randoms_fail
 
 
+#: Exact census alphas: 10^7 puts the weights below float64's range at D = 64.
+EXACT_CENSUS_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(10**7))
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_exact_census_report_is_unchanged(N):
-    """Exact censuses keep the subspace-by-subspace route, from the census's
-    least D (3, and 5 at N = 3) to the exact grid's D = 16."""
-    dims = {1: (3, 6, 16), 2: (3, 6, 16), 3: (5, 6, 16)}[N]
-    for D, seed in itertools.product(dims, (0, 7)):
-        s = shift(*graded_pair(Fraction(1, 2), N, D, EXACT), N)
+    """Exact censuses test their random controls from integer Gram data;
+    each control's entry (verdict, and both residuals compared with ==)
+    equals the reducing test of its own random_subspace.  Alphas 0, 1/2, 1,
+    1/3 and 10^7, where the weights underflow float64, D from the census's
+    least (3, and 5 at N = 3) to 64; and D = 256 at N <= 2, alphas 0 and
+    1/2, with two trials (the reference route takes seconds per control
+    there at alpha 10^7)."""
+    least = max(3, 2 * N - 1)
+    for alpha, D, seed in itertools.product(EXACT_CENSUS_ALPHAS, (least, 6, 16, 33, 64),
+                                            (0, 1013)):
+        s = shift(*graded_pair(alpha, N, D, EXACT), N)
         rep = reducing_census(s, N, trials=4, seed=seed)
-        assert rep == _census_reference(s, N, 4, seed)
+        assert rep == _census_reference(s, N, 4, seed), (alpha, D, seed)
         assert rep.passed
+    if N <= 2:
+        for alpha, seed in itertools.product(EXACT_CENSUS_ALPHAS[:2], (0, 1013)):
+            s = shift(*graded_pair(alpha, N, 256, EXACT), N)
+            rep = reducing_census(s, N, trials=2, seed=seed)
+            assert rep == _census_reference(s, N, 2, seed), (alpha, seed)
+            assert rep.passed
+
+
+def test_exact_census_matches_the_reference_route_property():
+    """Drawn N <= 3, dyadic alpha in (-1, 50], D <= 48 and seed: the exact
+    census report equals the subspace-by-subspace one."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dyadic = st.integers(0, 6).flatmap(
+        lambda j: st.integers(1 - 2**j, 50 * 2**j).map(lambda k: Fraction(k, 2**j)))
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 3), dyadic, st.integers(3, 48), st.integers(0, 2**32 - 1))
+    def check(N, alpha, D, seed):
+        D = max(D, 2 * N - 1)
+        s = shift(*graded_pair(alpha, N, D, EXACT), N)
+        assert reducing_census(s, N, trials=3, seed=seed) == _census_reference(s, N, 3, seed)
+
+    check()
+
+
+def _twin_draw(draw, twin):
+    """``draw`` with the second column seed of control ``twin`` replaced by
+    its first, so that the control's two columns are equal."""
+    first, second = np.random.default_rng(twin).integers(0, 2**63 - 1, size=2)
+    return lambda *args: draw(*args[:-1], [first if int(x) == second else x for x in args[-1]])
+
+
+def _record_random_subspaces(monkeypatch, built):
+    monkeypatch.setattr(subspaces, "random_subspace", lambda space, dim, i: built.append(i)
+                        or random_subspace(space, dim, i))
 
 
 def test_census_control_with_dependent_columns_takes_the_reference_route(monkeypatch):
@@ -1352,17 +1414,49 @@ def test_census_control_with_dependent_columns_takes_the_reference_route(monkeyp
     seed, twin = 40, 43
     s = shift(*graded_pair(1.0, 2, 32), 2)
     plain = _census_reference(s, 2, 6, seed)
-    first, second = np.random.default_rng(twin).integers(0, 2**63 - 1, size=2)
-    draw, built = subspaces.random_columns, []
-    monkeypatch.setattr(subspaces, "random_columns", lambda space, seeds: draw(
-        space, [first if int(x) == second else x for x in seeds]))
-    monkeypatch.setattr(subspaces, "random_subspace", lambda space, dim, i: built.append(i)
-                        or random_subspace(space, dim, i))
+    built = []
+    monkeypatch.setattr(subspaces, "random_columns", _twin_draw(subspaces.random_columns, twin))
+    _record_random_subspaces(monkeypatch, built)
     rep = reducing_census(s, 2, trials=6, seed=seed)
     assert built == [twin]
     assert rep == _census_reference(s, 2, 6, seed)
     changed = [a != b for a, b in zip(rep.random_entries, plain.random_entries)]
     assert changed == [i == twin for i in range(seed, seed + 6)]
+
+
+def test_exact_census_control_with_dependent_columns_takes_the_reference_route(monkeypatch):
+    """The exact twin: a control whose two columns are equal has
+    |b_2|^2 = 0 and is tested through random_subspace, with the entry that
+    route gives; the other controls keep the integer route.  The integers
+    are drawn by one rule, so replacing it changes both routes alike."""
+    seed, twin = 40, 43
+    s = shift(*graded_pair(Fraction(1, 2), 2, 16, EXACT), 2)
+    plain = _census_reference(s, 2, 6, seed)
+    built = []
+    draw = _twin_draw(space_module.random_numerators, twin)
+    monkeypatch.setattr(space_module, "random_numerators", draw)
+    monkeypatch.setattr(subspaces, "random_numerators", draw)
+    _record_random_subspaces(monkeypatch, built)
+    rep = reducing_census(s, 2, trials=6, seed=seed)
+    assert built == [twin]
+    assert random_subspace(s.domain, 2, twin).dim == 1
+    assert rep == _census_reference(s, 2, 6, seed)
+    changed = [a != b for a, b in zip(rep.random_entries, plain.random_entries)]
+    assert changed == [i == twin for i in range(seed, seed + 6)]
+
+
+def test_exact_census_of_a_dense_shift_takes_the_reference_route(monkeypatch):
+    """A compression held in dense form tests every control through
+    random_subspace, with the entries the index form's integer route gives."""
+    dom, cod = graded_pair(Fraction(1, 2), 2, 8, EXACT)
+    s = shift(dom, cod, 2)
+    built = []
+    _record_random_subspaces(monkeypatch, built)
+    rep = reducing_census(LinearMap(dom, cod, s.matrix), 2, trials=3, seed=5)
+    assert built == [5, 6, 7]
+    built.clear()
+    assert rep == reducing_census(s, 2, trials=3, seed=5)
+    assert built == []
 
 
 @pytest.mark.parametrize("mode,alpha", [(FLOAT, 0.5), (EXACT, Fraction(1, 2))])
@@ -1388,6 +1482,23 @@ def test_span_of_z_reduces_a_section_below_the_census_rule():
         dom, cod = graded_pair(Fraction(1, 2), 3, D, EXACT)
         z = Subspace(dom, monomial(dom, 1)[:, None], np.asarray(dom.metric)[1:2])
         assert is_reducing(shift(dom, cod, 3), z).passed is reduces, D
+
+
+def test_exact_census_draws_its_controls_once_without_gram_schmidt(monkeypatch):
+    """An exact census with independent controls makes one
+    random_numerators call for all of them and no orthogonalize call, at
+    any number of controls."""
+    calls = []
+    draw, orth = subspaces.random_numerators, subspaces.orthogonalize
+    monkeypatch.setattr(subspaces, "random_numerators",
+                        lambda *a: calls.append("draw") or draw(*a))
+    monkeypatch.setattr(subspaces, "orthogonalize",
+                        lambda *a: calls.append("orthogonalize") or orth(*a))
+    for N, D, trials in ((1, 8, 5), (2, 64, 20), (3, 16, 40)):
+        calls.clear()
+        s = shift(*graded_pair(Fraction(1, 2), N, D, EXACT), N)
+        assert reducing_census(s, N, trials=trials).passed
+        assert calls == ["draw"], (N, D, trials)
 
 
 def test_float_census_draws_and_factors_its_controls_once(monkeypatch):
