@@ -6,8 +6,7 @@ adjoints (:func:`metric_adjoint`), sums and differences (:func:`add`,
 :func:`sub`), nonzero scans (:func:`support`), and the elementwise
 kernels of maps stored by index (:func:`mul`, :func:`metric_scale`,
 :func:`weighted_sq`; see ``operators.LinearMap``).  On float data each of
-them evaluates the plain numpy expression.  :func:`integer_sums` sums
-weighted integer columns in Python integers.
+them evaluates the plain numpy expression.
 
 On object data they read only nonzero entries: shifts, residue ladders and
 lifts have one nonzero per column, so almost every dense product would be a
@@ -149,22 +148,12 @@ def mm(a: np.ndarray, b: np.ndarray):
     return out[0 if a.ndim == 1 else slice(None), 0 if b.ndim == 1 else slice(None)]
 
 
-def integer_sums(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``weights @ cols`` in Python integers: ``sum_j weights[j] cols[j, c]``
-    for every column c, for integer weights (Python ints, as
-    :func:`over_common_denominator` gives them) and fixed-width integer
-    columns, which are converted to Python ints first, so no sum wraps."""
-    return np.asarray(weights, dtype=object) @ np.asarray(cols).astype(object)
-
-
 def column_norms_sq(mat: np.ndarray, metric: np.ndarray, den: int = 1) -> np.ndarray:
     """Squared weighted norm ``sum_i (metric[i] / den) |mat[i, j]|^2`` of every column.
 
-    Float data (where ``den`` is 1) may also be a stack of such blocks, in
-    its last two axes.  It weighs the squared moduli in place and sums each
-    column as one contiguous row of a transposed copy, in the same order at
-    any block width and in any stack.  Object
-    data takes an integer metric ``W`` over its common denominator
+    Float data (where ``den`` is 1) weighs the squared moduli in place and
+    sums each column as one contiguous row of a transposed copy, in the
+    same order at any block width.  Object data takes an integer metric ``W`` over its common denominator
     ``L = den`` (see :func:`over_common_denominator`; rational entries give
     the same values): the terms ``x.numerator^2 W[i] / x.denominator^2`` of
     a column's nonzero entries are summed by :func:`_ratio_sum` and divided
@@ -175,7 +164,7 @@ def column_norms_sq(mat: np.ndarray, metric: np.ndarray, den: int = 1) -> np.nda
         terms = np.abs(mat)
         np.square(terms, out=terms)
         terms *= metric[:, None]
-        return np.ascontiguousarray(np.swapaxes(terms, -1, -2)).sum(axis=-1)
+        return np.ascontiguousarray(terms.T).sum(axis=1)
     w = metric.tolist()
     terms = {}
     i_nz, j_nz = np.nonzero(support(mat))
@@ -223,10 +212,9 @@ def metric_adjoint(m: np.ndarray, w_out: np.ndarray, w_in: np.ndarray,
                    out_den: int = 1, in_den: int = 1) -> np.ndarray:
     """Metric adjoint G_in^-1 m^H G_out of a matrix between diagonal metrics
     ``w_out / out_den`` and ``w_in / in_den``:
-    ``conj(m).T * (w_out[None, :] / w_in[:, None])``, by :func:`metric_scale`;
-    of each matrix of a stack, held in the last two axes of ``m``."""
+    ``conj(m).T * (w_out[None, :] / w_in[:, None])``, by :func:`metric_scale`."""
     m, w_out, w_in = np.asarray(m), np.asarray(w_out), np.asarray(w_in)
-    return metric_scale(np.swapaxes(m, -1, -2), w_out[None, :], w_in[:, None], out_den, in_den)
+    return metric_scale(m.T, w_out[None, :], w_in[:, None], out_den, in_den)
 
 
 def weighted_sq(x, w, den: int = 1) -> np.ndarray:

@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_beurling.set_defaults(run=_cmd_single_check, check="beurling")
 
     p_census = sub.add_parser(
-        "census", help="sweep all residue subspaces plus random controls")
+        "census", help="sweep all residue subspaces and certify there are no others")
     _add_check_params(p_census)
     p_census.set_defaults(run=_cmd_single_check, check="census")
 

@@ -395,14 +395,24 @@ def live_rows(m: LinearMap, tol: float) -> np.ndarray:
     return np.sort(m._rows[:-1][_live_columns(m, tol)])
 
 
-def index_entries(m: LinearMap) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
-    """The nonzero entries of an index map as ``(columns, rows, values)``,
-    in increasing column order; None for a dense map.  No two entries
-    share a row or a column."""
+def diagonal(m: LinearMap) -> "np.ndarray | None":
+    """The diagonal of a square map; None when an entry off it is nonzero.
+
+    An index map reads its nonzeros by gather: they sit on distinct rows,
+    one per column, so the map is diagonal when each one's row is its
+    column.  A dense map scans its matrix, the reference.
+    """
+    if m.domain.dim != m.codomain.dim:
+        raise DimensionMismatch(f"a diagonal needs a square map, got "
+                                f"{m.domain.dim} -> {m.codomain.dim}")
     if m._rows is None:
+        off = _exact.support(m.matrix)
+        np.fill_diagonal(off, False)
+        return None if off.any() else np.diagonal(m.matrix).copy()
+    live = _exact.support(m._vals[:-1])
+    if (m._rows[:-1][live] != np.flatnonzero(live)).any():
         return None
-    cols = np.flatnonzero(_exact.support(m._vals[:-1]))
-    return cols, m._rows[cols], m._vals[cols]
+    return np.where(live, m._vals[:-1], m._vals[-1])
 
 
 def index_span(m: LinearMap) -> "LinearMap | None":

@@ -106,8 +106,7 @@ def random_numerators(dim: int, seeds: Iterable[int]) -> np.ndarray:
     """The integers k of the exact random columns k / 2^16, as int64: one
     column of ``dim`` integers in [-2^16, 2^16] per seed, each drawn from
     its own ``default_rng(seed)``.  The one home of the exact seed-to-bits
-    rule: :func:`random_columns` divides these by 2^16, and
-    ``subspaces.reducing_census`` tests its exact controls on them directly.
+    rule: :func:`random_columns` divides these by 2^16.
     """
     seeds = [int(s) for s in seeds]
     out = np.empty((dim, len(seeds)), dtype=np.int64)

@@ -26,27 +26,27 @@ Two tests read a map against a subspace.  Invariance (:func:`is_invariant`,
 :func:`restrict`) asks whether a map sends the subspace into a target
 subspace of the map's codomain, which the caller names; the tower's
 restricted shifts take the ladder of the codomain.  Reducing
-(:func:`is_reducing`, :func:`reducing_census`) compresses the shift to its
-domain, ``S_D = P_D z^N``, and asks whether ``S_D`` and its adjoint send
-the subspace into itself; it extends no subspace.
+(:func:`is_reducing`) compresses the shift to its domain,
+``S_D = P_D z^N``, and asks whether ``S_D`` and its adjoint send the
+subspace into itself; it extends no subspace.  :func:`reducing_census`
+tests every ladder so, and proves from the joint spectrum of ``S_D* S_D``
+and ``S_D S_D*`` that no other subspace reduces ``S_D``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 from . import _exact
 from .errors import AmbientMismatch, BadResidue, DepthOverflow, DimensionMismatch, NotInvariant
-from .operators import (LinearMap, displace, hstack, index_entries, index_span, live_rows,
+from .operators import (LinearMap, diagonal, displace, hstack, index_span, live_rows,
                         null_space, operator_norm, to_float, transpose, unit_map)
-from .space import TruncatedSpace, random_columns, random_numerators
+from .space import TruncatedSpace, random_columns
 
 #: Rank tolerance: the relative cut of orthogonalization, and the cut on the
 #: metric singular values that decides which directions :func:`truncate` keeps.
@@ -110,33 +110,6 @@ def zero_subspace(ambient: TruncatedSpace) -> Subspace:
                     np.asarray(ambient.metric)[:0])
 
 
-def _orthonormal_runs(ambient: TruncatedSpace, stack: np.ndarray,
-                      cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float orthonormalization of each column block of a stack, in the metric.
-
-    ``stack`` holds blocks of shape (D, n) in its last two axes, and
-    ``cuts`` (one per column, shape ``stack.shape[:-2] + (n,)``) the rank
-    rule's cut of each column.  Each block takes the Householder QR
-    factorization (Golub and Van Loan, *Matrix Computations*, 4th ed.,
-    section 5.2) of its columns scaled by ``sqrt(metric)``, in which the
-    metric is Euclidean.  Each Q column is multiplied by the phase of its
-    ``r_jj``, so that diag(R) is positive and Q is the normalized
-    Gram-Schmidt basis up to rounding, and divided by ``sqrt(metric)`` on
-    the way back.  ``|r_jj|`` is the residual the rank rule reads only while
-    every column before j was kept, so a block accepts the leading run of
-    columns with ``|r_jj|`` above their cut.  Returns the Q blocks, of
-    width min(D, n), and the length of each block's run.
-    """
-    sw = np.sqrt(ambient.metric)[:, None]
-    q, r = np.linalg.qr(stack * sw)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    size = np.abs(d)
-    runs = np.logical_and.accumulate(size > cuts[..., :d.shape[-1]], axis=-1).sum(axis=-1)
-    q *= (d / np.where(size > 0, size, 1.0))[..., None, :]  # a zero r_jj is never in the run
-    q /= sw
-    return q, runs
-
-
 def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt in the weighted metric: the kept vectors and their squared norms.
 
@@ -153,17 +126,29 @@ def orthogonalize(ambient: TruncatedSpace, columns: np.ndarray) -> tuple[np.ndar
     map of the vectors kept before it, as :func:`residue_subspace` presets
     a ladder's.  The loop stops once the basis spans the ambient space.
 
-    Float mode first factors the columns by :func:`_orthonormal_runs`, as
-    one block, and keeps its leading run.  When that run covers the
-    diagonal of R (every column kept, or the basis full) the factorization
-    is the result; otherwise the first failing column is dropped and the
-    loop takes the columns after it.
+    Float mode first takes the Householder QR factorization (Golub and Van
+    Loan, *Matrix Computations*, 4th ed., section 5.2) of the columns
+    scaled by ``sqrt(metric)``, in which the metric is Euclidean.  Each Q
+    column is multiplied by the phase of its ``r_jj``, so that diag(R) is
+    positive and Q is the normalized Gram-Schmidt basis up to rounding, and
+    divided by ``sqrt(metric)`` on the way back.  ``|r_jj|`` is the
+    residual the rank rule reads only while every column before j was kept,
+    so the factorization keeps the leading run of columns with ``|r_jj|``
+    above their cut.  When that run covers the diagonal of R (every column
+    kept, or the basis full) the factorization is the result; otherwise the
+    first failing column is dropped and the loop takes the columns after it.
     """
     exact = ambient.mode.is_exact
     kept, start = zero_subspace(ambient), 0
     if not exact:
         cuts = RANK_TOL * np.sqrt(ambient.column_norms_sq(columns))
-        q, k = _orthonormal_runs(ambient, columns, cuts)
+        sw = np.sqrt(ambient.metric)[:, None]
+        q, r = np.linalg.qr(columns * sw)
+        d = np.diagonal(r)
+        size = np.abs(d)
+        k = int(np.logical_and.accumulate(size > cuts[:len(d)]).sum())
+        q *= d / np.where(size > 0, size, 1.0)  # a zero r_jj is never in the run
+        q /= sw
         if k == q.shape[1]:
             return q, np.ones(k)
         kept, start = Subspace(ambient, q[:, :k], np.ones(k)), k + 1
@@ -499,215 +484,103 @@ def projectors_equal(u: Subspace, v: Subspace) -> bool:
     return u.dim == v.dim and project(v, u.embedding)[1].is_zero()
 
 
-def _column_seeds(seed: int, dim: int) -> np.ndarray:
-    """The seeds of the columns :func:`random_subspace` draws for ``seed``."""
-    return np.random.default_rng(seed).integers(0, 2**63 - 1, size=dim)
-
-
-def _control_seeds(seeds: range) -> np.ndarray:
-    """The column seeds of census controls ``random_subspace(space, 2, i)``
-    for every i in ``seeds``, two per control, in seed order."""
-    return np.concatenate([_column_seeds(i, 2) for i in seeds])
-
-
 def random_subspace(space: TruncatedSpace, dim: int, seed: int) -> Subspace:
     """Span of ``dim`` deterministic pseudo-random vectors."""
-    return from_vectors(space, random_columns(space, _column_seeds(seed, dim)))
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=dim)
+    return from_vectors(space, random_columns(space, seeds))
 
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Outcome of sweeping all residue subspaces plus random controls.
+    """Outcome of a census: the ladders, and the certificate that they are all.
 
-    ``residue_entries`` holds the :class:`ReducingResult` of each ladder,
-    in :func:`residue_sets` order, and ``random_entries`` that of each
-    random control, in seed order.
+    ``residue_entries`` holds the :class:`ReducingResult` of each ladder, in
+    :func:`residue_sets` order.  ``separated`` tells whether the joint
+    eigenvalue pairs of ``S_D* S_D`` and ``S_D S_D*`` are pairwise
+    separated, so that the ladders are the only reducing subspaces, and
+    ``gap`` is a lower bound on their relative separation (see
+    :func:`_joint_spectrum_gap`).
     """
 
     residue_entries: tuple
-    random_entries: tuple
+    separated: bool
+    gap: float
 
     @property
     def max_residue_residual(self) -> float:
         return max((e.residual for e in self.residue_entries), default=0.0)
 
     @property
-    def min_random_residual(self) -> float:
-        return min((e.residual for e in self.random_entries), default=np.inf)
-
-    @property
     def all_residues_reduce(self) -> bool:
         return all(e.passed for e in self.residue_entries)
 
     @property
-    def all_randoms_fail(self) -> bool:
-        return all(not e.passed for e in self.random_entries)
-
-    @property
     def passed(self) -> bool:
-        return self.all_residues_reduce and self.all_randoms_fail
+        return self.all_residues_reduce and self.separated
 
 
-def _stack(block: np.ndarray) -> np.ndarray:
-    """The (dim, 2T) block of the census's control columns viewed as a
-    (T, dim, 2) stack, one pair of columns per control."""
-    return block.reshape(block.shape[0], -1, 2).transpose(1, 0, 2)
+def _joint_spectrum_gap(c: LinearMap, c_adj: LinearMap, tol: float) -> tuple[bool, float]:
+    """Are the joint eigenvalue pairs of ``c_adj c`` and ``c c_adj`` pairwise
+    separated?  Returns the verdict and a lower bound on the separation.
 
+    ``c`` is the compression ``S_D`` of z^N and ``c_adj`` its metric
+    adjoint.  ``S_D`` is a weighted shift (Shields, 1974), so both products
+    are diagonal (:func:`operators.diagonal`), with the pair
+    ``(a_n, b_n) = (C_n [n < D - N], C_(n-N) [n >= N])`` on z^n.  When the
+    D pairs are pairwise distinct, the projector of a reducing subspace,
+    which commutes with both products, is diagonal too: the subspace is a
+    span of monomials, closed under steps of +N and -N, which is a ladder
+    (compare Stessin and Zhu, "Reducing subspaces of weighted shift
+    operators", Proc. AMS 130 (2002), for the full operator).
 
-def _control_residuals(space: TruncatedSpace, bases: np.ndarray,
-                       *images: np.ndarray) -> list[np.ndarray]:
-    """:func:`_restriction_data`'s residual for every control at once.
-
-    ``bases`` is a (T, dim, 2) stack in ``space``, each control's
-    metric-orthonormal basis, and each of ``images`` a stack of the images
-    of those bases under one map into ``space``.  The bases' metric adjoint
-    is formed once.  The leftover of each control's images off its own span
-    is :func:`project`'s, formed as the dense route forms it, and the
-    residual is the largest metric norm of its columns; one array of T
-    residuals is returned per stack of images.
+    One algorithm serves both modes.  The pairs are sorted by ``a`` and
+    split into runs wherever consecutive ``a`` values differ by more than
+    ``t``; within a run they are sorted by ``b``, and every consecutive
+    ``b`` gap must exceed ``t``.  Exact mode sets ``t = 0``, so equality
+    decides; float mode sets ``t = tol * max(a, b)``, so the rule is
+    scale-free.  The gap returned is the smallest of the gaps read, over
+    ``max(a, b)``, as a float: a lower bound on the relative Chebyshev
+    distance between any two pairs.  A product that is not diagonal
+    certifies nothing, and gives ``(False, 0.0)``.
     """
-    coords = _exact.metric_adjoint(bases, space.metric, np.ones(2))
-    out = []
-    for im in images:
-        leftover = _exact.mm(bases, _exact.mm(coords, im))
-        np.subtract(im, leftover, out=leftover)
-        out.append(np.sqrt(space.column_norms_sq(leftover)).max(axis=1))
-    return out
+    a, b = diagonal(c_adj.compose(c)), diagonal(c.compose(c_adj))
+    if a is None or b is None:
+        return False, 0.0
+    a, b = a.tolist(), b.tolist()
+    pairs = sorted(zip(a, b))
+    scale = max(a + b)
+    t = 0 if c.mode.is_exact else tol * scale
+    steps = [q[0] - p[0] for p, q in zip(pairs, pairs[1:])]
+    cuts = [0] + [i + 1 for i, g in enumerate(steps) if g > t] + [len(pairs)]
+    gaps = [g for g in steps if g > t]
+    for lo, hi in zip(cuts, cuts[1:]):
+        run = sorted(p[1] for p in pairs[lo:hi])
+        gaps += [y - x for x, y in zip(run, run[1:])]
+    low = min(gaps)
+    return low > t, float(low / scale) if low else 0.0
 
 
-def _random_controls(c: LinearMap, c_adj: LinearMap, seeds: range,
-                     tol: float) -> list[ReducingResult]:
-    """The float reducing test of ``random_subspace(c.domain, 2, i)`` for
-    every i in ``seeds``, as one stacked block; :func:`_exact_controls` is
-    its exact twin.
-
-    ``c`` is the compression, a square map, and ``c_adj`` its metric
-    adjoint.  The columns of every control are drawn by one
-    :func:`random_columns` call, with the seeds :func:`random_subspace`
-    uses, and orthonormalized by one :func:`_orthonormal_runs` call.  Both
-    maps apply to the same (dim, 2T) block of bases, in one ``apply`` each,
-    and :func:`_control_residuals` measures both sides against the bases.
-    The results, in seed order, are the ``ReducingResult`` of
-    :func:`_reducing` on each control, bit for bit, and the census keeps
-    them as they are.  A control whose pair of columns fails the rank
-    rule takes that route.
-    """
-    dom = c.domain
-    cols = _stack(random_columns(dom, _control_seeds(seeds)))
-    cuts = RANK_TOL * np.sqrt(dom.column_norms_sq(cols))
-    bases, runs = _orthonormal_runs(dom, cols, cuts)
-    block = bases.transpose(1, 0, 2).reshape(dom.dim, -1)  # _stack's inverse
-    fwd, adj = _control_residuals(dom, bases, _stack(c.apply(block)), _stack(c_adj.apply(block)))
-    return [ReducingResult(c.mode.passes([(f, False), (a, False)], tol), float(f), float(a))
-            if k == 2 else _reducing(c, c_adj, random_subspace(dom, 2, i), tol)
-            for i, k, f, a in zip(seeds, runs, fwd, adj)]
-
-
-def _pair_sums(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum_j weights[j] x[j, t, a] y[j, t, b]`` for every control t and
-    pair (a, b), as a (T, 2, 2) array of Python ints.  ``weights`` holds
-    Python ints and ``x``, ``y`` are (n, T, 2) stacks of the int64
-    numerators of :func:`random_numerators`, whose products fit in int64."""
-    prods = x[..., :, None] * y[..., None, :]
-    return _exact.integer_sums(weights, prods.reshape(len(weights), -1)).reshape(-1, 2, 2)
-
-
-def _gram_residual(cross, images, den: int, basis, norms) -> tuple[float, bool]:
-    """One side of one control's reducing test, from its integer Gram data.
-
-    ``cross[a][b]`` is ``<m K_a, K_b>`` times ``den``, and ``images[a][b]``
-    is ``<m K_a, m K_b>`` times ``den^2``, both in the integer metric.
-    ``basis`` holds the coefficients of the orthogonal basis b_i in K_1, K_2
-    and ``norms`` the |b_i|^2.  Residual i is
-    ``(|m b_i|^2 - sum_k <m b_i, b_k>^2 / |b_k|^2) / |b_i|^2``, made one
-    Fraction and converted to float as :func:`_restriction_data` does.
-    Returns the largest residual's square root and whether every leftover
-    is exactly zero.
-    """
-    def form(m, u, v):
-        return sum(u[a] * m[a][b] * v[b] for a in (0, 1) for b in (0, 1))
-
-    n1, n2 = norms
-    nums = [form(images, u, u) * n1 * n2 - form(cross, u, basis[0]) ** 2 * n2
-            - form(cross, u, basis[1]) ** 2 * n1 for u in basis]
-    ratios = [float(Fraction(num, den * den * n1 * n2 * n)) for num, n in zip(nums, norms)]
-    return math.sqrt(max(ratios)), not any(nums)
-
-
-def _exact_controls(c: LinearMap, c_adj: LinearMap, seeds: range,
-                    tol: float) -> list[ReducingResult]:
-    """The exact reducing test of ``random_subspace(c.domain, 2, i)`` for
-    every i in ``seeds``, from integer Gram data: the exact twin of
-    :func:`_random_controls`.
-
-    Control i's columns are ``K_a / 2^16``, with K_1, K_2 the integers that
-    one :func:`random_numerators` call draws for all controls, with the
-    seeds :func:`random_subspace` uses, and the metric is ``W / L``
-    (``scaled_metric``).  Both scalings cancel in each residual ratio, so
-    the test runs on integers: the Gram matrix G of K_1, K_2 in W; for each
-    side m, the values of ``c`` or ``c_adj`` over their common denominator
-    d, ``V / d``, give the weights ``W[row] V`` and ``W[row] V^2`` of
-    ``<m K_a, K_b>`` and ``<m K_a, m K_b>``, sums over m's nonzeros; and
-    Gram-Schmidt gives ``b_1 = K_1`` and ``b_2 = G_11 K_2 - G_12 K_1``.
-    :func:`_gram_residual` forms each residual as one rational, the one the
-    reference route forms, so the results, in seed order, are the
-    ``ReducingResult`` of :func:`_reducing` on each control, bit for bit,
-    and no ``Fraction`` array, :func:`orthogonalize` or :func:`project` is
-    needed.  A control with dependent columns (``|b_1|^2`` or ``|b_2|^2``
-    zero), and every control of a compression in dense form, takes that
-    reference route.
-    """
-    dom = c.domain
-    entries = [index_entries(m) for m in (c, c_adj)]
-    if None in entries:
-        return [_reducing(c, c_adj, random_subspace(dom, 2, i), tol) for i in seeds]
-    k = random_numerators(dom.dim, _control_seeds(seeds))
-    k = k.reshape(dom.dim, -1, 2)  # (D, T, 2): one pair of columns per control
-    w = dom.scaled_metric[0]
-    gram = _pair_sums(w, k, k).tolist()
-    sides = []
-    for cols, rows, vals in entries:
-        v, den = _exact.over_common_denominator(vals)
-        p = w[rows] * v
-        sides.append((_pair_sums(p, k[cols], k[rows]).tolist(),
-                      _pair_sums(p * v, k[cols], k[cols]).tolist(), den))
-    out = []
-    for t, i in enumerate(seeds):
-        (g11, g12), (_, g22) = gram[t]
-        norms = (g11, g11 * (g11 * g22 - g12 * g12))
-        if not all(norms):
-            out.append(_reducing(c, c_adj, random_subspace(dom, 2, i), tol))
-            continue
-        basis = ((1, 0), (-g12, g11))
-        (f, f_zero), (a, a_zero) = (_gram_residual(cross[t], images[t], den, basis, norms)
-                                    for cross, images, den in sides)
-        out.append(ReducingResult(c.mode.passes([(f, f_zero), (a, a_zero)], tol), f, a))
-    return out
-
-
-def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
-                    tol: float = 1e-10) -> CensusReport:
+def reducing_census(s: LinearMap, N: int, tol: float = 1e-10) -> CensusReport:
     """Verify that residue ladders, and only they, reduce ``S_D = P_D s``.
 
     ``s`` is the shift z^N from dimension D into D + N, compressed once to
-    ``S_D`` as :func:`is_reducing` compresses it.  All 2^N residue
-    subspaces (including the zero and full ones) must reduce ``S_D`` with
-    zero residual; ``trials`` seeded random subspaces must all fail.
-    Control i is ``random_subspace(s.domain, 2, seed + i)``, two random
-    vectors.  The metric adjoint of ``S_D`` is formed once for the whole
-    census.  Each ladder is tested by itself (the reference route).  The
-    controls are tested all at once, with the same results: float ones as
-    one stacked block by :func:`_random_controls`, exact ones from integer
-    Gram data by :func:`_exact_controls`, with no Gram-Schmidt and no
-    projection.  The report
-    holds the :class:`ReducingResult` of every ladder, in
-    :func:`residue_sets` order, and of every control, in seed order.
+    ``S_D`` as :func:`is_reducing` compresses it, and its metric adjoint is
+    formed once for the whole census.  All 2^N residue subspaces (including
+    the zero and full ones) must reduce ``S_D`` with zero residual, each
+    tested by itself (the reference route).  That no other subspace reduces
+    it is proved, not sampled: :func:`_joint_spectrum_gap` certifies that
+    the joint eigenvalue pairs of ``S_D* S_D`` and ``S_D S_D*`` are
+    pairwise separated, exactly in exact mode and by more than ``tol``
+    relative to their largest value in float mode.  The report holds the
+    :class:`ReducingResult` of every ladder, in :func:`residue_sets` order,
+    the certificate's verdict and its gap.
 
     D < max(3, 2N - 1) raises DepthOverflow.  Below 2N - 1 the monomials
-    z^(N-2) and z^(N-1) share the eigenvalue pair (0, 0) of
-    (``S_D* S_D``, ``S_D S_D*``), so reducing subspaces other than the
-    ladders exist (span{z} at N=3, D=4); at D = 2 a control is the whole
-    domain.
+    z^(D-N) .. z^(N-1) share the eigenvalue pair (0, 0), so reducing
+    subspaces other than the ladders exist (span{z} at N=3, D=4) and the
+    certificate fails with gap 0.  The floor of 3 leaves the refused
+    inputs as they were when the census sampled random 2-dimensional
+    subspaces, which need D > 2.
     """
     need = max(3, 2 * N - 1)
     if s.domain.dim < need:
@@ -717,8 +590,4 @@ def reducing_census(s: LinearMap, N: int, trials: int = 20, seed: int = 0,
     c_adj = c.adjoint()
     residue_entries = tuple(_reducing(c, c_adj, residue_subspace(c.domain, N, combo), tol)
                             for combo in residue_sets(N))
-    seeds = range(seed, seed + trials)
-    controls = ()
-    if seeds:
-        controls = (_exact_controls if c.mode.is_exact else _random_controls)(c, c_adj, seeds, tol)
-    return CensusReport(residue_entries, tuple(controls))
+    return CensusReport(residue_entries, *_joint_spectrum_gap(c, c_adj, tol))

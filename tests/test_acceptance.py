@@ -25,11 +25,13 @@ from bergman_lab import (
     from_vectors,
     identity_map,
     invariant_closure,
+    is_reducing,
     kernel,
     lower_bound,
     max_degree,
     operator_norm,
     projector,
+    random_subspace,
     reducing_census,
     residue_subspace,
     restrict,
@@ -346,13 +348,14 @@ def test_criterion_08_reducing_census():
                 dom = TruncatedSpace(ws, D_KERNEL)
                 cod = TruncatedSpace(ws, D_KERNEL + N)
                 s = shift(dom, cod, N)
-                rep = reducing_census(s, N, trials=100, seed=8000)
+                rep = reducing_census(s, N)
                 assert len(rep.residue_entries) == 2 ** N
                 assert rep.all_residues_reduce
                 assert rep.max_residue_residual == 0.0
-                assert len(rep.random_entries) == 100
-                assert rep.all_randoms_fail
-                assert rep.min_random_residual > 1e-6
+                assert rep.separated
+                controls = [is_reducing(s, random_subspace(dom, 2, 8000 + i)) for i in range(100)]
+                assert not any(r.passed for r in controls)
+                assert min(r.residual for r in controls) > 1e-6
 
     _report(8, "all residue ladders reduce with residual 0; 100 controls fail",
             body)

@@ -3,7 +3,7 @@
 A map stored by index (a partial weighted permutation, see
 ``operators.LinearMap``) must give what its dense copy gives: compositions,
 adjoints, applies, sums and differences, Gram inverses, kernels, live
-rows and nonzero entries entry for entry (real float64 maps bit for bit, up to the sign of a zero, on real
+rows and diagonals entry for entry (real float64 maps bit for bit, up to the sign of a zero, on real
 and complex columns; exact data as equal Fractions), and singular values
 within the rounding of LAPACK.  Both forms apply a real map to complex
 columns as one complex product; each entry of the dense product adds only
@@ -22,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bergman_lab import ScalarMode, SingularGram, TruncatedSpace, singular_values
-from bergman_lab._exact import support
-from bergman_lab.operators import _gram_inverse, index_entries, live_rows, null_space
+from bergman_lab import (DimensionMismatch, ScalarMode, SingularGram, TruncatedSpace,
+                         singular_values)
+from bergman_lab.operators import _gram_inverse, diagonal, live_rows, null_space
 from bergman_lab.space import random_columns
 from oracles import dense_copy, index_map
 
@@ -161,10 +161,17 @@ def test_index_maps_match_their_dense_copies():
         # as the dense weighted matrix; the nonzeros are the stored values
         for tol in (0.0, 1e-10, 1.0):
             assert (live_rows(f, tol) == live_rows(df, tol)).all()
-        cols, rows, vals = index_entries(f)
-        assert index_entries(df) is None
-        assert len(cols) == np.count_nonzero(support(want))
-        assert_same_entries(vals, want[rows, cols])
+        # a square draw is diagonal or not in both forms; a Gram operator always is
+        if n_a == n_b:
+            got_d, ref_d = diagonal(f), diagonal(df)
+            assert (got_d is None) == (ref_d is None)
+            if got_d is not None:
+                assert_same_entries(got_d, ref_d)
+        else:
+            for m in (f, df):
+                with pytest.raises(DimensionMismatch):
+                    diagonal(m)
+        same_products(diagonal(f.adjoint().compose(f)), diagonal(df.adjoint().compose(df)))
         if kind == "exact":
             assert_same_entries(got.matrix, ref.matrix)
         else:

@@ -1,7 +1,6 @@
 """Check registry, report schema, grids, and suite determinism."""
 
 import ast
-import dataclasses
 import itertools
 import math
 import re
@@ -419,8 +418,8 @@ def test_ladder_towers_reach_no_factorization(monkeypatch, mode, D):
     (the ladders, wandering parts, kernels, orbits, their extensions and
     truncations) is a span of monomials held by an index embedding, so a
     cold run of each of them (N=3, residues {0, 2}, depth 4) reaches no
-    orthogonalize, QR, SVD or exact elimination.  census is left out: its
-    random controls are dense subspaces, factored by QR."""
+    orthogonalize, QR, SVD or exact elimination.  Neither do the ambient
+    checks, the census with its certificate among them."""
     calls = []
     for owner, name in ((subspaces, "orthogonalize"), (np.linalg, "qr"),
                         (np.linalg, "svd"), (verify._exact, "rref")):
@@ -431,9 +430,8 @@ def test_ladder_towers_reach_no_factorization(monkeypatch, mode, D):
     _tower_cached.cache_clear()
     try:
         for name, (_check, tol, reads) in verify._CHECK_TABLE.items():
-            if reads == "ambient":
-                continue
-            entry = run_check(CheckSpec(name, 3, alpha, D, (0, 2), 4, 0, mode, tol))
+            residues = None if reads == "ambient" else (0, 2)
+            entry = run_check(CheckSpec(name, 3, alpha, D, residues, 4, 0, mode, tol))
             assert entry.passed, (name, entry.note)
             assert calls == [], name
     finally:
@@ -644,28 +642,18 @@ def test_coeff_bounds_notes_a_float_tie(alpha, note):
     assert run_check(spec_for("coeff_bounds")).note == ""
 
 
-def test_census_trial_count_follows_depth():
-    entry = run_check(spec_for("census", depth=2))
-    assert entry.passed
-    assert "10 random controls" in entry.note
-
-
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
-def test_census_fails_when_a_random_control_passes(monkeypatch, mode):
-    """A random control that passes the reducing test fails the census with
-    residual 1.0, though every residue ladder passes."""
-    census = verify.reducing_census
-
-    def with_a_passing_control(*args, **kwargs):
-        report = census(*args, **kwargs)
-        first = dataclasses.replace(report.random_entries[0], passed=True,
-                                    residual_forward=0.0, residual_adjoint=0.0)
-        return dataclasses.replace(report, random_entries=(first,) + report.random_entries[1:])
-
-    monkeypatch.setattr(verify, "reducing_census", with_a_passing_control)
+def test_census_fails_when_the_certificate_fails(monkeypatch, mode):
+    """A joint spectrum that certifies nothing fails the census, though
+    every residue ladder passes: the residual stays the largest ladder
+    residual, and the note carries the certificate's gap."""
     entry = run_check(spec_for("census", mode=mode))
-    assert not entry.passed and entry.residual == 1.0
-    assert "min control residual 0.000e+00" in entry.note
+    assert entry.passed and entry.residual == 0.0
+    assert "joint spectrum gap 0.000e+00" not in entry.note
+    monkeypatch.setattr(subspaces, "_joint_spectrum_gap", lambda *args: (False, 0.0))
+    entry = run_check(spec_for("census", mode=mode))
+    assert not entry.passed and entry.residual == 0.0
+    assert entry.note == "2^2 residue subspaces, joint spectrum gap 0.000e+00"
 
 
 def test_report_json_schema():
